@@ -37,6 +37,14 @@ pub enum RoutingError {
     },
     /// Forwarding inside a cluster tree failed.
     TreeRouting(String),
+    /// A forwarded hop is not an edge of the graph the route is weighed in:
+    /// the scheme (or snapshot) was built for a different graph.
+    NonEdgeHop {
+        /// The hop's tail.
+        from: NodeId,
+        /// The hop's head.
+        to: NodeId,
+    },
 }
 
 impl fmt::Display for RoutingError {
@@ -53,6 +61,10 @@ impl fmt::Display for RoutingError {
                 "no cluster tree contains both {from} and {to}; a low-probability sampling event failed"
             ),
             RoutingError::TreeRouting(msg) => write!(f, "tree routing failed: {msg}"),
+            RoutingError::NonEdgeHop { from, to } => write!(
+                f,
+                "forwarded hop {from}->{to} is not an edge of the host graph"
+            ),
         }
     }
 }
@@ -85,6 +97,9 @@ mod tests {
         assert!(RoutingError::TreeRouting("x".into())
             .to_string()
             .contains('x'));
+        assert!(RoutingError::NonEdgeHop { from: 4, to: 9 }
+            .to_string()
+            .contains("4->9"));
     }
 
     #[test]

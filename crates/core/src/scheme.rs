@@ -147,6 +147,41 @@ pub struct RouteOutcome {
     pub stretch: f64,
 }
 
+impl RouteOutcome {
+    /// Weighs a forwarded `path` in the host graph `g` and measures its
+    /// stretch against `exact` (1.0 when `exact` is 0). Every storage of
+    /// the scheme builds its outcomes here, so they agree bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// [`RoutingError::NonEdgeHop`] names the first hop of `path` that is
+    /// not an edge of `g`: the scheme was built for a different graph.
+    pub fn weighed_in(
+        g: &WeightedGraph,
+        tree_root: NodeId,
+        level: usize,
+        path: Path,
+        exact: Dist,
+    ) -> Result<Self, RoutingError> {
+        let length = path
+            .try_length_in(g)
+            .map_err(|(from, to)| RoutingError::NonEdgeHop { from, to })?;
+        let stretch = if exact == 0 {
+            1.0
+        } else {
+            length as f64 / exact as f64
+        };
+        Ok(RouteOutcome {
+            tree_root,
+            level,
+            path,
+            length,
+            exact,
+            stretch,
+        })
+    }
+}
+
 impl RoutingScheme {
     /// Assembles the routing scheme from a cluster family.
     ///
@@ -523,7 +558,9 @@ impl RoutingScheme {
     /// # Errors
     ///
     /// Returns an error if either endpoint is invalid, no common tree exists
-    /// (a low-probability sampling failure), or forwarding fails.
+    /// (a low-probability sampling failure), forwarding fails, or a hop of
+    /// the forwarded path is not an edge of `g`
+    /// ([`RoutingError::NonEdgeHop`]).
     pub fn route(
         &self,
         g: &WeightedGraph,
@@ -532,12 +569,16 @@ impl RoutingScheme {
     ) -> Result<RouteOutcome, RoutingError> {
         let (root, level, path) = access::forward_via(&self, from, to)?;
         let exact = dijkstra(g, from).dist[to];
-        Ok(Self::outcome(g, root, level, path, exact))
+        RouteOutcome::weighed_in(g, root, level, path, exact)
     }
 
     /// Routes between the endpoints using a precomputed all-pairs distance
     /// matrix for the stretch denominator (used by the benchmark harness to
     /// avoid re-running Dijkstra per query).
+    ///
+    /// # Errors
+    ///
+    /// Exactly what [`Self::route`] reports.
     pub fn route_with_exact(
         &self,
         g: &WeightedGraph,
@@ -546,30 +587,7 @@ impl RoutingScheme {
         exact: Dist,
     ) -> Result<RouteOutcome, RoutingError> {
         let (root, level, path) = access::forward_via(&self, from, to)?;
-        Ok(Self::outcome(g, root, level, path, exact))
-    }
-
-    fn outcome(
-        g: &WeightedGraph,
-        root: NodeId,
-        level: usize,
-        path: Path,
-        exact: Dist,
-    ) -> RouteOutcome {
-        let length = path.length_in(g).unwrap_or(0);
-        let stretch = if exact == 0 {
-            1.0
-        } else {
-            length as f64 / exact as f64
-        };
-        RouteOutcome {
-            tree_root: root,
-            level,
-            path,
-            length,
-            exact,
-            stretch,
-        }
+        RouteOutcome::weighed_in(g, root, level, path, exact)
     }
 }
 

@@ -373,6 +373,12 @@ pub struct BatchOutcome {
 impl<'a> QueryEngine<'a> {
     /// Creates an engine for `flat` over `graph`.
     ///
+    /// Only the vertex count is checked here. A different graph of the
+    /// same size is caught per route instead: a forwarded hop that is not
+    /// an edge of `graph` fails that route with
+    /// [`RoutingError::NonEdgeHop`], so no outcome ever reports a length
+    /// the graph does not have.
+    ///
     /// # Errors
     ///
     /// Returns [`WireError::GraphMismatch`] when the snapshot was built for a
@@ -430,23 +436,6 @@ impl<'a> QueryEngine<'a> {
         access::forward_via(&FastAccess { flat: self.flat }, from, to)
     }
 
-    fn outcome(&self, root: NodeId, level: usize, path: Path, exact: Dist) -> RouteOutcome {
-        let length = path.length_in(self.graph).unwrap_or(0);
-        let stretch = if exact == 0 {
-            1.0
-        } else {
-            length as f64 / exact as f64
-        };
-        RouteOutcome {
-            tree_root: root,
-            level,
-            path,
-            length,
-            exact,
-            stretch,
-        }
-    }
-
     /// Routes one packet, measuring stretch against the exact distance
     /// (computed with Dijkstra, like the in-memory scheme's `route`).
     ///
@@ -456,7 +445,7 @@ impl<'a> QueryEngine<'a> {
     pub fn route(&self, from: NodeId, to: NodeId) -> Result<RouteOutcome, RoutingError> {
         let (root, level, path) = self.forward(from, to)?;
         let exact = dijkstra(self.graph, from).dist[to];
-        Ok(self.outcome(root, level, path, exact))
+        RouteOutcome::weighed_in(self.graph, root, level, path, exact)
     }
 
     /// Routes one packet against a caller-supplied exact distance (the
@@ -473,7 +462,7 @@ impl<'a> QueryEngine<'a> {
         exact: Dist,
     ) -> Result<RouteOutcome, RoutingError> {
         let (root, level, path) = self.forward(from, to)?;
-        Ok(self.outcome(root, level, path, exact))
+        RouteOutcome::weighed_in(self.graph, root, level, path, exact)
     }
 
     /// The hardened forwarding path — the *same* kernel, instantiated over
@@ -511,9 +500,9 @@ impl<'a> QueryEngine<'a> {
         // guard additionally contains anything they cannot see (e.g. a
         // corrupt record interior tripping a slice bound in a view).
         match catch_unwind(AssertUnwindSafe(|| self.forward_checked(from, to))) {
-            Ok(forwarded) => {
-                forwarded.map(|(root, level, path)| self.outcome(root, level, path, exact))
-            }
+            Ok(forwarded) => forwarded.and_then(|(root, level, path)| {
+                RouteOutcome::weighed_in(self.graph, root, level, path, exact)
+            }),
             Err(_) => Err(RoutingError::TreeRouting(format!(
                 "corrupt snapshot: query {from}->{to} panicked and was degraded"
             ))),
@@ -538,7 +527,7 @@ impl<'a> QueryEngine<'a> {
     ) -> Result<RouteOutcome, RoutingError> {
         let (root, level, path) =
             access::forward_via_cached(&FastAccess { flat: self.flat }, cache, from, to)?;
-        Ok(self.outcome(root, level, path, exact))
+        RouteOutcome::weighed_in(self.graph, root, level, path, exact)
     }
 
     /// [`Self::route_checked`] fronted by a caller-held hot-route cache —
@@ -561,9 +550,9 @@ impl<'a> QueryEngine<'a> {
             let (cache, engine) = &mut *guarded;
             access::forward_via_cached(&CheckedAccess { flat: engine.flat }, cache, from, to)
         }) {
-            Ok(forwarded) => {
-                forwarded.map(|(root, level, path)| self.outcome(root, level, path, exact))
-            }
+            Ok(forwarded) => forwarded.and_then(|(root, level, path)| {
+                RouteOutcome::weighed_in(self.graph, root, level, path, exact)
+            }),
             Err(_) => Err(RoutingError::TreeRouting(format!(
                 "corrupt snapshot: query {from}->{to} panicked and was degraded"
             ))),

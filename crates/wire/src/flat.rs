@@ -196,17 +196,26 @@ impl<'a> FlatCluster<'a> {
         Ok(self.members())
     }
 
-    /// The member-order rank of `v` in this cluster, resolved through the
-    /// v3 [`Section::MemberSlots`] rank index: a binary search over `v`'s
-    /// *own* short tree list, then one word read — never a search over the
-    /// (up to `n`-element) member column.
+    /// The member-order rank of `v` in this cluster.
+    ///
+    /// A *full* cluster (`n` members — every top-level cluster, since
+    /// `A_k = ∅`) answers `v` itself in O(1): validation proves each member
+    /// column strictly ascending below `n`, so a column of length `n` is
+    /// the identity. Any other cluster resolves through the v3
+    /// [`Section::MemberSlots`] rank index: a forward scan of `v`'s *own*
+    /// short tree list for the centre, then one word read — never a search
+    /// over the member column.
     ///
     /// # Panics
     ///
     /// May panic over a scheme loaded with
     /// [`FlatScheme::from_bytes_unvalidated`] whose CSR or slot columns are
-    /// corrupt; [`Self::try_slot_of`] is the checked equivalent.
+    /// corrupt, and over such bytes a full cluster's identity answer is
+    /// unproven; [`Self::try_slot_of`] is the checked equivalent.
     pub fn slot_of(&self, v: NodeId) -> Option<usize> {
+        if self.members_len == self.scheme.n {
+            return (v < self.members_len).then_some(v);
+        }
         let trees = self.scheme.trees_of(v);
         // A vertex's tree row is short (its cluster memberships, not a
         // member column), so a forward scan with an ascending-order early
@@ -291,8 +300,8 @@ impl<'a> FlatCluster<'a> {
     }
 
     /// The routing table of member `v`, if `v` is in this cluster:
-    /// [`Self::slot_of`] through the v3 rank index, then O(1) column
-    /// arithmetic.
+    /// [`Self::slot_of`] (the identity on a full cluster, the v3 rank index
+    /// otherwise), then O(1) column arithmetic.
     ///
     /// # Panics
     ///
@@ -1751,7 +1760,21 @@ mod tests {
         let bytes = snapshot();
         let flat = FlatScheme::from_bytes(&bytes).unwrap();
         let mut lookups = 0usize;
+        let (mut full, mut partial) = (0usize, 0usize);
         for cluster in flat.clusters() {
+            if cluster.len() == flat.n() {
+                // The identity branch: every vertex is its own slot, ids
+                // past n miss, and the rank index the checked path reads
+                // says the same.
+                full += 1;
+                for v in 0..flat.n() {
+                    assert_eq!(cluster.slot_of(v), Some(v));
+                    assert_eq!(cluster.try_slot_of(v).unwrap(), Some(v));
+                }
+                assert_eq!(cluster.slot_of(flat.n()), None);
+            } else {
+                partial += 1;
+            }
             for slot in 0..cluster.len() {
                 let v = cluster.members().get(slot) as NodeId;
                 assert_eq!(cluster.slot_of(v), Some(slot));
@@ -1778,6 +1801,53 @@ mod tests {
             }
         }
         assert!(lookups > 0, "the drill must exercise real lookups");
+        assert!(full > 0, "the identity branch must be exercised");
+        assert!(partial > 0, "the rank-index branch must be exercised");
+    }
+
+    /// Edits member-column words and re-seals the `MEMBER_IDS` and header
+    /// checksums, so the forged buffer passes the integrity layer and only
+    /// the structural validation can reject it.
+    fn forge_member_ids(bytes: &[u8], edits: &[(usize, u64)]) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        for &(w, value) in edits {
+            out[w * 8..w * 8 + 8].copy_from_slice(&value.to_le_bytes());
+        }
+        let span =
+            FlatScheme::from_bytes(bytes).unwrap().manifest().sections[Section::MemberIds as usize];
+        let sum = fnv1a_bytes(&out[span.start_word * 8..(span.start_word + span.words) * 8]);
+        let at = H_SECTION_SUMS + Section::MemberIds as usize;
+        out[at * 8..at * 8 + 8].copy_from_slice(&sum.to_le_bytes());
+        let header_sum = fnv1a_bytes(&out[..H_HEADER_SUM * 8]);
+        out[H_HEADER_SUM * 8..H_HEADER_SUM * 8 + 8].copy_from_slice(&header_sum.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn forged_non_identity_full_cluster_fails_structural_validation() {
+        // The full-cluster fast path answers slot_of(v) = v. That is sound
+        // only because validation proves every member column strictly
+        // ascending below n; a forger who re-seals the checksums must
+        // still be stopped by that proof.
+        let bytes = snapshot();
+        let flat = FlatScheme::from_bytes(&bytes).unwrap();
+        let cluster = flat
+            .clusters()
+            .find(|c| c.len() == flat.n())
+            .expect("the top level's clusters span V");
+        let col = start(&flat.manifest(), Section::MemberIds) + cluster.members_start;
+        let swapped = [(col, 1), (col + 1, 0)];
+        let duplicated = [(col + 1, 0)];
+        for (name, edits) in [("swap", &swapped[..]), ("duplicate", &duplicated[..])] {
+            let forged = forge_member_ids(&bytes, edits);
+            assert_eq!(
+                FlatScheme::from_bytes(&forged).unwrap_err(),
+                WireError::Corrupt {
+                    what: "cluster members not ascending vertex ids"
+                },
+                "{name}: the re-sealed checksums must not let it through"
+            );
+        }
     }
 
     #[test]

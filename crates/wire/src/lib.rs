@@ -18,7 +18,9 @@
 //!   format v3 the snapshot also carries a member-slot rank index (one word
 //!   per tree incidence, checksummed like every section), so resolving a
 //!   vertex's table inside a cluster is a single indexed read instead of a
-//!   binary search over the member column.
+//!   binary search over the member column. A full cluster (all `n`
+//!   vertices, as at the top level) needs no read at all: its validated
+//!   member column is the identity.
 //! * [`QueryEngine`] answers `find_tree` / `route` batches directly off the
 //!   flat columns, sharding batches over `std::thread::scope` workers.
 //!   There is no forwarding loop in this crate: the fast and the checked

@@ -6,9 +6,11 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use en_graph::bfs::is_connected;
 use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
 use en_graph::WeightedGraph;
 use en_routing::construction::{build_routing_scheme, ConstructionConfig};
+use en_routing::error::RoutingError;
 use en_wire::faultsim::{drill_loads, offset_scramble_plan, section_flip_plan, truncation_plan};
 use en_wire::{generate_pairs, serialize, FlatScheme, PairWorkload, QueryEngine, SchemeStore};
 
@@ -132,6 +134,70 @@ fn checked_route_matches_fast_path_on_healthy_snapshot() {
     assert!(engine.route_with_exact(n, 0, 0).is_err());
     assert!(engine.route_checked(n, 0, 0).is_err());
     assert!(engine.route_checked(0, n + 7, 0).is_err());
+}
+
+/// A snapshot served against a different graph of the same size:
+/// `QueryEngine::new` can only compare vertex counts, so every route must
+/// either weigh its path in the graph it was given or fail with a
+/// structured `NonEdgeHop` — never report a length the graph does not
+/// have. The in-memory scheme, the fast path and the checked path agree on
+/// every pair.
+#[test]
+fn wrong_graph_of_the_same_size_fails_non_edge_hops() {
+    let g = graph(120, 7);
+    // The same vertices with every edge re-weighted and every fourth edge
+    // dropped: routes that avoid the dropped edges deliver, weighed in the
+    // new weights, and the others cross a non-edge.
+    let other = WeightedGraph::from_edges(
+        g.num_nodes(),
+        g.edges()
+            .enumerate()
+            .filter(|(i, _)| i % 4 != 3)
+            .map(|(_, e)| (e.u, e.v, 31 - e.weight)),
+    )
+    .unwrap();
+    assert!(is_connected(&other), "a connected foreign graph");
+    let built = build_routing_scheme(&g, &ConstructionConfig::new(3, 7)).unwrap();
+    let bytes = serialize(&built.scheme);
+    let flat = FlatScheme::from_bytes(&bytes).unwrap();
+    let engine = QueryEngine::new(flat, &other).expect("same n passes the constructor");
+    let (mut weighed, mut non_edge) = (0usize, 0usize);
+    for &(u, v) in &generate_pairs(&other, &PairWorkload::Uniform, 300, 9) {
+        let fast = engine.route(u, v);
+        let checked = engine.route_checked(u, v, fast.as_ref().map_or(0, |o| o.exact));
+        let in_memory = built.scheme.route(&other, u, v);
+        match (&fast, &checked, &in_memory) {
+            (Ok(a), Ok(b), Ok(c)) => {
+                assert_eq!(a.path.length_in(&other), Some(a.length), "{u}->{v}");
+                // A real path of `other` is never shorter than its
+                // shortest path: no stretch below 1 can be reported.
+                assert!(a.length >= a.exact, "{u}->{v}");
+                for o in [b, c] {
+                    assert_eq!(o.tree_root, a.tree_root, "{u}->{v}");
+                    assert_eq!((&o.path, o.length), (&a.path, a.length), "{u}->{v}");
+                    assert_eq!(o.stretch.to_bits(), a.stretch.to_bits(), "{u}->{v}");
+                }
+                weighed += 1;
+            }
+            (Err(e @ RoutingError::NonEdgeHop { from, to }), _, _) => {
+                assert!(!other.has_edge(*from, *to), "{u}->{v}: {from}->{to}");
+                assert!(
+                    g.has_edge(*from, *to),
+                    "the hop is a tree edge of the built graph"
+                );
+                assert_eq!(checked.as_ref().err(), Some(e), "{u}->{v}: checked path");
+                assert_eq!(
+                    in_memory.as_ref().err(),
+                    Some(e),
+                    "{u}->{v}: in-memory scheme"
+                );
+                non_edge += 1;
+            }
+            other_outcome => panic!("{u}->{v}: unexpected outcome {other_outcome:?}"),
+        }
+    }
+    assert!(non_edge > 0, "a dropped edge must break some route");
+    assert!(weighed > 0, "a route on kept edges must deliver");
 }
 
 /// The hot-swap property: concurrent readers always observe a whole epoch

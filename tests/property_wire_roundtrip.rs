@@ -61,6 +61,9 @@ fn check_engine_matches_scheme(g: &WeightedGraph, scheme: &RoutingScheme) {
     assert_eq!(flat.max_label_words(), scheme.max_label_words());
     let engine = QueryEngine::new(flat, g).expect("graph matches snapshot");
     let n = g.num_nodes();
+    // Routes through full clusters resolve tables by identity, the rest
+    // through the rank index: the comparison must cover both.
+    let (mut via_full, mut via_partial) = (0usize, 0usize);
     for u in (0..n).step_by(3) {
         for v in (0..n).step_by(5) {
             if u == v {
@@ -83,8 +86,15 @@ fn check_engine_matches_scheme(g: &WeightedGraph, scheme: &RoutingScheme) {
                 b.stretch.to_bits(),
                 "{u}->{v}: stretch bits differ"
             );
+            if flat.cluster_of_center(b.tree_root).unwrap().len() == n {
+                via_full += 1;
+            } else {
+                via_partial += 1;
+            }
         }
     }
+    assert!(via_full > 0, "no sampled route used a full cluster");
+    assert!(via_partial > 0, "no sampled route used a partial cluster");
     // Out-of-range queries fail identically.
     assert!(engine.route(0, n + 7).is_err());
     assert!(scheme.route(g, 0, n + 7).is_err());
