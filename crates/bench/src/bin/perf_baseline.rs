@@ -32,11 +32,10 @@
 //! an owned open pays to get the bytes in hand), `shape_open_us`, the
 //! header-only `from_bytes_unvalidated` parse, `mmap_open_us`, the
 //! page-cache alternative (`MappedSnapshot::open` plus the same shape
-//! parse, no copy), and `validate_us`, the checksum walk alone (full
-//! `from_bytes` minus the shape-only open; the per-publish integrity tax,
-//! also reported as GB/s, now sharded over `validate_threads` scoped
-//! workers whose per-thread word accounting must total the serial span) —
-//! then measures batched routing throughput off the flat columns
+//! parse, no copy), and `validate_us`, the checksum and structure pass
+//! (full `from_bytes` minus the shape-only open; the per-publish
+//! integrity tax, also reported as GB/s) — then measures batched routing
+//! throughput off the flat columns
 //! (single-threaded and sharded over scoped threads) and, on the very
 //! same pairs, the in-memory `RoutingScheme` single-threaded throughput,
 //! recording `flat_vs_inmem` (flat single-thread ÷ in-memory routes/sec;
@@ -283,9 +282,9 @@ fn main() {
             // the header-only `from_bytes_unvalidated` parse,
             // `mmap_open_us` the page-cache open (`MappedSnapshot::open` +
             // the same shape parse — no copy, the bytes stay in the kernel
-            // page cache), and `validate_us` the checksum walk alone (full
-            // `from_bytes` minus the shape-only open) — the per-publish
-            // integrity tax the v3 checksum layer charges.
+            // page cache), and `validate_us` the checksum and structure
+            // pass (full `from_bytes` minus the shape-only open) — the
+            // per-publish integrity tax.
             let (read_ms, _) = best_of(kernel_runs, || bytes.clone().len());
             let (shape_ms, _) = best_of(kernel_runs, || {
                 FlatScheme::from_bytes_unvalidated(&bytes)
@@ -310,25 +309,6 @@ fn main() {
                     .n()
             });
             let validate_ms = (full_ms - shape_ms).max(0.0);
-            // The sharded checksum walk's per-thread accounting must total
-            // exactly the serial span, at the auto-picked width and at an
-            // explicit one.
-            let (_, serial_walk) =
-                FlatScheme::from_bytes_accounted(&bytes, 1).expect("snapshot validates");
-            let (_, auto_walk) =
-                FlatScheme::from_bytes_accounted(&bytes, 0).expect("snapshot validates");
-            let (_, wide_walk) =
-                FlatScheme::from_bytes_accounted(&bytes, 4).expect("snapshot validates");
-            assert_eq!(serial_walk.threads, 1);
-            for walk in [&auto_walk, &wide_walk] {
-                assert_eq!(
-                    walk.total_words(),
-                    serial_walk.total_words(),
-                    "sharded validation must account the serial span"
-                );
-                assert_eq!(walk.per_thread_words.len(), walk.threads);
-            }
-            let validate_threads = auto_walk.threads;
             let validate_gbps = if validate_ms > 0.0 {
                 bytes.len() as f64 / 1e9 / (validate_ms / 1e3)
             } else {
@@ -451,7 +431,7 @@ fn main() {
                 "queries n={n} k={k}: snapshot {} bytes ({:.1}/vertex), serialize \
                  {serialize_ms:.3} ms, read {:.1} us, shape open {:.1} us, \
                  mmap open {:.1} us (mapped: {mapped}), validate {:.1} us \
-                 ({validate_gbps:.2} GB/s, {validate_threads} threads), \
+                 ({validate_gbps:.2} GB/s), \
                  {} pairs: single {single_ms:.3} ms \
                  ({single_rps:.0} routes/s), {QUERY_THREADS} threads {multi_ms:.3} ms \
                  ({multi_rps:.0} routes/s, {:.2}x), in-memory {inmem_ms:.3} ms \
@@ -486,8 +466,6 @@ fn main() {
                  \"shape_open_us\": {:.1}, \"mmap_open_us\": {:.1}, \
                  \"mmap_mapped\": {mapped}, \
                  \"validate_us\": {:.1}, \"validate_gb_per_s\": {validate_gbps:.2}, \
-                 \"validate_threads\": {validate_threads}, \
-                 \"validate_per_thread_words\": {:?}, \
                  \"pairs\": {}, \"single_thread_ms\": {single_ms:.3}, \
                  \"single_routes_per_sec\": {single_rps:.0}, \
                  \"multi_thread_ms\": {multi_ms:.3}, \
@@ -509,7 +487,6 @@ fn main() {
                 shape_ms * 1e3,
                 mmap_ms * 1e3,
                 validate_ms * 1e3,
-                auto_walk.per_thread_words,
                 pairs.len(),
                 multi_rps / single_rps
             );
@@ -609,7 +586,7 @@ fn main() {
         return;
     }
     let queries_json = format!(
-        "{{\n  \"schema\": \"en-bench/queries-v4\",\n  \"workload\": \
+        "{{\n  \"schema\": \"en-bench/queries-v5\",\n  \"workload\": \
          \"uniform + zipf(1.2) pairs over erdos-renyi avg-degree 8, \
          weights 1..=100, seed 42\",\n  \
          \"host_cpus\": {host_cpus},\n  \"multi_threads\": {QUERY_THREADS},\n  \

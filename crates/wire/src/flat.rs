@@ -10,7 +10,7 @@
 use en_graph::NodeId;
 use en_tree_routing::{LabelView, LocalLabelView, TableSlots, TableView};
 
-use crate::checksum::fnv1a_bytes;
+use crate::checksum::{fnv1a_bytes, fnv1a_lanes_bytes};
 use crate::error::WireError;
 use crate::format::{
     Section, Words, CLUSTER_RECORD_WORDS, HEADER_WORDS, H_HEADER_SUM, H_K, H_MAX_LABEL_WORDS,
@@ -31,34 +31,6 @@ pub struct FlatScheme<'a> {
     num_clusters: usize,
     /// Absolute word offset of each section, plus the buffer end.
     secs: [usize; NUM_SECTIONS + 1],
-}
-
-/// Snapshots at or above this many bytes of section payload shard their
-/// load-time checksum walk across threads; smaller ones stay serial (the
-/// spawn overhead would dominate).
-pub const PARALLEL_VALIDATE_MIN_BYTES: usize = 1 << 20;
-
-/// Per-thread accounting of one load-time checksum walk
-/// ([`FlatScheme::from_bytes_accounted`]).
-///
-/// The standing constraint of a single-core recording host applies:
-/// [`Self::total_words`] always equals the full section span, so the
-/// parallel walk is auditable against the serial one even where the
-/// speedup itself cannot be observed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ValidateStats {
-    /// Checksum workers actually used (1 = the serial walk).
-    pub threads: usize,
-    /// Words checksummed by each worker; sums to the whole section span.
-    pub per_thread_words: Vec<usize>,
-}
-
-impl ValidateStats {
-    /// Total words checksummed across all workers — always the whole
-    /// section span, whatever the thread count.
-    pub fn total_words(&self) -> usize {
-        self.per_thread_words.iter().sum()
-    }
 }
 
 /// A borrowed run of words viewed as a `u64` column slice.
@@ -556,44 +528,23 @@ impl<'a> FlatScheme<'a> {
     /// checksum, every per-section checksum, section bounds, CSR
     /// monotonicity, every record reachable from a column — so the
     /// accessors never have to re-check and simply borrow. The checksums
-    /// are verified here, once per load: integrity costs one linear pass at
-    /// publish/load time and nothing on the per-query hot path.
+    /// are verified here, once per load, in one single-threaded pass over
+    /// the sections: integrity costs one linear pass at publish/load time
+    /// and nothing on the per-query hot path.
     ///
     /// # Errors
     ///
     /// Returns a [`WireError`] describing the first inconsistency found;
     /// truncated buffers, foreign magic, flipped bits anywhere in the
     /// header or a section, and corrupted offsets are all rejected rather
-    /// than risking a panic at query time.
+    /// than risking a panic at query time. Of several damaged sections, the
+    /// first in section order is the one reported.
     pub fn from_bytes(bytes: &'a [u8]) -> Result<Self, WireError> {
-        Self::from_bytes_accounted(bytes, 0).map(|(flat, _)| flat)
-    }
-
-    /// [`Self::from_bytes`] with the checksum walk's thread count pinned
-    /// and its per-thread work accounting returned.
-    ///
-    /// `threads == 0` picks automatically (serial below
-    /// [`PARALLEL_VALIDATE_MIN_BYTES`], the host's parallelism capped at
-    /// the section count above it) — exactly what [`Self::from_bytes`]
-    /// does. The returned [`ValidateStats`] records the worker count
-    /// actually used and the words each worker checksummed; the accounting
-    /// always totals the full section span, whatever the thread count, so
-    /// a recorded parallel walk is auditable against the serial one.
-    ///
-    /// # Errors
-    ///
-    /// Exactly what [`Self::from_bytes`] reports — the first failing
-    /// section *in section order* is reported whatever the sharding, so
-    /// the error is bit-identical to the serial walk's.
-    pub fn from_bytes_accounted(
-        bytes: &'a [u8],
-        threads: usize,
-    ) -> Result<(Self, ValidateStats), WireError> {
         // Timed only when a recorder is installed; the uninstrumented load
         // path never reads the clock.
         let t0 = en_obs::active().then(std::time::Instant::now);
         let flat = Self::parse_header(bytes, true)?;
-        let stats = flat.verify_section_checksums(bytes, threads)?;
+        flat.verify_section_checksums()?;
         let total_members = flat.words.get(H_TOTAL_MEMBERS) as usize;
         flat.validate_clusters(total_members)?;
         flat.validate_csrs()?;
@@ -601,10 +552,10 @@ impl<'a> FlatScheme<'a> {
             let dur_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             en_obs::histogram_record("wire.validate_ns", dur_ns);
             en_obs::counter_add("wire.validate.runs", 1);
-            en_obs::counter_add("wire.validate.words_total", stats.total_words() as u64);
-            en_obs::gauge_set("wire.validate.threads", stats.threads as u64);
+            let section_words = flat.secs[NUM_SECTIONS] - flat.secs[0];
+            en_obs::counter_add("wire.validate.words_total", section_words as u64);
         }
-        Ok((flat, stats))
+        Ok(flat)
     }
 
     /// Wraps `bytes` after shape checks only: header geometry, section
@@ -737,99 +688,22 @@ impl<'a> FlatScheme<'a> {
         })
     }
 
-    /// Verifies each section's stored checksum against its bytes, sharding
-    /// the sections over `threads` scoped workers (per-section FNV is
-    /// independent, so the walk parallelises without changing a single
-    /// compared value). `threads == 0` picks automatically; see
-    /// [`Self::from_bytes_accounted`].
-    ///
-    /// Every section's actual checksum is computed before any is compared,
-    /// and comparison runs in section order — the reported error is the
-    /// first failing section in section order, identical to the serial
-    /// walk's, whatever the sharding.
-    fn verify_section_checksums(
-        &self,
-        bytes: &[u8],
-        threads: usize,
-    ) -> Result<ValidateStats, WireError> {
-        let section_words: Vec<usize> = (0..NUM_SECTIONS)
-            .map(|i| self.secs[i + 1] - self.secs[i])
-            .collect();
-        let total_words: usize = section_words.iter().sum();
-        let threads = match threads {
-            0 if total_words * 8 < PARALLEL_VALIDATE_MIN_BYTES => 1,
-            0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
-            t => t,
-        }
-        .clamp(1, NUM_SECTIONS);
-
-        let mut actual = [0u64; NUM_SECTIONS];
-        let per_thread_words;
-        if threads == 1 {
-            for (i, sum) in actual.iter_mut().enumerate() {
-                *sum = fnv1a_bytes(&bytes[self.secs[i] * 8..self.secs[i + 1] * 8]);
-            }
-            per_thread_words = vec![total_words];
-        } else {
-            // Deterministic longest-processing-time assignment: sections
-            // sorted by word count (descending, ties by index), each placed
-            // on the least-loaded worker — balanced whatever the section
-            // size skew (the pools dwarf the CSR columns).
-            let mut order: Vec<usize> = (0..NUM_SECTIONS).collect();
-            order.sort_by_key(|&i| (std::cmp::Reverse(section_words[i]), i));
-            let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); threads];
-            let mut load = vec![0usize; threads];
-            for i in order {
-                let w = (0..threads)
-                    .min_by_key(|&t| (load[t], t))
-                    .expect("threads >= 1");
-                load[w] += section_words[i];
-                assignment[w].push(i);
-            }
-            let sums: Vec<Vec<(usize, u64)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = assignment
-                    .iter()
-                    .map(|sections| {
-                        scope.spawn(move || {
-                            sections
-                                .iter()
-                                .map(|&i| {
-                                    (
-                                        i,
-                                        fnv1a_bytes(&bytes[self.secs[i] * 8..self.secs[i + 1] * 8]),
-                                    )
-                                })
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("checksum worker cannot panic"))
-                    .collect()
-            });
-            for worker in sums {
-                for (i, sum) in worker {
-                    actual[i] = sum;
-                }
-            }
-            per_thread_words = load;
-        }
-
+    /// Verifies each section's stored checksum against its bytes, in
+    /// section order, so the first damaged section is the one reported.
+    fn verify_section_checksums(&self) -> Result<(), WireError> {
+        let bytes = self.words.bytes();
         for (i, sec) in Section::ALL.iter().enumerate() {
             let expected = self.words.get(H_SECTION_SUMS + i);
-            if expected != actual[i] {
+            let actual = fnv1a_lanes_bytes(&bytes[self.secs[i] * 8..self.secs[i + 1] * 8]);
+            if expected != actual {
                 return Err(WireError::ChecksumMismatch {
                     region: sec.name(),
                     expected,
-                    actual: actual[i],
+                    actual,
                 });
             }
         }
-        Ok(ValidateStats {
-            threads,
-            per_thread_words,
-        })
+        Ok(())
     }
 
     fn validate_clusters(&self, total_members: usize) -> Result<(), WireError> {
@@ -1805,21 +1679,15 @@ mod tests {
         assert!(partial > 0, "the rank-index branch must be exercised");
     }
 
-    /// Edits member-column words and re-seals the `MEMBER_IDS` and header
-    /// checksums, so the forged buffer passes the integrity layer and only
-    /// the structural validation can reject it.
+    /// Edits member-column words and re-seals the checksums, so the forged
+    /// buffer passes the integrity layer and only the structural validation
+    /// can reject it.
     fn forge_member_ids(bytes: &[u8], edits: &[(usize, u64)]) -> Vec<u8> {
         let mut out = bytes.to_vec();
         for &(w, value) in edits {
             out[w * 8..w * 8 + 8].copy_from_slice(&value.to_le_bytes());
         }
-        let span =
-            FlatScheme::from_bytes(bytes).unwrap().manifest().sections[Section::MemberIds as usize];
-        let sum = fnv1a_bytes(&out[span.start_word * 8..(span.start_word + span.words) * 8]);
-        let at = H_SECTION_SUMS + Section::MemberIds as usize;
-        out[at * 8..at * 8 + 8].copy_from_slice(&sum.to_le_bytes());
-        let header_sum = fnv1a_bytes(&out[..H_HEADER_SUM * 8]);
-        out[H_HEADER_SUM * 8..H_HEADER_SUM * 8 + 8].copy_from_slice(&header_sum.to_le_bytes());
+        crate::snapshot::seal(&mut out);
         out
     }
 
@@ -1907,47 +1775,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_validation_accounts_the_whole_section_span() {
-        let bytes = snapshot();
-        let section_words = bytes.len() / 8 - HEADER_WORDS;
-        for threads in [1usize, 2, 3, 7, NUM_SECTIONS, 64] {
-            let (_, stats) = FlatScheme::from_bytes_accounted(&bytes, threads).unwrap();
-            assert_eq!(
-                stats.threads,
-                threads.min(NUM_SECTIONS),
-                "worker count is the request capped at the section count"
-            );
-            assert_eq!(stats.per_thread_words.len(), stats.threads);
-            assert_eq!(
-                stats.total_words(),
-                section_words,
-                "at {threads} threads the accounting must total the serial walk"
-            );
-        }
-        // The automatic pick (threads = 0) accounts identically.
-        let (_, auto) = FlatScheme::from_bytes_accounted(&bytes, 0).unwrap();
-        assert_eq!(auto.total_words(), section_words);
-    }
-
-    #[test]
-    fn parallel_validation_reports_the_same_error_as_serial() {
+    fn checksum_errors_name_the_first_damaged_section() {
         let bytes = snapshot();
         let m = FlatScheme::from_bytes(&bytes).unwrap().manifest();
-        // Poison one word in each of two sections; whatever the sharding,
-        // the reported mismatch must be the first failing section in
-        // section order — bit-identical to the serial walk's error.
+        // Poison one word in each of two sections: the single pass reports
+        // the first failing section in section order.
         let mut bad = bytes.clone();
         for s in [Section::MemberIds, Section::LabelPool] {
             let w = m.sections[s as usize].start_word;
             bad[w * 8] ^= 0x10;
         }
-        let serial = FlatScheme::from_bytes_accounted(&bad, 1).unwrap_err();
-        for threads in [2usize, 5, NUM_SECTIONS] {
-            let sharded = FlatScheme::from_bytes_accounted(&bad, threads).unwrap_err();
-            assert_eq!(serial, sharded, "at {threads} threads");
-        }
         assert!(matches!(
-            serial,
+            FlatScheme::from_bytes(&bad).unwrap_err(),
             WireError::ChecksumMismatch {
                 region: "member_ids",
                 ..

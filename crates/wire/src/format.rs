@@ -8,7 +8,7 @@
 //! ```text
 //! header (HEADER_WORDS words)
 //!   0  magic "ENWIRE01"
-//!   1  format version (3)
+//!   1  format version (4)
 //!   2  n                      (host vertices)
 //!   3  k                      (levels)
 //!   4  number of clusters
@@ -22,11 +22,14 @@
 //!            (together with word 5 this is the byte-budget manifest:
 //!            every section's word span is pinned by the header before a
 //!            single section word is trusted)
-//!   24..=36  per-section checksums: word-wise FNV-1a over each section's
-//!            words (see the `checksum` module)
+//!   24..=36  per-section checksums: the 16-lane word-wise FNV-1a over
+//!            each section's words — word i of a section feeds lane
+//!            i mod 16, and the lane digests are folded by one more
+//!            word-wise FNV-1a (see the `checksum` module)
 //!   37..=46  reserved (0)
-//!   47 header checksum: word-wise FNV-1a over header words 0..=46 — the
-//!      last header word, so every other header bit is covered
+//!   47 header checksum: single-chain word-wise FNV-1a over header words
+//!      0..=46 — the last header word, so every other header bit is
+//!      covered
 //! sections, contiguous and in this order
 //!   CENTER_INDEX        n words: vertex -> cluster id, NULL if not a centre
 //!   CLUSTERS            4 words per cluster: centre, level, members start,
@@ -74,9 +77,13 @@ pub const MAGIC: u64 = u64::from_le_bytes(*b"ENWIRE01");
 /// checksums and the trailing header checksum (readers reject version-1
 /// snapshots, which carried no checksums at all). Version 3 added the
 /// [`Section::MemberSlots`] rank index (vertex → local member slot per
-/// tree), growing the header to 48 words; v2 snapshots are rejected with a
-/// structured unsupported-version error, never a checksum mismatch.
-pub const VERSION: u64 = 3;
+/// tree), growing the header to 48 words. Version 4 keeps the v3 layout
+/// and size but computes each section checksum with the 16-lane
+/// [`fnv1a_lanes_bytes`](crate::checksum::fnv1a_lanes_bytes) instead of
+/// the single chain; the header checksum is unchanged. v2 and v3
+/// snapshots are rejected with a structured unsupported-version error,
+/// never a checksum mismatch.
+pub const VERSION: u64 = 4;
 
 /// Sentinel standing for "absent" (`None` parents, missing global-heavy
 /// entries, label entries whose vertex is outside the pivot's tree).

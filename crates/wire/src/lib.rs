@@ -47,8 +47,8 @@
 //! Serving is hardened end to end (see `tests/integration_fault_tolerance.rs`
 //! and the `fault_drill` harness bin):
 //!
-//! * **Snapshot integrity** — the v3 header carries a per-section FNV-1a
-//!   checksum plus a whole-header checksum ([`checksum`]);
+//! * **Snapshot integrity** — the v4 header carries a per-section 16-lane
+//!   FNV-1a checksum plus a whole-header checksum ([`checksum`]);
 //!   [`FlatScheme::from_bytes`] verifies them once at load, so corruption is
 //!   a structured [`WireError::ChecksumMismatch`], never a wrong answer, and
 //!   the per-query hot path stays checksum-free.
@@ -106,7 +106,7 @@ pub use engine::{BatchOutcome, BatchStats, CacheConfig, QueryEngine, ShardStats}
 pub use error::WireError;
 pub use flat::{
     FlatCluster, FlatLabelEntry, FlatScheme, FlatTreeLabel, FlatTreeTable, FlatU64s, SectionSpan,
-    SnapshotManifest, ValidateStats,
+    SnapshotManifest,
 };
 pub use mmap::MappedSnapshot;
 pub use snapshot::serialize;

@@ -6,10 +6,10 @@ use std::sync::Arc;
 use en_routing::scheme::RoutingScheme;
 use en_tree_routing::{TreeLabel, TreeTable};
 
-use crate::checksum::{fnv1a_bytes, fnv1a_words};
+use crate::checksum::{fnv1a_bytes, fnv1a_lanes_bytes};
 use crate::format::{
-    push_word, Section, CLUSTER_RECORD_WORDS, HEADER_WORDS, H_HEADER_SUM, H_SECTION_SUMS,
-    LABEL_ENTRY_WORDS, MAGIC, NULL, NUM_SECTIONS, OWN_ENTRY_WORDS, VERSION,
+    push_word, Section, Words, CLUSTER_RECORD_WORDS, HEADER_WORDS, H_HEADER_SUM, H_SECTIONS,
+    H_SECTION_SUMS, LABEL_ENTRY_WORDS, MAGIC, NULL, NUM_SECTIONS, OWN_ENTRY_WORDS, VERSION,
 };
 
 fn opt(v: Option<usize>) -> u64 {
@@ -225,18 +225,11 @@ pub fn serialize(scheme: &RoutingScheme) -> Vec<u8> {
         off += s.len() as u64;
     }
     debug_assert_eq!(out.len(), H_SECTION_SUMS * 8);
-    // The integrity layer: one checksum per section, then — as the very
-    // last header word — a checksum over every other header byte, so no
-    // header or section bit can flip undetected.
-    for s in &sections {
-        push_word(&mut out, fnv1a_words(s));
+    // The checksum words stay zero until `seal` fills them in over the
+    // laid-out buffer; the reserved words stay zero.
+    while out.len() < HEADER_WORDS * 8 {
+        push_word(&mut out, 0);
     }
-    while out.len() < H_HEADER_SUM * 8 {
-        push_word(&mut out, 0); // reserved
-    }
-    let header_sum = fnv1a_bytes(&out);
-    push_word(&mut out, header_sum);
-    debug_assert_eq!(out.len(), HEADER_WORDS * 8);
     for s in &sections {
         for &w in *s {
             push_word(&mut out, w);
@@ -244,5 +237,31 @@ pub fn serialize(scheme: &RoutingScheme) -> Vec<u8> {
     }
     debug_assert_eq!(out.len(), total_words * 8);
     debug_assert_eq!(Section::LabelPool as usize, NUM_SECTIONS - 1);
+    seal(&mut out);
     out
+}
+
+/// Writes the integrity layer into a laid-out snapshot buffer: each
+/// section's lane checksum ([`fnv1a_lanes_bytes`]) into header words
+/// 24..=36, then — as the very last header word — the single-chain
+/// [`fnv1a_bytes`] over header words 0..=46, so no header or section bit
+/// can flip undetected.
+///
+/// The section offsets (header words 11..=23) must already be in place and
+/// ascending, with the buffer's end closing the last section; whatever the
+/// checksum words held before is overwritten.
+pub(crate) fn seal(buf: &mut [u8]) {
+    let total_words = buf.len() / 8;
+    let header = Words::new(&buf[..HEADER_WORDS * 8]);
+    let mut bounds = [total_words; NUM_SECTIONS + 1];
+    for (i, b) in bounds.iter_mut().take(NUM_SECTIONS).enumerate() {
+        *b = header.get(H_SECTIONS + i) as usize;
+    }
+    for i in 0..NUM_SECTIONS {
+        let sum = fnv1a_lanes_bytes(&buf[bounds[i] * 8..bounds[i + 1] * 8]);
+        let at = (H_SECTION_SUMS + i) * 8;
+        buf[at..at + 8].copy_from_slice(&sum.to_le_bytes());
+    }
+    let header_sum = fnv1a_bytes(&buf[..H_HEADER_SUM * 8]);
+    buf[H_HEADER_SUM * 8..HEADER_WORDS * 8].copy_from_slice(&header_sum.to_le_bytes());
 }

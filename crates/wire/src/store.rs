@@ -207,8 +207,12 @@ impl SchemeStore {
         let mapped = source.is_mapped();
         let mut guard = self.current.write().expect("store lock poisoned");
         let id = guard.id + 1;
-        *guard = Arc::new(SnapshotEpoch { id, source });
+        let retired = std::mem::replace(&mut *guard, Arc::new(SnapshotEpoch { id, source }));
         drop(guard);
+        // When no reader pins the old epoch this frees it (for a mapped one,
+        // an munmap): done after the lock is released, so `current()` never
+        // waits on it.
+        drop(retired);
         self.published.fetch_add(1, Ordering::Relaxed);
         en_obs::counter_add("store.published", 1);
         en_obs::gauge_set("store.current_epoch", id);

@@ -1,7 +1,7 @@
 //! Observability reconciliation: the `en_obs` metrics published by the
-//! instrumented layers must agree *exactly* with the accounting structs
-//! the layers already return (`BuildStats`, `BatchStats`, `ValidateStats`)
-//! at every thread count, and instrumentation must never perturb outcomes.
+//! instrumented layers must agree *exactly* with the accounting the layers
+//! already expose (`BuildStats`, `BatchStats`, the snapshot manifest) at
+//! every thread count, and instrumentation must never perturb outcomes.
 //!
 //! The recorder seam is process-global, so every test that installs a
 //! registry serializes on [`OBS_LOCK`].
@@ -176,32 +176,26 @@ fn batch_counters_reconcile_and_outcomes_stay_bit_identical() {
 }
 
 #[test]
-fn validate_counters_reconcile_with_validate_stats_at_every_thread_count() {
+fn validate_counters_reconcile_with_the_manifest() {
     let _serial = obs_lock();
     let g = workload();
     let built = build_with(&g, 1);
     let bytes = en_wire::serialize(&built.scheme);
-    for threads in [1usize, 2, 8] {
-        let registry = Arc::new(MetricsRegistry::new());
-        let stats = {
-            let _guard = en_obs::install(registry.clone());
-            let (_, stats) =
-                FlatScheme::from_bytes_accounted(&bytes, threads).expect("snapshot validates");
-            stats
-        };
-        assert_eq!(registry.counter_value("wire.validate.runs"), 1);
-        assert_eq!(
-            registry.counter_value("wire.validate.words_total"),
-            stats.total_words() as u64,
-            "wire.validate.words_total vs ValidateStats at {threads} requested threads"
-        );
-        assert_eq!(
-            registry.gauge_value("wire.validate.threads"),
-            stats.threads as u64,
-            "wire.validate.threads gauge at {threads} requested threads"
-        );
-        assert_eq!(registry.histogram("wire.validate_ns").count(), 1);
-    }
+    let registry = Arc::new(MetricsRegistry::new());
+    let manifest = {
+        let _guard = en_obs::install(registry.clone());
+        FlatScheme::from_bytes(&bytes)
+            .expect("snapshot validates")
+            .manifest()
+    };
+    let section_words: usize = manifest.sections.iter().map(|s| s.words).sum();
+    assert_eq!(registry.counter_value("wire.validate.runs"), 1);
+    assert_eq!(
+        registry.counter_value("wire.validate.words_total"),
+        section_words as u64,
+        "wire.validate.words_total vs the manifest's section words"
+    );
+    assert_eq!(registry.histogram("wire.validate_ns").count(), 1);
 }
 
 #[test]

@@ -20,8 +20,10 @@
 //!   single-bit flip anywhere in the buffer — including the v3 member-slot
 //!   rank index — so the accepted set is exactly the pristine snapshot
 //!   (which routes bit-identically by the round-trip properties).
-//! * **Version negotiation**: v2 bytes presented to the v3 reader fail
-//!   with a structured `UnsupportedVersion`, not a checksum mismatch.
+//! * **Version negotiation**: v2 and v3 bytes presented to the v4 reader
+//!   fail with a structured `UnsupportedVersion`, not a checksum mismatch —
+//!   also when the file arrives through the mapped open and the epoch
+//!   store.
 
 use proptest::prelude::*;
 
@@ -32,7 +34,9 @@ use en_routing::construction::{build_routing_scheme, ConstructionConfig};
 use en_routing::exact::exact_cluster_family;
 use en_routing::scheme::RoutingScheme;
 use en_routing::{Hierarchy, SchemeParams};
-use en_wire::{serialize, CacheConfig, FlatScheme, MappedSnapshot, QueryEngine, WireError};
+use en_wire::{
+    serialize, CacheConfig, FlatScheme, MappedSnapshot, QueryEngine, SchemeStore, WireError,
+};
 
 fn arb_graph() -> impl Strategy<Value = (WeightedGraph, u64)> {
     (16usize..56, 0u64..10_000, 1u64..60).prop_map(|(n, seed, max_w)| {
@@ -98,6 +102,39 @@ fn check_engine_matches_scheme(g: &WeightedGraph, scheme: &RoutingScheme) {
     // Out-of-range queries fail identically.
     assert!(engine.route(0, n + 7).is_err());
     assert!(scheme.route(g, 0, n + 7).is_err());
+}
+
+/// A copy of `bytes` with header word 1, the format version, set to
+/// `version`.
+fn stamp_version(bytes: &[u8], version: u64) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    out[8..16].copy_from_slice(&version.to_le_bytes());
+    out
+}
+
+/// A v3-stamped snapshot file is refused on the mapped path too: the
+/// pre-map shape check reads the version word, so the file is copied
+/// rather than mapped, and the store refuses it with the version error.
+#[test]
+fn v3_snapshot_file_is_refused_by_the_mapped_open_and_the_store() {
+    let g = erdos_renyi_connected(&GeneratorConfig::new(40, 3).with_weights(1, 20), 0.12);
+    let scheme = build_routing_scheme(&g, &ConstructionConfig::new(2, 3))
+        .unwrap()
+        .scheme;
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    std::fs::create_dir_all(dir).unwrap();
+    let path = dir.join("v3_snapshot_file_is_refused_by_the_mapped_open.enwire");
+    std::fs::write(&path, stamp_version(&serialize(&scheme), 3)).unwrap();
+    let opened = MappedSnapshot::open(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert!(
+        !opened.is_mapped(),
+        "the shape check must refuse the version"
+    );
+    assert_eq!(
+        SchemeStore::new_source(opened.into()).unwrap_err(),
+        WireError::UnsupportedVersion { found: 3 }
+    );
 }
 
 proptest! {
@@ -205,21 +242,23 @@ proptest! {
             Err(WireError::UnsupportedVersion { found: 99 })
         ));
 
-        // Version negotiation: a buffer declaring the retired v2 format is
-        // refused with the structured version error — the version word is
-        // examined before any checksum, so the caller learns "old format",
-        // never a misleading checksum mismatch. Both the validating and the
+        // Version negotiation: a buffer declaring a retired format (v2, or
+        // v3 with its single-chain section checksums) is refused with the
+        // structured version error — the version word is examined before
+        // any checksum, so the caller learns "old format", never a
+        // misleading checksum mismatch. Both the validating and the
         // shape-only open refuse it.
-        let mut v2_bytes = bytes.clone();
-        v2_bytes[8] = 2;
-        prop_assert!(matches!(
-            FlatScheme::from_bytes(&v2_bytes),
-            Err(WireError::UnsupportedVersion { found: 2 })
-        ));
-        prop_assert!(matches!(
-            FlatScheme::from_bytes_unvalidated(&v2_bytes),
-            Err(WireError::UnsupportedVersion { found: 2 })
-        ));
+        for old in [2u64, 3] {
+            let stamped = stamp_version(&bytes, old);
+            prop_assert_eq!(
+                FlatScheme::from_bytes(&stamped).unwrap_err(),
+                WireError::UnsupportedVersion { found: old }
+            );
+            prop_assert_eq!(
+                FlatScheme::from_bytes_unvalidated(&stamped).unwrap_err(),
+                WireError::UnsupportedVersion { found: old }
+            );
+        }
 
         // A corrupted section offset (point the cluster table past the end).
         let mut bad_section = bytes.clone();
