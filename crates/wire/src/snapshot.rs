@@ -265,3 +265,33 @@ pub(crate) fn seal(buf: &mut [u8]) {
     let header_sum = fnv1a_bytes(&buf[..H_HEADER_SUM * 8]);
     buf[H_HEADER_SUM * 8..HEADER_WORDS * 8].copy_from_slice(&header_sum.to_le_bytes());
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
+    use en_routing::construction::{build_routing_scheme, ConstructionConfig};
+
+    /// `(byte length, header checksum)` of the snapshot of a fixed build.
+    fn pin(n: usize, graph_seed: u64, p: f64, k: usize, build_seed: u64) -> (usize, u64) {
+        let g = erdos_renyi_connected(&GeneratorConfig::new(n, graph_seed).with_weights(1, 15), p);
+        let built = build_routing_scheme(&g, &ConstructionConfig::new(k, build_seed)).unwrap();
+        let bytes = serialize(&built.scheme);
+        let header_sum = u64::from_le_bytes(
+            bytes[H_HEADER_SUM * 8..HEADER_WORDS * 8]
+                .try_into()
+                .expect("8-byte word"),
+        );
+        (bytes.len(), header_sum)
+    }
+
+    /// The serialized bytes of two fixed builds, both of which run the
+    /// large-scale cluster phases, are pinned by length and header checksum
+    /// (which covers every section checksum): any change to what the
+    /// serializer emits, or to the scheme it is handed, shows up here.
+    #[test]
+    fn snapshot_bytes_of_fixed_builds_are_pinned() {
+        assert_eq!(pin(64, 9, 0.12, 2, 9), (132_824, 0x232e_0ff8_4021_5457));
+        assert_eq!(pin(300, 5, 0.03, 3, 5), (845_352, 0x2443_44ff_71c7_3385));
+    }
+}
