@@ -6,19 +6,41 @@
 //! destination's subtree) and a global part (the TZ label of the destination's
 //! subtree inside the virtual portal tree `T'`, with each non-heavy virtual
 //! edge annotated by the local label of the portal that realises it).
+//!
+//! # Shared storage
+//!
+//! Most of a label is the same for many vertices, and the owned types share
+//! that part behind `Arc` instead of copying it per vertex:
+//!
+//! - [`LocalLabel::exceptions`] only grows at non-heavy edges, so a heavy
+//!   child holds its parent's list (the same allocation) and a non-heavy
+//!   child holds a new list of its parent's plus one edge.
+//! - [`TreeLabel::global_exceptions`] depends only on the vertex's subtree
+//!   `T_w` (it describes the `T'` path from the root's subtree to `T_w`), so
+//!   every member of `T_w` holds the one list built for `w`; a `T'`-heavy
+//!   child subtree holds its `T'`-parent's list.
+//!
+//! Sharing is sound because these lists are immutable once built and equal,
+//! element for element, to what a per-vertex copy would hold: equality,
+//! word counts and forwarding see no difference.
+
+use std::sync::Arc;
 
 use en_graph::NodeId;
 
 /// The classic Thorup–Zwick label of a vertex inside one (sub)tree:
 /// its DFS entry time plus the list of non-heavy edges on the path from the
 /// subtree root to the vertex.
+///
+/// Cloning is cheap: the exception list is shared (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LocalLabel {
     /// DFS entry time of the vertex within its subtree.
     pub a: u64,
     /// Non-heavy edges `(x, x')` on the root-to-vertex path: at vertex `x` the
     /// path continues to child `x'`, and `x'` is not the heavy child of `x`.
-    pub exceptions: Vec<(NodeId, NodeId)>,
+    /// Shared with the vertex's heavy child, whose path adds no exception.
+    pub exceptions: Arc<[(NodeId, NodeId)]>,
 }
 
 impl LocalLabel {
@@ -49,7 +71,7 @@ pub struct GlobalException {
     /// the subtree rooted at `v_i`.
     pub portal: NodeId,
     /// The local label of the portal inside the subtree of `v_i`, used to
-    /// route to it locally.
+    /// route to it locally (its exception list is the portal's own).
     pub portal_label: LocalLabel,
 }
 
@@ -72,8 +94,10 @@ pub struct TreeLabel {
     pub local: LocalLabel,
     /// DFS entry time of `T_w` in the virtual tree `T'`.
     pub a_global: u64,
-    /// Non-heavy virtual edges on the `T'` path from the root's subtree to `T_w`.
-    pub global_exceptions: Vec<GlobalException>,
+    /// Non-heavy virtual edges on the `T'` path from the root's subtree to
+    /// `T_w`: a function of `T_w` alone, so every member of `T_w` shares one
+    /// list.
+    pub global_exceptions: Arc<[GlobalException]>,
 }
 
 impl TreeLabel {
@@ -193,7 +217,7 @@ mod tests {
     fn local_label_lookup_and_size() {
         let l = LocalLabel {
             a: 4,
-            exceptions: vec![(1, 2), (5, 7)],
+            exceptions: vec![(1, 2), (5, 7)].into(),
         };
         assert_eq!(l.exception_at(1), Some(2));
         assert_eq!(l.exception_at(5), Some(7));
@@ -209,7 +233,7 @@ mod tests {
             subtree_root: 3,
             local: LocalLabel {
                 a: 1,
-                exceptions: vec![(3, 9)],
+                exceptions: vec![(3, 9)].into(),
             },
             a_global: 2,
             global_exceptions: vec![GlobalException {
@@ -218,9 +242,10 @@ mod tests {
                 portal: 4,
                 portal_label: LocalLabel {
                     a: 5,
-                    exceptions: vec![],
+                    exceptions: Arc::from([]),
                 },
-            }],
+            }]
+            .into(),
         };
         assert!(label.global_exception_at(0).is_some());
         assert!(label.global_exception_at(3).is_none());

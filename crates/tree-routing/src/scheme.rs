@@ -113,8 +113,10 @@ pub struct TreeRoutingScheme {
     tables: Vec<TreeTable>,
     /// Labels are `Arc`-pooled: the Section-4 assembly stores the same label
     /// in a level-0 centre's own-cluster table *and* in the member's node
-    /// label, so handing out `Arc` clones instead of deep copies removes the
-    /// per-member exception-vector clone traffic from the assemble hot path.
+    /// label, and hands out `Arc` clones instead of deep copies. The lists
+    /// inside a label are shared too (see [`crate::label`]): one global
+    /// exception list per subtree and one local exception list per
+    /// non-heavy edge, so building a scheme copies no list per member.
     labels: Vec<Arc<TreeLabel>>,
     portals: Vec<NodeId>,
     tree_size: usize,
@@ -227,6 +229,7 @@ impl TreeRoutingScheme {
         // Local index -> host vertex id (members are ascending, so local
         // order and vertex order agree — tie-breaks below rely on this).
         let vid = |i: usize| members[i] as NodeId;
+        let parent = |i: usize| parent_idx[i] as usize;
 
         // --- Portal sampling -------------------------------------------------
         // The RNG stream is one draw per non-root member in ascending vertex
@@ -248,158 +251,148 @@ impl TreeRoutingScheme {
         }
         is_portal[root_local] = true;
 
-        // --- Children lists and preorder of T ----------------------------------
-        let mut children: Vec<Vec<u32>> = vec![Vec::new(); m];
-        for i in 0..m {
-            let p = parent_idx[i];
+        // --- Children (CSR, ascending per parent) and preorder of T -----------
+        let mut child_off = vec![0u32; m + 1];
+        for &p in parent_idx {
             if p != NO_LOCAL_PARENT {
-                children[p as usize].push(i as u32);
+                child_off[p as usize + 1] += 1;
             }
         }
+        for i in 0..m {
+            child_off[i + 1] += child_off[i];
+        }
+        let mut children = vec![0u32; child_off[m] as usize];
+        let mut cursor = child_off[..m].to_vec();
+        for (i, &p) in parent_idx.iter().enumerate() {
+            if p != NO_LOCAL_PARENT {
+                children[cursor[p as usize] as usize] = i as u32;
+                cursor[p as usize] += 1;
+            }
+        }
+        // The portals, in T-preorder, are the subtree roots; a portal's rank
+        // in that order is its subtree's index, and `sub[v]` is the index of
+        // the subtree containing `v`. T-preorder restricted to the portals is
+        // also the preorder of the virtual tree T' (each portal's T'-subtree
+        // is a contiguous run of it), so the rank is `T_w`'s DFS entry time
+        // in T'.
         let mut preorder = Vec::with_capacity(m);
+        let mut portals: Vec<usize> = Vec::new();
+        let mut sub = vec![0u32; m];
         let mut stack = vec![root_local];
         while let Some(v) = stack.pop() {
             preorder.push(v);
-            for &c in children[v].iter().rev() {
-                stack.push(c as usize);
-            }
-        }
-
-        // --- Subtree assignment ----------------------------------------------
-        let mut subtree_root = vec![usize::MAX; m];
-        for &v in &preorder {
-            subtree_root[v] = if is_portal[v] {
-                v
+            sub[v] = if is_portal[v] {
+                portals.push(v);
+                (portals.len() - 1) as u32
             } else {
-                subtree_root[parent_idx[v] as usize]
+                sub[parent(v)]
             };
+            let kids = &children[child_off[v] as usize..child_off[v + 1] as usize];
+            stack.extend(kids.iter().rev().map(|&c| c as usize));
         }
+        let num_subtrees = portals.len();
 
-        // --- Local children / sizes / heavy children --------------------------
-        let mut local_children: Vec<Vec<u32>> = vec![Vec::new(); m];
-        for i in 0..m {
-            let p = parent_idx[i];
-            if p != NO_LOCAL_PARENT && subtree_root[i] == subtree_root[p as usize] {
-                local_children[p as usize].push(i as u32);
-            }
-        }
-        let mut local_size = vec![0usize; m];
-        for &v in preorder.iter().rev() {
-            local_size[v] = 1 + local_children[v]
-                .iter()
-                .map(|&c| local_size[c as usize])
-                .sum::<usize>();
-        }
-        let heavy_child: Vec<Option<u32>> = (0..m)
-            .map(|v| {
-                local_children[v]
-                    .iter()
-                    .copied()
-                    .max_by_key(|&c| (local_size[c as usize], Reverse(c)))
-            })
-            .collect();
-
-        // --- Local DFS numbering per subtree -----------------------------------
-        let subtree_roots: Vec<usize> = preorder
-            .iter()
-            .copied()
-            .filter(|&v| subtree_root[v] == v)
-            .collect();
-        let mut a_local = vec![0u64; m];
-        let mut b_local = vec![0u64; m];
-        for &w in &subtree_roots {
-            let mut counter = 0u64;
-            let mut stack = vec![w];
-            while let Some(x) = stack.pop() {
-                a_local[x] = counter;
-                b_local[x] = counter + local_size[x] as u64;
-                counter += 1;
-                for &c in local_children[x].iter().rev() {
-                    stack.push(c as usize);
+        // --- Sizes and heavy children of the subtrees and of T' ---------------
+        // One reverse-preorder sweep: a non-portal is a local child of its
+        // parent, a portal is a T'-child of its parent's subtree. The heavy
+        // child is the largest, ties to the smallest local index.
+        let mut local_size = vec![1u64; m];
+        let mut heavy_child: Vec<Option<usize>> = vec![None; m];
+        let mut tprime_size = vec![1u64; num_subtrees];
+        let mut tprime_heavy: Vec<Option<usize>> = vec![None; num_subtrees];
+        for &v in preorder.iter().skip(1).rev() {
+            let p = parent(v);
+            if is_portal[v] {
+                let (w, t) = (sub[p] as usize, sub[v] as usize);
+                tprime_size[w] += tprime_size[t];
+                if tprime_heavy[w].is_none_or(|h| {
+                    (tprime_size[t], Reverse(portals[t])) > (tprime_size[h], Reverse(portals[h]))
+                }) {
+                    tprime_heavy[w] = Some(t);
+                }
+            } else {
+                local_size[p] += local_size[v];
+                if heavy_child[p]
+                    .is_none_or(|h| (local_size[v], Reverse(v)) > (local_size[h], Reverse(h)))
+                {
+                    heavy_child[p] = Some(v);
                 }
             }
         }
 
-        // --- Virtual tree T' ----------------------------------------------------
-        let mut tprime_children: Vec<Vec<usize>> = vec![Vec::new(); m];
-        for &w in &subtree_roots {
-            if w != root_local {
-                tprime_children[subtree_root[parent_idx[w] as usize]].push(w);
+        // --- Labels and T'-level entries, in one preorder sweep ----------------
+        // A subtree's local DFS order is T-preorder restricted to it (its
+        // local children are the non-portal children, visited in the same
+        // ascending order), so the local entry time is a per-subtree counter.
+        // Lists are shared, not copied: a heavy child's local exception list
+        // *is* its parent's, a T'-heavy child subtree's global exception list
+        // *is* its T'-parent's, and any other child gets its parent's list
+        // plus one entry. Each subtree's global list and global-heavy entry
+        // is built once and held by every member. Exceptions are stored as
+        // host vertex ids (the labels travel in packet headers), so the
+        // conversion happens as they are recorded.
+        let no_local: Arc<[(NodeId, NodeId)]> = Arc::from([]);
+        let mut local_label = vec![
+            LocalLabel {
+                a: 0,
+                exceptions: Arc::clone(&no_local),
+            };
+            m
+        ];
+        let mut next_a = vec![0u64; num_subtrees];
+        let mut global_exceptions: Vec<Arc<[GlobalException]>> = Vec::with_capacity(num_subtrees);
+        let mut global_heavy: Vec<Option<Arc<GlobalHeavyEntry>>> = vec![None; num_subtrees];
+        for &x in &preorder {
+            let t = sub[x] as usize;
+            let a = next_a[t];
+            next_a[t] += 1;
+            if x == root_local {
+                global_exceptions.push(Arc::from([]));
+                local_label[x].a = a;
+                continue;
             }
-        }
-        // Subtree roots listed in T-preorder already have T'-parents before
-        // children, so a reverse sweep computes T' subtree sizes.
-        let mut tprime_size = vec![0usize; m];
-        for &w in subtree_roots.iter().rev() {
-            tprime_size[w] = 1 + tprime_children[w]
-                .iter()
-                .map(|&c| tprime_size[c])
-                .sum::<usize>();
-        }
-        let mut tprime_heavy: Vec<Option<usize>> = vec![None; m];
-        for &w in &subtree_roots {
-            tprime_heavy[w] = tprime_children[w]
-                .iter()
-                .copied()
-                .max_by_key(|&c| (tprime_size[c], Reverse(c)));
-        }
-        let mut a_global = vec![0u64; m];
-        let mut b_global = vec![0u64; m];
-        {
-            let mut counter = 0u64;
-            let mut stack = vec![root_local];
-            while let Some(w) = stack.pop() {
-                a_global[w] = counter;
-                b_global[w] = counter + tprime_size[w] as u64;
-                counter += 1;
-                for &c in tprime_children[w].iter().rev() {
-                    stack.push(c);
-                }
-            }
-        }
-
-        // --- Local labels (per vertex, within its subtree) ----------------------
-        // Exceptions are stored as host vertex ids (the labels travel in
-        // packet headers), so the conversion happens as they are recorded.
-        let mut local_label: Vec<LocalLabel> = vec![LocalLabel::default(); m];
-        for &w in &subtree_roots {
-            let mut stack: Vec<(usize, Vec<(NodeId, NodeId)>)> = vec![(w, Vec::new())];
-            while let Some((x, exceptions)) = stack.pop() {
-                local_label[x] = LocalLabel {
-                    a: a_local[x],
-                    exceptions: exceptions.clone(),
+            let p = parent(x);
+            if !is_portal[x] {
+                let inherited = &local_label[p].exceptions;
+                let exceptions = if heavy_child[p] == Some(x) {
+                    Arc::clone(inherited)
+                } else {
+                    inherited
+                        .iter()
+                        .copied()
+                        .chain(std::iter::once((vid(p), vid(x))))
+                        .collect()
                 };
-                for &c in &local_children[x] {
-                    let c = c as usize;
-                    let mut child_exc = exceptions.clone();
-                    if heavy_child[x] != Some(c as u32) {
-                        child_exc.push((vid(x), vid(c)));
-                    }
-                    stack.push((c, child_exc));
-                }
+                local_label[x] = LocalLabel { a, exceptions };
+                continue;
             }
-        }
-
-        // --- Global exceptions (per subtree root, along the T' path) ------------
-        let mut global_exceptions: Vec<Vec<GlobalException>> = vec![Vec::new(); m];
-        {
-            let mut stack: Vec<(usize, Vec<GlobalException>)> = vec![(root_local, Vec::new())];
-            while let Some((w, exceptions)) = stack.pop() {
-                global_exceptions[w] = exceptions.clone();
-                for &c in &tprime_children[w] {
-                    let mut child_exc = exceptions.clone();
-                    if tprime_heavy[w] != Some(c) {
-                        let portal = parent_idx[c] as usize;
-                        child_exc.push(GlobalException {
-                            parent_subtree: vid(w),
-                            child_subtree: vid(c),
-                            portal: vid(portal),
-                            portal_label: local_label[portal].clone(),
-                        });
-                    }
-                    stack.push((c, child_exc));
-                }
-            }
+            local_label[x].a = a;
+            // A portal roots T_x; its T'-parent is the subtree of its parent
+            // `p`, and `p` (already labelled) is the portal that reaches it.
+            let w = sub[p] as usize;
+            let portal_label = local_label[p].clone();
+            let inherited = &global_exceptions[w];
+            let list = if tprime_heavy[w] == Some(t) {
+                global_heavy[w] = Some(Arc::new(GlobalHeavyEntry {
+                    child_subtree: vid(x),
+                    portal: vid(p),
+                    portal_label,
+                }));
+                Arc::clone(inherited)
+            } else {
+                let exception = GlobalException {
+                    parent_subtree: vid(portals[w]),
+                    child_subtree: vid(x),
+                    portal: vid(p),
+                    portal_label,
+                };
+                inherited
+                    .iter()
+                    .cloned()
+                    .chain(std::iter::once(exception))
+                    .collect()
+            };
+            global_exceptions.push(list);
         }
 
         // --- Assemble tables and labels -----------------------------------------
@@ -407,46 +400,39 @@ impl TreeRoutingScheme {
         // binary-searchable by vertex id.
         let mut tables: Vec<TreeTable> = Vec::with_capacity(m);
         let mut labels: Vec<Arc<TreeLabel>> = Vec::with_capacity(m);
-        for i in 0..m {
+        for (i, local) in local_label.into_iter().enumerate() {
             let v = vid(i);
-            let w = subtree_root[i];
-            let global_heavy = tprime_heavy[w].map(|h| {
-                let portal = parent_idx[h] as usize;
-                GlobalHeavyEntry {
-                    child_subtree: vid(h),
-                    portal: vid(portal),
-                    portal_label: local_label[portal].clone(),
-                }
-            });
+            let t = sub[i] as usize;
+            let w = vid(portals[t]);
+            let a_global = t as u64;
             tables.push(TreeTable {
                 vertex: v,
                 tree_root: root,
-                subtree_root: vid(w),
-                parent: (parent_idx[i] != NO_LOCAL_PARENT).then(|| vid(parent_idx[i] as usize)),
-                heavy_child: heavy_child[i].map(|c| vid(c as usize)),
-                a_local: a_local[i],
-                b_local: b_local[i],
-                a_global: a_global[w],
-                b_global: b_global[w],
-                global_heavy,
+                subtree_root: w,
+                parent: (parent_idx[i] != NO_LOCAL_PARENT).then(|| vid(parent(i))),
+                heavy_child: heavy_child[i].map(vid),
+                a_local: local.a,
+                b_local: local.a + local_size[i],
+                a_global,
+                b_global: a_global + tprime_size[t],
+                global_heavy: global_heavy[t].clone(),
             });
             labels.push(Arc::new(TreeLabel {
                 vertex: v,
-                subtree_root: vid(w),
-                local: local_label[i].clone(),
-                a_global: a_global[w],
-                global_exceptions: global_exceptions[w].clone(),
+                subtree_root: w,
+                local,
+                a_global,
+                global_exceptions: Arc::clone(&global_exceptions[t]),
             }));
         }
 
-        let portals = subtree_roots.into_iter().map(vid).collect();
         TreeRoutingScheme {
             root,
             host_size: n_host,
             member_ids: members.to_vec(),
             tables,
             labels,
-            portals,
+            portals: portals.into_iter().map(vid).collect(),
             tree_size,
         }
     }
@@ -671,6 +657,67 @@ mod tests {
         let scheme = TreeRoutingScheme::build(&tree, &TreeRoutingConfig::new(1).with_gamma(50));
         assert!(scheme.portals().len() > 10);
         assert_exact_routing(&tree, &scheme);
+    }
+
+    #[test]
+    fn subtree_invariant_lists_are_shared_not_copied() {
+        // Many portals (gamma = |T|/8), so there are dozens of multi-member
+        // subtrees, T' exceptions and global-heavy entries at every depth.
+        let g = random_tree(&GeneratorConfig::new(400, 77));
+        let tree = spt_of(&g, 0);
+        let scheme = TreeRoutingScheme::build(&tree, &TreeRoutingConfig::new(1).with_gamma(50));
+        assert!(scheme.portals().len() > 30);
+        let (mut global_lists, mut heavy_entries, mut local_lists) = (0, 0, 0);
+        for v in scheme.members() {
+            let (label, table) = (scheme.label(v).unwrap(), scheme.table(v).unwrap());
+            let w = label.subtree_root;
+            let (root_label, root_table) = (scheme.label(w).unwrap(), scheme.table(w).unwrap());
+            // One global exception list and one global-heavy entry per
+            // subtree, held by every member.
+            assert!(Arc::ptr_eq(
+                &label.global_exceptions,
+                &root_label.global_exceptions
+            ));
+            if v != w && !label.global_exceptions.is_empty() {
+                global_lists += 1;
+            }
+            match (&table.global_heavy, &root_table.global_heavy) {
+                (Some(gh), Some(root_gh)) => {
+                    assert!(Arc::ptr_eq(gh, root_gh));
+                    // The portal label is the portal's own exception list.
+                    let portal = scheme.label(gh.portal).unwrap();
+                    assert!(Arc::ptr_eq(
+                        &gh.portal_label.exceptions,
+                        &portal.local.exceptions
+                    ));
+                    if v != w {
+                        heavy_entries += 1;
+                    }
+                }
+                (None, None) => {}
+                _ => panic!("{v} and its subtree root {w} disagree on the global-heavy entry"),
+            }
+            for e in label.global_exceptions.iter() {
+                let portal = scheme.label(e.portal).unwrap();
+                assert!(Arc::ptr_eq(
+                    &e.portal_label.exceptions,
+                    &portal.local.exceptions
+                ));
+            }
+            // A heavy child adds no exception, so it holds its parent's list.
+            if let Some(h) = table.heavy_child {
+                let child = scheme.label(h).unwrap();
+                assert!(Arc::ptr_eq(
+                    &child.local.exceptions,
+                    &label.local.exceptions
+                ));
+                if !label.local.exceptions.is_empty() {
+                    local_lists += 1;
+                }
+            }
+        }
+        // The fixture exercises each kind of sharing on non-empty lists.
+        assert!(global_lists > 0 && heavy_entries > 0 && local_lists > 0);
     }
 
     #[test]

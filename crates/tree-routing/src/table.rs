@@ -1,5 +1,7 @@
 //! Tree-routing tables: the local state each vertex stores for one tree.
 
+use std::sync::Arc;
+
 use en_graph::NodeId;
 
 use crate::label::{LocalLabel, LocalLabelView};
@@ -7,6 +9,9 @@ use crate::label::{LocalLabel, LocalLabelView};
 /// Information a vertex in subtree `T_w` keeps about the heavy child of `w` in
 /// the virtual tree `T'` (the one `T'`-child whose identity is *not* carried
 /// in packet labels).
+///
+/// The entry depends only on `w`, so the owned scheme builds it once per
+/// subtree and every member's [`TreeTable`] shares it behind an `Arc`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GlobalHeavyEntry {
     /// The heavy child `h'(w)` of `w` in `T'` (a subtree root).
@@ -30,6 +35,11 @@ impl GlobalHeavyEntry {
 /// (parent, heavy child, DFS interval) for the vertex's subtree, plus the
 /// `T'`-level information of its subtree root (which the subtree root
 /// propagates to all vertices of its subtree during the construction).
+///
+/// That `T'`-level part is subtree-invariant, so the owned scheme shares it
+/// instead of copying it: [`Self::global_heavy`] is one allocation per
+/// subtree, and the portal label inside it shares its exception list with
+/// the portal's own label.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeTable {
     /// This vertex.
@@ -50,8 +60,9 @@ pub struct TreeTable {
     pub a_global: u64,
     /// DFS exit time of `T_w` within `T'`.
     pub b_global: u64,
-    /// The heavy `T'`-child of `w`, with the portal information needed to reach it.
-    pub global_heavy: Option<GlobalHeavyEntry>,
+    /// The heavy `T'`-child of `w`, with the portal information needed to
+    /// reach it; shared by every member of `T_w`.
+    pub global_heavy: Option<Arc<GlobalHeavyEntry>>,
 }
 
 impl TreeTable {
@@ -73,7 +84,7 @@ impl TreeTable {
         // endpoints, plus the global heavy entry.
         9 + self
             .global_heavy
-            .as_ref()
+            .as_deref()
             .map_or(0, GlobalHeavyEntry::words)
     }
 }
@@ -178,7 +189,7 @@ impl<'a> TableView for &'a TreeTable {
     #[inline]
     fn global_heavy(&self) -> Option<(NodeId, &'a LocalLabel)> {
         self.global_heavy
-            .as_ref()
+            .as_deref()
             .map(|gh| (gh.child_subtree, &gh.portal_label))
     }
 }
@@ -198,14 +209,14 @@ mod tests {
             b_local: 6,
             a_global: 1,
             b_global: 4,
-            global_heavy: Some(GlobalHeavyEntry {
+            global_heavy: Some(Arc::new(GlobalHeavyEntry {
                 child_subtree: 9,
                 portal: 7,
                 portal_label: LocalLabel {
                     a: 4,
-                    exceptions: vec![],
+                    exceptions: Arc::from([]),
                 },
-            }),
+            })),
         }
     }
 

@@ -262,10 +262,61 @@ impl<'a> Words<'a> {
     }
 }
 
-/// Appends one word to a byte buffer being serialized.
-#[inline]
-pub(crate) fn push_word(out: &mut Vec<u8>, w: u64) {
-    out.extend_from_slice(&w.to_le_bytes());
+/// The writing side of [`Words`]: little-endian words into a byte buffer
+/// sized up front, appended front to back ([`Self::push`]) or placed at a
+/// word index ([`Self::set`]).
+#[derive(Debug)]
+pub(crate) struct WordsMut<'a> {
+    bytes: &'a mut [u8],
+    pushed: usize,
+}
+
+impl<'a> WordsMut<'a> {
+    /// Wraps a byte buffer whose length is a multiple of 8.
+    pub(crate) fn new(bytes: &'a mut [u8]) -> Self {
+        debug_assert_eq!(bytes.len() % 8, 0);
+        WordsMut { bytes, pushed: 0 }
+    }
+
+    /// Writes word `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of bounds.
+    #[inline]
+    pub(crate) fn set(&mut self, i: usize, w: u64) {
+        self.bytes[i * 8..i * 8 + 8].copy_from_slice(&w.to_le_bytes());
+    }
+
+    /// Writes the word after the last pushed one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if every word has been pushed already.
+    #[inline]
+    pub(crate) fn push(&mut self, w: u64) {
+        self.set(self.pushed, w);
+        self.pushed += 1;
+    }
+
+    /// [`Self::push`] for each word of `ws`, in order.
+    #[inline]
+    pub(crate) fn extend(&mut self, ws: &[u64]) {
+        for &w in ws {
+            self.push(w);
+        }
+    }
+
+    /// Number of words [`Self::push`] has written.
+    #[inline]
+    pub(crate) fn pushed(&self) -> usize {
+        self.pushed
+    }
+
+    /// Whether [`Self::push`] has filled the whole buffer.
+    pub(crate) fn is_full(&self) -> bool {
+        self.pushed * 8 == self.bytes.len()
+    }
 }
 
 #[cfg(test)]
@@ -274,10 +325,12 @@ mod tests {
 
     #[test]
     fn words_roundtrip() {
-        let mut buf = Vec::new();
-        for w in [0u64, 1, MAGIC, NULL, 0x0123_4567_89AB_CDEF] {
-            push_word(&mut buf, w);
-        }
+        let mut buf = vec![0u8; 5 * 8];
+        let mut out = WordsMut::new(&mut buf);
+        out.extend(&[0, 1, MAGIC, NULL]);
+        assert!(!out.is_full());
+        out.push(0x0123_4567_89AB_CDEF);
+        assert!(out.is_full());
         let words = Words::new(&buf);
         assert_eq!(words.len(), 5);
         assert!(!words.is_empty());
@@ -293,9 +346,10 @@ mod tests {
 
     #[test]
     fn try_get_checks_bounds() {
-        let mut buf = Vec::new();
-        push_word(&mut buf, 11);
-        push_word(&mut buf, 22);
+        let mut buf = vec![0u8; 2 * 8];
+        let mut out = WordsMut::new(&mut buf);
+        out.set(1, 22);
+        out.set(0, 11);
         let words = Words::new(&buf);
         assert_eq!(words.try_get(0), Some(11));
         assert_eq!(words.try_get(1), Some(22));

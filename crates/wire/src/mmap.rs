@@ -387,11 +387,17 @@ mod tests {
         serialize(&built.scheme)
     }
 
-    /// A scratch file under the workspace target dir (kept inside the repo).
-    fn scratch(name: &str, bytes: &[u8]) -> PathBuf {
+    /// The scratch directory under the workspace target dir (kept inside
+    /// the checkout the tests run in).
+    fn scratch_dir() -> PathBuf {
         let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/tmp");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(name);
+        dir
+    }
+
+    /// A scratch file in [`scratch_dir`].
+    fn scratch(name: &str, bytes: &[u8]) -> PathBuf {
+        let path = scratch_dir().join(name);
         std::fs::write(&path, bytes).unwrap();
         path
     }
@@ -466,9 +472,8 @@ mod tests {
 
     #[test]
     fn missing_file_is_an_io_error() {
-        assert!(
-            MappedSnapshot::open(Path::new("/root/repo/target/tmp/definitely_missing.enwire"))
-                .is_err()
-        );
+        let path = scratch_dir().join("definitely_missing.enwire");
+        std::fs::remove_file(&path).ok();
+        assert!(MappedSnapshot::open(&path).is_err());
     }
 }

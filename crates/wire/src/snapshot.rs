@@ -1,27 +1,55 @@
 //! Serializing a [`RoutingScheme`] into the flat snapshot buffer.
+//!
+//! The serializer sizes every section first, allocates the buffer once,
+//! and then writes each section straight into its place: no intermediate
+//! pools, no reallocation, no second copy.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
+use en_graph::{NodeId, NodeIdHasher};
 use en_routing::scheme::RoutingScheme;
-use en_tree_routing::{TreeLabel, TreeTable};
+use en_tree_routing::{LocalLabel, TreeLabel, TreeTable};
 
 use crate::checksum::{fnv1a_bytes, fnv1a_lanes_bytes};
 use crate::format::{
-    push_word, Section, Words, CLUSTER_RECORD_WORDS, HEADER_WORDS, H_HEADER_SUM, H_SECTIONS,
-    H_SECTION_SUMS, LABEL_ENTRY_WORDS, MAGIC, NULL, NUM_SECTIONS, OWN_ENTRY_WORDS, VERSION,
+    Section, Words, WordsMut, CLUSTER_RECORD_WORDS, HEADER_WORDS, H_HEADER_SUM, H_SECTIONS,
+    H_SECTION_SUMS, LABEL_ENTRY_WORDS, MAGIC, NULL, NUM_SECTIONS, OWN_ENTRY_WORDS,
+    TABLE_FIXED_WORDS, VERSION,
 };
 
 fn opt(v: Option<usize>) -> u64 {
     v.map_or(NULL, |x| x as u64)
 }
 
-/// Appends one table record to the table pool, returning its pool-relative
-/// word offset. The vertex and tree root are implicit (member column /
-/// cluster centre).
-fn write_table(pool: &mut Vec<u64>, t: &TreeTable) -> u64 {
-    let off = pool.len() as u64;
-    pool.extend_from_slice(&[
+/// Words of a local label's record tail: DFS time, exception count, pairs.
+fn local_label_words(l: &LocalLabel) -> usize {
+    2 + 2 * l.exceptions.len()
+}
+
+/// Writes a local label's record tail (see [`local_label_words`]).
+fn write_local_label(out: &mut WordsMut<'_>, l: &LocalLabel) {
+    out.extend(&[l.a, l.exceptions.len() as u64]);
+    for &(x, c) in l.exceptions.iter() {
+        out.extend(&[x as u64, c as u64]);
+    }
+}
+
+/// Words of one table record: the fixed part plus the global-heavy tail.
+fn table_record_words(t: &TreeTable) -> usize {
+    TABLE_FIXED_WORDS
+        + t.global_heavy
+            .as_deref()
+            .map_or(0, |gh| 1 + local_label_words(&gh.portal_label))
+}
+
+/// Writes one table record. The vertex and tree root are implicit (member
+/// column / cluster centre).
+fn write_table(out: &mut WordsMut<'_>, t: &TreeTable) {
+    let gh = t.global_heavy.as_deref();
+    out.extend(&[
         t.subtree_root as u64,
         opt(t.parent),
         opt(t.heavy_child),
@@ -29,65 +57,70 @@ fn write_table(pool: &mut Vec<u64>, t: &TreeTable) -> u64 {
         t.b_local,
         t.a_global,
         t.b_global,
-        opt(t.global_heavy.as_ref().map(|gh| gh.child_subtree)),
+        opt(gh.map(|gh| gh.child_subtree)),
     ]);
-    if let Some(gh) = &t.global_heavy {
-        pool.extend_from_slice(&[
-            gh.portal as u64,
-            gh.portal_label.a,
-            gh.portal_label.exceptions.len() as u64,
-        ]);
-        for &(x, c) in &gh.portal_label.exceptions {
-            pool.extend_from_slice(&[x as u64, c as u64]);
-        }
+    if let Some(gh) = gh {
+        out.push(gh.portal as u64);
+        write_local_label(out, &gh.portal_label);
     }
-    off
 }
 
-/// Appends one tree-label record to the label pool, returning its
-/// pool-relative word offset.
-fn write_label(pool: &mut Vec<u64>, l: &TreeLabel) -> u64 {
-    let off = pool.len() as u64;
-    pool.extend_from_slice(&[
-        l.vertex as u64,
-        l.subtree_root as u64,
-        l.a_global,
-        l.local.a,
-        l.local.exceptions.len() as u64,
-    ]);
-    for &(x, c) in &l.local.exceptions {
-        pool.extend_from_slice(&[x as u64, c as u64]);
-    }
-    pool.push(l.global_exceptions.len() as u64);
-    for e in &l.global_exceptions {
-        pool.extend_from_slice(&[
+/// Words of one tree-label record.
+fn label_record_words(l: &TreeLabel) -> usize {
+    3 + local_label_words(&l.local)
+        + 1
+        + l.global_exceptions
+            .iter()
+            .map(|e| 3 + local_label_words(&e.portal_label))
+            .sum::<usize>()
+}
+
+/// Writes one tree-label record.
+fn write_label(out: &mut WordsMut<'_>, l: &TreeLabel) {
+    out.extend(&[l.vertex as u64, l.subtree_root as u64, l.a_global]);
+    write_local_label(out, &l.local);
+    out.push(l.global_exceptions.len() as u64);
+    for e in l.global_exceptions.iter() {
+        out.extend(&[
             e.parent_subtree as u64,
             e.child_subtree as u64,
             e.portal as u64,
-            e.portal_label.a,
-            e.portal_label.exceptions.len() as u64,
         ]);
-        for &(x, c) in &e.portal_label.exceptions {
-            pool.extend_from_slice(&[x as u64, c as u64]);
-        }
+        write_local_label(out, &e.portal_label);
     }
-    off
 }
 
-/// Interns `label` into the pool, writing it only on first sight.
+/// The label pool's layout, decided before any of it is written.
 ///
 /// Labels are `Arc`-pooled by the assemble path — the same allocation backs
 /// a member's node-label entry and the centre's own-cluster table — so
 /// interning by allocation identity writes each shared label once and the
-/// snapshot inherits the in-memory sharing.
-fn intern_label(
-    pool: &mut Vec<u64>,
-    seen: &mut HashMap<*const TreeLabel, u64>,
-    label: &Arc<TreeLabel>,
-) -> u64 {
-    *seen
-        .entry(Arc::as_ptr(label))
-        .or_insert_with(|| write_label(pool, label))
+/// snapshot inherits the in-memory sharing. Allocation addresses are
+/// hashed with the multiply-fold [`NodeIdHasher`], not SipHash.
+#[derive(Default)]
+struct LabelPool<'a> {
+    /// Pool-relative word offset of each interned label's record.
+    offsets: HashMap<*const TreeLabel, u64, BuildHasherDefault<NodeIdHasher>>,
+    /// The interned labels, in pool order.
+    records: Vec<&'a TreeLabel>,
+    /// Pool length in words.
+    words: usize,
+}
+
+impl<'a> LabelPool<'a> {
+    /// Assigns `label` the next pool offset, unless it already has one.
+    fn intern(&mut self, label: &'a Arc<TreeLabel>) {
+        if let Entry::Vacant(slot) = self.offsets.entry(Arc::as_ptr(label)) {
+            slot.insert(self.words as u64);
+            self.records.push(label);
+            self.words += label_record_words(label);
+        }
+    }
+
+    /// The pool offset of an interned label.
+    fn offset(&self, label: &Arc<TreeLabel>) -> u64 {
+        self.offsets[&Arc::as_ptr(label)]
+    }
 }
 
 /// Serializes `scheme` into a self-contained snapshot buffer.
@@ -95,148 +128,195 @@ fn intern_label(
 /// The result is little-endian, internally 8-byte aligned, and relocatable:
 /// [`FlatScheme::from_bytes`](crate::FlatScheme::from_bytes) validates it
 /// once and then serves every query by borrowing directly from the buffer.
+///
+/// # Panics
+///
+/// Panics if a vertex's tree list and the clusters listing it as a member
+/// disagree (the assembled schemes never do).
 pub fn serialize(scheme: &RoutingScheme) -> Vec<u8> {
     let n = scheme.n();
-    let k = scheme.k();
     let centers = scheme.centers();
+    let trees: Vec<_> = centers
+        .iter()
+        .map(|&c| {
+            let ts = scheme
+                .tree_scheme(c)
+                .expect("centers() lists only centres with a scheme");
+            (c, scheme.center_level(c).unwrap_or(0), ts)
+        })
+        .collect();
 
-    // --- Cluster columns -----------------------------------------------------
-    let mut center_index = vec![NULL; n];
-    let mut clusters = Vec::with_capacity(centers.len() * CLUSTER_RECORD_WORDS);
-    let mut member_ids: Vec<u64> = Vec::new();
-    let mut member_table_offs: Vec<u64> = Vec::new();
-    let mut table_pool: Vec<u64> = Vec::new();
-    // Per-vertex (centre, slot) pairs harvested during the cluster walk —
-    // the raw material of the v3 rank index emitted below.
-    let mut slots_by_vertex: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n];
-    for (ci, &center) in centers.iter().enumerate() {
-        center_index[center] = ci as u64;
-        let ts = scheme
-            .tree_scheme(center)
-            .expect("centers() lists only centres with a scheme");
-        let level = scheme.center_level(center).unwrap_or(0);
-        let start = member_ids.len();
-        for (i, v) in ts.members().enumerate() {
-            member_ids.push(v as u64);
-            slots_by_vertex[v].push((center as u64, i as u64));
-            let table = ts.table_by_index(i).expect("tables align with members");
-            member_table_offs.push(write_table(&mut table_pool, table));
+    // --- Sizing --------------------------------------------------------------
+    let mut members = 0;
+    let mut table_pool_words = 0;
+    for (_, _, ts) in &trees {
+        members += ts.tree_size();
+        table_pool_words += (0..ts.tree_size())
+            .map(|i| table_record_words(ts.table_by_index(i).expect("tables align with members")))
+            .sum::<usize>();
+    }
+    // Where each vertex's tree list starts in VTREES_VALS (and MEMBER_SLOTS).
+    let mut vtrees_start = Vec::with_capacity(n + 1);
+    vtrees_start.push(0);
+    for v in 0..n {
+        vtrees_start.push(vtrees_start[v] + scheme.table(v).trees.len());
+    }
+    // The label pool is interned in emission order: every node-label entry
+    // of every vertex, then every own-cluster entry, ascending by member.
+    let mut pool = LabelPool::default();
+    let mut label_entries = 0;
+    for v in 0..n {
+        for entry in &scheme.label(v).entries {
+            label_entries += 1;
+            if let Some(l) = &entry.tree_label {
+                pool.intern(l);
+            }
         }
-        clusters.extend_from_slice(&[
+    }
+    let mut own: Vec<(NodeId, &Arc<TreeLabel>)> = Vec::new();
+    for v in 0..n {
+        let start = own.len();
+        own.extend(
+            scheme
+                .table(v)
+                .own_cluster_labels
+                .iter()
+                .map(|(&m, l)| (m, l)),
+        );
+        own[start..].sort_unstable_by_key(|&(m, _)| m);
+        for &(_, l) in &own[start..] {
+            pool.intern(l);
+        }
+    }
+    let lens = Section::ALL.map(|section| match section {
+        Section::CenterIndex => n,
+        Section::Clusters => CLUSTER_RECORD_WORDS * trees.len(),
+        Section::MemberIds | Section::MemberTableOffs => members,
+        Section::TablePool => table_pool_words,
+        Section::VtreesOff | Section::OwnOff | Section::LabelEntriesOff => n + 1,
+        Section::VtreesVals | Section::MemberSlots => vtrees_start[n],
+        Section::OwnEntries => OWN_ENTRY_WORDS * own.len(),
+        Section::LabelEntries => LABEL_ENTRY_WORDS * label_entries,
+        Section::LabelPool => pool.words,
+    });
+    let total_words = HEADER_WORDS + lens.iter().sum::<usize>();
+
+    // --- Emission, each section straight into its place -----------------------
+    let mut out = vec![0u8; total_words * 8];
+    let (header, mut body) = out.split_at_mut(HEADER_WORDS * 8);
+    let mut sections = lens.map(|len| {
+        let (section, rest) = std::mem::take(&mut body).split_at_mut(len * 8);
+        body = rest;
+        WordsMut::new(section)
+    });
+    let [center_index, clusters, member_ids, member_table_offs, table_pool, vtrees_off, vtrees_vals, member_slots, own_off, own_entries, label_entries_off, label_entries, label_pool] =
+        &mut sections;
+
+    for _ in 0..n {
+        center_index.push(NULL);
+    }
+    for (ci, &(center, _, _)) in trees.iter().enumerate() {
+        center_index.set(center, ci as u64);
+    }
+    // The cluster walk: CLUSTERS, MEMBER_IDS, MEMBER_TABLE_OFFS and
+    // TABLE_POOL front to back, and MEMBER_SLOTS through one cursor per
+    // vertex — clusters are walked in ascending centre order and each
+    // vertex's tree list is ascending, so a vertex's next slot word belongs
+    // to exactly this cluster. Table words are summed per vertex on the way.
+    let mut filled = vec![0usize; n];
+    let mut table_words = vec![0usize; n];
+    for &(center, level, ts) in &trees {
+        clusters.extend(&[
             center as u64,
             level as u64,
-            start as u64,
-            (member_ids.len() - start) as u64,
+            member_ids.pushed() as u64,
+            ts.tree_size() as u64,
         ]);
+        for (slot, v) in ts.members().enumerate() {
+            let table = ts.table_by_index(slot).expect("tables align with members");
+            member_ids.push(v as u64);
+            member_table_offs.push(table_pool.pushed() as u64);
+            write_table(table_pool, table);
+            table_words[v] += table.words();
+            let at = vtrees_start[v] + filled[v];
+            assert!(
+                at < vtrees_start[v + 1] && scheme.table(v).trees[filled[v]] == center,
+                "vertex {v} is a member of cluster {center} but does not list it as a tree"
+            );
+            member_slots.set(at, slot as u64);
+            filled[v] += 1;
+        }
     }
-    for s in &mut slots_by_vertex {
-        s.sort_unstable();
-    }
-
-    // --- Per-vertex columns --------------------------------------------------
-    let mut label_pool: Vec<u64> = Vec::new();
-    let mut seen: HashMap<*const TreeLabel, u64> = HashMap::new();
-
-    let mut vtrees_off: Vec<u64> = Vec::with_capacity(n + 1);
-    let mut vtrees_vals: Vec<u64> = Vec::new();
-    let mut member_slots: Vec<u64> = Vec::new();
-    let mut label_entries_off: Vec<u64> = Vec::with_capacity(n + 1);
-    let mut label_entries: Vec<u64> = Vec::new();
-    vtrees_off.push(0);
-    label_entries_off.push(0);
+    // The per-vertex walk: tree lists, node labels, own-cluster labels.
+    let (mut max_label_words, mut total_label_words) = (0, 0);
+    let mut own_at = own.iter();
     for v in 0..n {
         let table = scheme.table(v);
-        vtrees_vals.extend(table.trees.iter().map(|&c| c as u64));
-        // The rank index stays word-aligned with VTREES_VALS: for the i-th
-        // tree entry, the vertex's slot in that cluster's member column.
-        let slots = &slots_by_vertex[v];
+        assert_eq!(
+            filled[v],
+            table.trees.len(),
+            "vertex {v} lists a tree that does not have it as a member"
+        );
+        vtrees_off.push(vtrees_start[v] as u64);
         for &c in &table.trees {
-            let at = slots
-                .binary_search_by_key(&(c as u64), |&(center, _)| center)
-                .expect("every tree of a vertex lists it as a cluster member");
-            member_slots.push(slots[at].1);
+            vtrees_vals.push(c as u64);
         }
-        vtrees_off.push(vtrees_vals.len() as u64);
-        for entry in &scheme.label(v).entries {
-            let label_off = entry
-                .tree_label
-                .as_ref()
-                .map_or(NULL, |l| intern_label(&mut label_pool, &mut seen, l));
-            label_entries.extend_from_slice(&[
+        let label = scheme.label(v);
+        label_entries_off.push((label_entries.pushed() / LABEL_ENTRY_WORDS) as u64);
+        for entry in &label.entries {
+            label_entries.extend(&[
                 entry.level as u64,
                 entry.pivot as u64,
                 entry.dist,
-                label_off,
+                entry.tree_label.as_ref().map_or(NULL, |l| pool.offset(l)),
             ]);
         }
-        label_entries_off.push((label_entries.len() / LABEL_ENTRY_WORDS) as u64);
-    }
-
-    let mut own_off: Vec<u64> = Vec::with_capacity(n + 1);
-    let mut own_entries: Vec<u64> = Vec::new();
-    own_off.push(0);
-    for v in 0..n {
-        let own = &scheme.table(v).own_cluster_labels;
-        let mut members: Vec<usize> = own.keys().copied().collect();
-        members.sort_unstable();
-        for m in members {
-            let label_off = intern_label(&mut label_pool, &mut seen, &own[&m]);
-            own_entries.extend_from_slice(&[m as u64, label_off]);
+        max_label_words = max_label_words.max(label.words());
+        total_label_words += label.words();
+        own_off.push((own_entries.pushed() / OWN_ENTRY_WORDS) as u64);
+        for &(m, l) in own_at.by_ref().take(table.own_cluster_labels.len()) {
+            own_entries.extend(&[m as u64, pool.offset(l)]);
+            table_words[v] += 1 + l.words();
         }
-        own_off.push((own_entries.len() / OWN_ENTRY_WORDS) as u64);
     }
-
-    // --- Header + emission ---------------------------------------------------
-    let sections: [&[u64]; NUM_SECTIONS] = [
-        &center_index,
-        &clusters,
-        &member_ids,
-        &member_table_offs,
-        &table_pool,
-        &vtrees_off,
-        &vtrees_vals,
-        &member_slots,
-        &own_off,
-        &own_entries,
-        &label_entries_off,
-        &label_entries,
-        &label_pool,
-    ];
-    let total_words = HEADER_WORDS + sections.iter().map(|s| s.len()).sum::<usize>();
-
-    let total_table_words: usize = (0..n).map(|v| scheme.table_words(v)).sum();
-    let total_label_words: usize = (0..n).map(|v| scheme.label_words(v)).sum();
-
-    let mut out = Vec::with_capacity(total_words * 8);
-    push_word(&mut out, MAGIC);
-    push_word(&mut out, VERSION);
-    push_word(&mut out, n as u64);
-    push_word(&mut out, k as u64);
-    push_word(&mut out, centers.len() as u64);
-    push_word(&mut out, total_words as u64);
-    push_word(&mut out, member_ids.len() as u64);
-    push_word(&mut out, scheme.max_table_words() as u64);
-    push_word(&mut out, total_table_words as u64);
-    push_word(&mut out, scheme.max_label_words() as u64);
-    push_word(&mut out, total_label_words as u64);
-    let mut off = HEADER_WORDS as u64;
-    for s in &sections {
-        push_word(&mut out, off);
-        off += s.len() as u64;
+    vtrees_off.push(vtrees_start[n] as u64);
+    label_entries_off.push((label_entries.pushed() / LABEL_ENTRY_WORDS) as u64);
+    own_off.push((own_entries.pushed() / OWN_ENTRY_WORDS) as u64);
+    for l in &pool.records {
+        write_label(label_pool, l);
     }
-    debug_assert_eq!(out.len(), H_SECTION_SUMS * 8);
+    // MEMBER_SLOTS is written through the cursors, whose ends the
+    // per-vertex walk checked; every other section front to back.
+    assert!(
+        Section::ALL
+            .iter()
+            .zip(&sections)
+            .all(|(&section, s)| section == Section::MemberSlots || s.is_full()),
+        "every section is written to exactly the length it was sized to"
+    );
+
+    let mut head = WordsMut::new(header);
+    head.extend(&[
+        MAGIC,
+        VERSION,
+        n as u64,
+        scheme.k() as u64,
+        trees.len() as u64,
+        total_words as u64,
+        members as u64,
+        table_words.iter().copied().max().unwrap_or(0) as u64,
+        table_words.iter().sum::<usize>() as u64,
+        max_label_words as u64,
+        total_label_words as u64,
+    ]);
+    let mut off = HEADER_WORDS;
+    for len in lens {
+        head.push(off as u64);
+        off += len;
+    }
+    debug_assert_eq!(off, total_words);
     // The checksum words stay zero until `seal` fills them in over the
     // laid-out buffer; the reserved words stay zero.
-    while out.len() < HEADER_WORDS * 8 {
-        push_word(&mut out, 0);
-    }
-    for s in &sections {
-        for &w in *s {
-            push_word(&mut out, w);
-        }
-    }
-    debug_assert_eq!(out.len(), total_words * 8);
-    debug_assert_eq!(Section::LabelPool as usize, NUM_SECTIONS - 1);
     seal(&mut out);
     out
 }
