@@ -7,11 +7,11 @@
 //!    flip in every header bit, seeded bit flips inside every section, and
 //!    scrambled offset columns; every fault must be rejected by
 //!    `FlatScheme::from_bytes` with a structured error.
-//! 2. **Degraded-query drill** — content-section corruption is forced in
-//!    past validation (`from_bytes_unvalidated`, simulating corruption that
-//!    strikes after load) and batches are routed at 1/2/8 threads; the
-//!    process must survive, every query must resolve to an outcome or a
-//!    structured error, and the per-shard accounting must add up.
+//! 2. **Forged-checksum drill** — the same kinds of section damage (seeded
+//!    bit flips and offset scrambles), with the checksums re-sealed around
+//!    them as a forger would, so only `from_bytes`' structural proof can
+//!    reject them; every forged snapshot must be rejected, or be served at
+//!    1/2/8 threads with zero shard panics and identical outcomes.
 //! 3. **Hot-swap race** — a `SchemeStore` swaps between two valid epochs
 //!    while corrupt publishes are fired at it and reader threads route
 //!    batches off pinned epochs; every reader batch must be bit-identical
@@ -38,12 +38,12 @@ use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
 use en_routing::construction::{build_routing_scheme, ConstructionConfig};
 use en_wire::checksum::fnv1a_words;
 use en_wire::faultsim::{
-    drill_loads, header_flip_plan, offset_scramble_plan, section_flip_plan, truncation_plan,
-    FaultReport,
+    drill_forged, drill_loads, header_flip_plan, offset_scramble_plan, section_flip_plan,
+    truncation_plan, FaultReport,
 };
 use en_wire::{
-    generate_pairs, BatchOutcome, CacheConfig, FlatScheme, MappedSnapshot, PairWorkload,
-    QueryEngine, SchemeStore,
+    generate_pairs, BatchOutcome, FlatScheme, MappedSnapshot, PairWorkload, QueryEngine,
+    SchemeStore,
 };
 
 /// Folds a batch's observable outcome into one word, so "bit-identical"
@@ -212,131 +212,46 @@ fn main() {
         );
     }
 
-    // --- Phase 2: degraded-query drill --------------------------------------
-    // Corruption that strikes *after* validation: force the corrupt bytes in
-    // with the shape-only pass and route batches across thread counts. The
-    // contract is survival + accounting, not bit-identity (which sharding
-    // retries corruption hits is thread-dependent by design).
+    // --- Phase 2: forged-checksum drill -------------------------------------
+    // Damage re-sealed with recomputed checksums: only the structural proof
+    // stands between these bytes and the server. A forged snapshot that
+    // validates is served at 1/2/8 threads and must never panic a shard or
+    // answer differently with the thread count.
     let pairs = generate_pairs(&g, &PairWorkload::Uniform, pairs_len, 7);
-    let degraded_plan = {
-        let mut plan = section_flip_plan(&manifest, 0xFA03, flips_per_section.min(6));
-        plan.extend(offset_scramble_plan(&manifest, 0xFA04, scrambles.min(24)));
+    let forged_plan = {
+        let mut plan = section_flip_plan(&manifest, 0xFA03, flips_per_section);
+        plan.extend(offset_scramble_plan(&manifest, 0xFA04, scrambles));
         plan
     };
-    let mut degraded_runs = 0usize;
-    let mut degraded_queries = 0usize;
-    // Shard panics are caught and retried by design; keep the default
-    // hook's backtraces out of the drill log.
-    std::panic::set_hook(Box::new(|_| {}));
-    for case in &degraded_plan {
-        let corrupt = case.apply(&bytes);
-        // Only shape-valid buffers can be forced in; the rest were already
-        // proven detected in phase 1.
-        let Ok(flat) = FlatScheme::from_bytes_unvalidated(&corrupt) else {
-            report.injected += 1;
-            report.detected += 1;
-            continue;
-        };
-        let Ok(engine) = QueryEngine::new(flat, &g) else {
-            report.injected += 1;
-            report.detected += 1;
-            continue;
-        };
-        report.injected += 1;
-        let mut errors_seen = 0usize;
-        let mut ok = true;
-        for threads in [1usize, 2, 8] {
-            let batch = engine.route_batch(&pairs, None, threads);
-            if batch.outcomes.len() != pairs.len() {
-                failures.push(format!(
-                    "{}: {} outcomes for {} pairs at {threads} threads",
-                    case.name,
-                    batch.outcomes.len(),
-                    pairs.len()
-                ));
-                ok = false;
-            }
-            let s = &batch.stats;
-            if s.delivered + s.failed != s.pairs || s.pairs != pairs.len() {
-                failures.push(format!(
-                    "{}: stats do not add up at {threads} threads: {s:?}",
-                    case.name
-                ));
-                ok = false;
-            }
-            let shard_q: usize = batch.shards.iter().map(|sh| sh.queries).sum();
-            let shard_e: usize = batch.shards.iter().map(|sh| sh.errors).sum();
-            if shard_q != pairs.len() || shard_e != s.failed {
-                failures.push(format!(
-                    "{}: shard accounting off at {threads} threads: \
-                     queries {shard_q}/{} errors {shard_e}/{}",
-                    case.name,
-                    pairs.len(),
-                    s.failed
-                ));
-                ok = false;
-            }
-            errors_seen += s.failed;
-        }
-        // The same corrupt snapshot behind a hot-route cache: the process
-        // must still survive and the per-shard accounting must reconstruct
-        // the batch exactly; non-panicked shards account one cache lookup
-        // (hit or miss) per query.
-        let cached_engine = QueryEngine::new(*engine.flat(), &g)
-            .expect("same graph")
-            .with_cache(CacheConfig { capacity: 64 });
-        for threads in [2usize, 8] {
-            let batch = cached_engine.route_batch(&pairs, None, threads);
-            let s = &batch.stats;
-            let shard_q: usize = batch.shards.iter().map(|sh| sh.queries).sum();
-            let shard_e: usize = batch.shards.iter().map(|sh| sh.errors).sum();
-            if shard_q != pairs.len() || shard_e != s.failed || s.pairs != pairs.len() {
-                failures.push(format!(
-                    "{}: cached shard accounting off at {threads} threads: \
-                     queries {shard_q}/{} errors {shard_e}/{}",
-                    case.name,
-                    pairs.len(),
-                    s.failed
-                ));
-                ok = false;
-            }
-            for (si, shard) in batch.shards.iter().enumerate() {
-                if !shard.panicked && shard.cache.hits + shard.cache.misses != shard.queries as u64
-                {
-                    failures.push(format!(
-                        "{}: shard {si} cache counters off at {threads} threads: \
-                         {:?} for {} queries",
-                        case.name, shard.cache, shard.queries
-                    ));
-                    ok = false;
-                }
-            }
-        }
-        degraded_runs += 1;
-        degraded_queries += errors_seen;
-        if !ok {
-            report.undetected.push(case.name.clone());
-        } else if errors_seen > 0 {
-            report.degraded += 1;
-        } else {
-            report.survived += 1;
-        }
-    }
-    let _ = std::panic::take_hook();
+    let forged = drill_forged(&bytes, &g, &pairs, &forged_plan);
+    let forged_served = forged.degraded + forged.survived;
     println!(
-        "  degraded drill: {degraded_runs} corrupt snapshots served, \
-         {degraded_queries} queries degraded to errors, 0 crashes"
+        "  forged drill: {} forged snapshots, {} rejected by from_bytes, \
+         {forged_served} served ({} with failed queries) with 0 shard panics \
+         and identical outcomes at 1/2/8 threads",
+        forged.injected, forged.detected, forged.degraded
     );
     if en_obs::active() {
         en_obs::event(
             en_obs::Level::Info,
-            "drill.degraded",
+            "drill.forged",
             &[
-                ("snapshots_served", (degraded_runs as u64).into()),
-                ("queries_degraded", (degraded_queries as u64).into()),
+                ("injected", (forged.injected as u64).into()),
+                ("rejected", (forged.detected as u64).into()),
+                ("served", (forged_served as u64).into()),
+                ("undetected", (forged.undetected.len() as u64).into()),
             ],
         );
     }
+    for name in &forged.undetected {
+        failures.push(format!(
+            "forged snapshot panicked a shard or varied: {name}"
+        ));
+    }
+    if forged.injected == 0 {
+        failures.push("forged drill injected nothing".into());
+    }
+    report.merge(forged);
 
     // --- Phase 3: hot-swap race ----------------------------------------------
     let bytes_b = build_snapshot(n, k, 42, 43); // same graph, different scheme
@@ -464,28 +379,7 @@ fn main() {
             failures.push(format!("pristine batch failed queries at {t} threads"));
         }
     }
-    // The cache is observationally invisible on the pristine snapshot too:
-    // same digests at every thread count, and the batch counters account
-    // one lookup per pair.
-    let cached_engine = QueryEngine::new(*engine.flat(), &g)
-        .expect("same graph")
-        .with_cache(CacheConfig { capacity: 64 });
-    for t in [1usize, 2, 8] {
-        let b = cached_engine.route_batch(&pairs, None, t);
-        if digest(&b) != d0 {
-            failures.push(format!("cached pristine outcomes differ at {t} threads"));
-        }
-        if b.stats.cache_hits + b.stats.cache_misses != pairs.len() as u64 {
-            failures.push(format!(
-                "cached pristine batch lookup accounting off at {t} threads: {:?}",
-                b.stats
-            ));
-        }
-    }
-    println!(
-        "  determinism: outcomes bit-identical at 1/2/8 threads \
-         (cached and uncached), fault counters zero"
-    );
+    println!("  determinism: outcomes bit-identical at 1/2/8 threads, fault counters zero");
     if en_obs::active() {
         en_obs::event(
             en_obs::Level::Info,
@@ -508,7 +402,7 @@ fn main() {
 
     println!("fault_drill summary: {}", report.summary());
     if report.undetected.is_empty() && failures.is_empty() {
-        println!("fault_drill: PASS (100% of faults detected or survived degraded)");
+        println!("fault_drill: PASS (every fault detected, or forged and served panic-free)");
     } else {
         for f in &failures {
             eprintln!("fault_drill FAILURE: {f}");

@@ -29,21 +29,18 @@
 //! The `queries` workload tracks the `en_wire` serving path: per `(n, k)`
 //! at `n ∈ {1000, 10000}` it snapshots the built scheme and times the
 //! open-path costs *separately* — `read_us`, the buffer copy alone (what
-//! an owned open pays to get the bytes in hand), `shape_open_us`, the
-//! header-only `from_bytes_unvalidated` parse, `mmap_open_us`, the
-//! page-cache alternative (`MappedSnapshot::open` plus the same shape
-//! parse, no copy), and `validate_us`, the checksum and structure pass
-//! (full `from_bytes` minus the shape-only open; the per-publish
-//! integrity tax, also reported as GB/s) — then measures batched routing
+//! an owned open pays to get the bytes in hand), `mmap_open_us`, the
+//! page-cache alternative (`MappedSnapshot::open` alone, no copy), and
+//! `validate_us`, `FlatScheme::from_bytes` — the checksum and structure
+//! pass, the per-publish integrity tax, also reported as GB/s — then
+//! measures batched routing
 //! throughput off the flat columns
 //! (single-threaded and sharded over scoped threads) and, on the very
 //! same pairs, the in-memory `RoutingScheme` single-threaded throughput,
 //! recording `flat_vs_inmem` (flat single-thread ÷ in-memory routes/sec;
 //! the unified-kernel goal is 1.0). Beside the uniform pairs it records
-//! the Zipf-hotspot workload (exponent 1.2, both endpoints skewed) with
-//! the hot-route cache on — outcomes asserted bit-identical to the
-//! uncached run, `cache_hit_rate` committed — the skewed-traffic shape
-//! the serving layer is optimised for. All of it is written to
+//! the Zipf-hotspot workload's throughput (exponent 1.2, both endpoints
+//! skewed), the repeated-pair traffic shape. All of it is written to
 //! `BENCH_queries.json` together with the snapshot size and the host's
 //! CPU count (the multi-thread number only shows real scaling on a
 //! multi-core host).
@@ -82,7 +79,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use en_wire::{generate_pairs, CacheConfig, FlatScheme, MappedSnapshot, PairWorkload, QueryEngine};
+use en_wire::{generate_pairs, FlatScheme, MappedSnapshot, PairWorkload, QueryEngine};
 
 use en_bench::warn_if_round_limit_hit;
 use en_congest_algos::theorem1::{multi_source_hop_bounded, multi_source_hop_bounded_reference};
@@ -278,37 +275,27 @@ fn main() {
             let (serialize_ms, bytes) = best_of(runs, || en_wire::serialize(&built.scheme));
             // Open-path costs, kept apart so each optimisation is
             // attributable: `read_us` is the buffer copy alone (what an
-            // owned open pays to get the bytes in hand), `shape_open_us`
-            // the header-only `from_bytes_unvalidated` parse,
-            // `mmap_open_us` the page-cache open (`MappedSnapshot::open` +
-            // the same shape parse — no copy, the bytes stay in the kernel
-            // page cache), and `validate_us` the checksum and structure
-            // pass (full `from_bytes` minus the shape-only open) — the
+            // owned open pays to get the bytes in hand), `mmap_open_us`
+            // the page-cache open (`MappedSnapshot::open` alone — no copy,
+            // the bytes stay in the kernel page cache), and `validate_us`
+            // `from_bytes`, the checksum and structure pass — the
             // per-publish integrity tax.
             let (read_ms, _) = best_of(kernel_runs, || bytes.clone().len());
-            let (shape_ms, _) = best_of(kernel_runs, || {
-                FlatScheme::from_bytes_unvalidated(&bytes)
-                    .expect("snapshot opens")
-                    .n()
-            });
             let tmp = std::path::Path::new("target/tmp");
             std::fs::create_dir_all(tmp).expect("scratch dir under target/");
             let snap_path = tmp.join(format!("perf_baseline_{n}_{k}.enwire"));
             std::fs::write(&snap_path, &bytes).expect("write snapshot scratch file");
             let (mmap_ms, mapped) = best_of(kernel_runs, || {
-                let snap = MappedSnapshot::open(&snap_path).expect("snapshot opens");
-                FlatScheme::from_bytes_unvalidated(snap.bytes())
+                MappedSnapshot::open(&snap_path)
                     .expect("snapshot opens")
-                    .n();
-                snap.is_mapped()
+                    .is_mapped()
             });
             std::fs::remove_file(&snap_path).ok();
-            let (full_ms, _) = best_of(kernel_runs, || {
+            let (validate_ms, _) = best_of(kernel_runs, || {
                 FlatScheme::from_bytes(&bytes)
                     .expect("snapshot validates")
                     .n()
             });
-            let validate_ms = (full_ms - shape_ms).max(0.0);
             let validate_gbps = if validate_ms > 0.0 {
                 bytes.len() as f64 / 1e9 / (validate_ms / 1e3)
             } else {
@@ -382,12 +369,8 @@ fn main() {
                 "active-recorder pass must account every delivered route"
             );
             // The Zipf-hotspot workload (both endpoints skewed, exponent
-            // 1.2) with the hot-route cache in front of the kernel: the
-            // skewed-traffic shape serving is optimised for. Outcomes are
-            // bit-identical to the uncached run by construction — asserted
-            // outcome-by-outcome here before the timed passes.
+            // 1.2): repeated pairs over the same snapshot.
             let zipf_exponent = 1.2;
-            let cache_capacity = 4096usize;
             let zipf_pairs = generate_pairs(
                 &g,
                 &PairWorkload::ZipfHotspot {
@@ -396,40 +379,13 @@ fn main() {
                 query_pairs,
                 7,
             );
-            let cached_engine = QueryEngine::new(flat, &g)
-                .expect("graph matches snapshot")
-                .with_cache(CacheConfig {
-                    capacity: cache_capacity,
-                });
-            let plain_batch = engine.route_batch(&zipf_pairs, None, 1);
-            let cached_batch = cached_engine.route_batch(&zipf_pairs, None, 1);
-            for (i, (a, b)) in plain_batch
-                .outcomes
-                .iter()
-                .zip(&cached_batch.outcomes)
-                .enumerate()
-            {
-                let (a, b) = (a.as_ref().expect("delivers"), b.as_ref().expect("delivers"));
-                assert!(
-                    a.path == b.path
-                        && a.length == b.length
-                        && a.stretch.to_bits() == b.stretch.to_bits(),
-                    "cached zipf outcome {i} diverged"
-                );
-            }
-            let (zipf_plain_ms, _) = best_of(kernel_runs, || {
+            let (zipf_ms, _) = best_of(kernel_runs, || {
                 engine.route_batch(&zipf_pairs, None, 1).stats.delivered
             });
-            let (zipf_cached_ms, zipf_stats) = best_of(kernel_runs, || {
-                cached_engine.route_batch(&zipf_pairs, None, 1).stats
-            });
-            let cache_hit_rate = zipf_stats.cache_hit_rate();
-            let zipf_plain_rps = zipf_pairs.len() as f64 / (zipf_plain_ms / 1e3);
-            let zipf_cached_rps = zipf_pairs.len() as f64 / (zipf_cached_ms / 1e3);
-            let zipf_vs_uniform = zipf_cached_rps / single_rps;
+            let zipf_rps = zipf_pairs.len() as f64 / (zipf_ms / 1e3);
             println!(
                 "queries n={n} k={k}: snapshot {} bytes ({:.1}/vertex), serialize \
-                 {serialize_ms:.3} ms, read {:.1} us, shape open {:.1} us, \
+                 {serialize_ms:.3} ms, read {:.1} us, \
                  mmap open {:.1} us (mapped: {mapped}), validate {:.1} us \
                  ({validate_gbps:.2} GB/s), \
                  {} pairs: single {single_ms:.3} ms \
@@ -439,17 +395,14 @@ fn main() {
                 bytes.len(),
                 bytes.len() as f64 / n as f64,
                 read_ms * 1e3,
-                shape_ms * 1e3,
                 mmap_ms * 1e3,
                 validate_ms * 1e3,
                 pairs.len(),
                 multi_rps / single_rps
             );
             println!(
-                "          zipf s={zipf_exponent} cache cap {cache_capacity}: \
-                 uncached {zipf_plain_ms:.3} ms ({zipf_plain_rps:.0} routes/s), \
-                 cached {zipf_cached_ms:.3} ms ({zipf_cached_rps:.0} routes/s, \
-                 hit rate {cache_hit_rate:.2}), zipf-cached/uniform {zipf_vs_uniform:.2}"
+                "          zipf s={zipf_exponent}: {zipf_ms:.3} ms \
+                 ({zipf_rps:.0} routes/s)"
             );
             println!(
                 "          obs overhead (single-thread): no-op recorder \
@@ -463,7 +416,7 @@ fn main() {
                 query_entries,
                 "    {{\"n\": {n}, \"k\": {k}, \"snapshot_bytes\": {}, \
                  \"serialize_ms\": {serialize_ms:.3}, \"read_us\": {:.1}, \
-                 \"shape_open_us\": {:.1}, \"mmap_open_us\": {:.1}, \
+                 \"mmap_open_us\": {:.1}, \
                  \"mmap_mapped\": {mapped}, \
                  \"validate_us\": {:.1}, \"validate_gb_per_s\": {validate_gbps:.2}, \
                  \"pairs\": {}, \"single_thread_ms\": {single_ms:.3}, \
@@ -475,16 +428,11 @@ fn main() {
                  \"inmem_routes_per_sec\": {inmem_rps:.0}, \
                  \"flat_vs_inmem\": {flat_vs_inmem:.2}, \
                  \"zipf_exponent\": {zipf_exponent}, \
-                 \"cache_capacity\": {cache_capacity}, \
-                 \"zipf_routes_per_sec\": {zipf_plain_rps:.0}, \
-                 \"zipf_cached_routes_per_sec\": {zipf_cached_rps:.0}, \
-                 \"cache_hit_rate\": {cache_hit_rate:.3}, \
-                 \"zipf_cached_vs_uniform\": {zipf_vs_uniform:.2}, \
+                 \"zipf_routes_per_sec\": {zipf_rps:.0}, \
                  \"obs_noop_overhead\": {obs_noop_overhead:.3}, \
                  \"obs_active_overhead\": {obs_active_overhead:.3}}}",
                 bytes.len(),
                 read_ms * 1e3,
-                shape_ms * 1e3,
                 mmap_ms * 1e3,
                 validate_ms * 1e3,
                 pairs.len(),
@@ -586,7 +534,7 @@ fn main() {
         return;
     }
     let queries_json = format!(
-        "{{\n  \"schema\": \"en-bench/queries-v5\",\n  \"workload\": \
+        "{{\n  \"schema\": \"en-bench/queries-v6\",\n  \"workload\": \
          \"uniform + zipf(1.2) pairs over erdos-renyi avg-degree 8, \
          weights 1..=100, seed 42\",\n  \
          \"host_cpus\": {host_cpus},\n  \"multi_threads\": {QUERY_THREADS},\n  \

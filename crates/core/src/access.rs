@@ -10,25 +10,11 @@
 //! [`find_tree_via`] / [`forward_via`] run Algorithm 1 and the forwarding
 //! loop over any implementation.
 //!
-//! Three accessors instantiate the kernel: the in-memory
-//! [`RoutingScheme`](crate::scheme::RoutingScheme) (via `&RoutingScheme`),
-//! and — in `en_wire` — the flat snapshot's fast (panics on poisoned bytes)
-//! and checked (returns structured errors) accessor pairs. Because all three
-//! share this single loop, their outcomes are bit-identical by construction,
-//! not by convention.
-//!
-//! # The hot-route cache
-//!
-//! Skewed traffic (the Zipf workloads the serving benches model) resolves
-//! the same `(source, destination)` `Find-tree` decision over and over, and
-//! that decision — scan the destination's level-ordered label entries,
-//! checking tree membership per level — is the expensive prefix of every
-//! query. [`RouteCache`] memoises the *decision* (own-label refinement hit,
-//! or which label entry won), not the lookup's result views: a cache hit
-//! replays the decision through the same accessor ([`find_tree_via_cached`]),
-//! re-reading the label from storage, so cached and uncached outcomes are
-//! bit-identical by construction on any immutable storage — the cache can
-//! change only *how fast* the answer arrives, never the answer.
+//! Two accessors instantiate the kernel: the in-memory
+//! [`RoutingScheme`](crate::scheme::RoutingScheme) (via `&RoutingScheme`)
+//! and, in `en_wire`, the validated flat snapshot. Because both share this
+//! single loop, their outcomes are bit-identical by construction, not by
+//! convention.
 
 use en_graph::{NodeId, Path};
 use en_tree_routing::{next_hop_view, scheme::TreeRoutingError, LabelView, TableView};
@@ -38,10 +24,10 @@ use crate::error::RoutingError;
 /// Storage-generic access to one routing scheme, as consumed by the
 /// forwarding kernel.
 ///
-/// Implementors are cheap `Copy` handles. Every method returns
-/// `Result` so hardened storages (checked snapshot accessors) can surface
-/// corruption as [`RoutingError`]s; infallible storages simply never return
-/// `Err`.
+/// Implementors are cheap `Copy` handles over storage that is consistent by
+/// construction (an assembled scheme, or a snapshot that passed full
+/// validation), so no lookup can fail: a miss is `None`/`false`, and the
+/// kernel turns misses into [`RoutingError`]s.
 pub trait RouteAccess: Copy {
     /// The packet-header label view forwarding consumes.
     type Label: LabelView;
@@ -55,41 +41,25 @@ pub trait RouteAccess: Copy {
 
     /// The `4k−5` refinement lookup: `member`'s label in `center`'s own
     /// cluster, if `center` is a level-0 centre storing it.
-    fn own_label(
-        &self,
-        center: NodeId,
-        member: NodeId,
-    ) -> Result<Option<Self::Label>, RoutingError>;
+    fn own_label(&self, center: NodeId, member: NodeId) -> Option<Self::Label>;
 
     /// Number of label entries `to` carries (its per-level pivots).
-    fn label_entry_count(&self, to: NodeId) -> Result<usize, RoutingError>;
+    fn label_entry_count(&self, to: NodeId) -> usize;
 
-    /// `to`'s `i`-th label entry, in ascending level order: the pivot, and
-    /// `to`'s tree label in the pivot's tree when `to` belongs to it.
-    fn label_entry(
-        &self,
-        to: NodeId,
-        i: usize,
-    ) -> Result<(NodeId, Option<Self::Label>), RoutingError>;
+    /// `to`'s `i`-th label entry (`i` below [`Self::label_entry_count`]), in
+    /// ascending level order: the pivot, and `to`'s tree label in the
+    /// pivot's tree when `to` belongs to it.
+    fn label_entry(&self, to: NodeId, i: usize) -> (NodeId, Option<Self::Label>);
 
     /// Whether `v` belongs to the cluster tree rooted at `root` (answered
     /// from `v`'s own table, as a real node would).
-    fn in_tree(&self, v: NodeId, root: NodeId) -> Result<bool, RoutingError>;
+    fn in_tree(&self, v: NodeId, root: NodeId) -> bool;
 
     /// Resolves the cluster tree rooted at `root`, with its hierarchy level.
-    fn tree(&self, root: NodeId) -> Result<Option<(Self::Tree, usize)>, RoutingError>;
+    fn tree(&self, root: NodeId) -> Option<(Self::Tree, usize)>;
 
     /// The routing table of `v` inside `tree`, if `v` is a member.
-    fn table(&self, tree: &Self::Tree, v: NodeId) -> Result<Option<Self::Table>, RoutingError>;
-
-    /// Validates a next-hop vertex id before the kernel steps to it.
-    ///
-    /// The default accepts everything (a validated storage cannot emit a bad
-    /// hop); checked storages override it to bound `next` by `n`.
-    fn check_hop(&self, next: NodeId) -> Result<(), RoutingError> {
-        let _ = next;
-        Ok(())
-    }
+    fn table(&self, tree: &Self::Tree, v: NodeId) -> Option<Self::Table>;
 }
 
 fn check_node(n: usize, v: NodeId) -> Result<(), RoutingError> {
@@ -100,228 +70,36 @@ fn check_node(n: usize, v: NodeId) -> Result<(), RoutingError> {
     }
 }
 
-/// The decision code memoised per `(from, to)`: the `4k−5` own-label
-/// refinement fired, or the index of the winning label entry.
-const DECISION_OWN_LABEL: u32 = u32::MAX;
-
-/// Hit/miss/eviction counters of one [`RouteCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Lookups answered by replaying a memoised decision.
-    pub hits: u64,
-    /// Lookups that ran the full `Find-tree` scan (including every lookup
-    /// of a disabled, capacity-0 cache).
-    pub misses: u64,
-    /// Occupied slots overwritten by a different key on insert.
-    pub evictions: u64,
-}
-
-impl CacheStats {
-    /// Hits over total lookups, `0.0` when nothing was looked up.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Accumulates another counter set into this one.
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-    }
-}
-
-/// A fixed-capacity, direct-mapped memo of `Find-tree` decisions, keyed on
-/// `(from, to)`.
-///
-/// Capacity is rounded up to a power of two; `0` disables the cache (every
-/// lookup is a miss and nothing is stored). The cache holds decision codes
-/// only — a hit is replayed through the live accessor, so outcomes stay
-/// bit-identical to the uncached scan (see the module docs). One cache must
-/// serve one immutable storage; callers that shard batches across threads
-/// give each shard its own cache instead of synchronising.
-#[derive(Debug, Clone)]
-pub struct RouteCache {
-    /// Packed `(from << 32) | to` keys; `u64::MAX` marks an empty slot.
-    keys: Box<[u64]>,
-    /// Decision codes, slot-aligned with `keys`.
-    decisions: Box<[u32]>,
-    mask: usize,
-    stats: CacheStats,
-}
-
-/// Sentinel marking an empty cache slot (no valid packed key is all-ones:
-/// keys with `from == u32::MAX` are never inserted).
-const EMPTY_KEY: u64 = u64::MAX;
-
-impl RouteCache {
-    /// Creates a cache with `capacity` rounded up to the next power of two
-    /// (`0` stays `0` and disables caching).
-    pub fn new(capacity: usize) -> Self {
-        let cap = if capacity == 0 {
-            0
-        } else {
-            capacity.next_power_of_two()
-        };
-        RouteCache {
-            keys: vec![EMPTY_KEY; cap].into_boxed_slice(),
-            decisions: vec![0u32; cap].into_boxed_slice(),
-            mask: cap.wrapping_sub(1),
-            stats: CacheStats::default(),
-        }
-    }
-
-    /// The slot count (a power of two, or `0` when disabled).
-    pub fn capacity(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// The counters accumulated so far.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Packs a pair into a cache key, or `None` when an endpoint does not
-    /// fit 32 bits (such pairs bypass the cache entirely).
-    #[inline]
-    fn key_of(from: NodeId, to: NodeId) -> Option<u64> {
-        if from >= u32::MAX as usize || to >= u32::MAX as usize {
-            return None;
-        }
-        Some(((from as u64) << 32) | to as u64)
-    }
-
-    /// Fibonacci-hashed direct-mapped slot of `key`.
-    #[inline]
-    fn slot_of(&self, key: u64) -> usize {
-        // The multiplicative hash mixes both halves of the key; taking the
-        // high half keeps small capacities (including 1) well distributed
-        // without a capacity-dependent shift.
-        ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) & self.mask
-    }
-
-    #[inline]
-    fn lookup(&mut self, key: u64) -> Option<u32> {
-        if self.keys.is_empty() {
-            return None;
-        }
-        let slot = self.slot_of(key);
-        (self.keys[slot] == key).then(|| self.decisions[slot])
-    }
-
-    #[inline]
-    fn insert(&mut self, key: u64, decision: u32) {
-        if self.keys.is_empty() {
-            return;
-        }
-        let slot = self.slot_of(key);
-        if self.keys[slot] != EMPTY_KEY && self.keys[slot] != key {
-            self.stats.evictions += 1;
-        }
-        self.keys[slot] = key;
-        self.decisions[slot] = decision;
-    }
-}
-
 /// Algorithm 1 (`Find-tree`) plus the \[TZ01\] `4k−5` refinement, over any
 /// [`RouteAccess`]: the centre of the tree a packet from `from` to `to` will
 /// use, and the destination's tree label there.
 ///
 /// # Errors
 ///
-/// Out-of-range vertices, the (low-probability) no-common-tree case, and
-/// whatever corruption a checked accessor reports.
+/// Out-of-range vertices and the (low-probability) no-common-tree case.
 pub fn find_tree_via<A: RouteAccess>(
     access: &A,
     from: NodeId,
     to: NodeId,
 ) -> Result<(NodeId, A::Label), RoutingError> {
-    find_tree_decided(access, from, to).map(|(_, root, label)| (root, label))
-}
-
-/// The full `Find-tree` scan, additionally reporting *which* decision won
-/// (the replayable code [`find_tree_via_cached`] memoises).
-fn find_tree_decided<A: RouteAccess>(
-    access: &A,
-    from: NodeId,
-    to: NodeId,
-) -> Result<(u32, NodeId, A::Label), RoutingError> {
     check_node(access.n(), from)?;
     check_node(access.n(), to)?;
     // The 4k−5 refinement: `from` is a level-0 centre storing `to`'s label
     // in its own-cluster table.
-    if let Some(label) = access.own_label(from, to)? {
-        return Ok((DECISION_OWN_LABEL, from, label));
+    if let Some(label) = access.own_label(from, to) {
+        return Ok((from, label));
     }
     // Level scan: entries are stored in ascending level order.
-    for i in 0..access.label_entry_count(to)? {
-        let (pivot, tree_label) = access.label_entry(to, i)?;
+    for i in 0..access.label_entry_count(to) {
+        let (pivot, tree_label) = access.label_entry(to, i);
         let Some(tree_label) = tree_label else {
             continue; // `to` itself is not in this pivot's tree.
         };
-        if access.in_tree(from, pivot)? {
-            // Entry indices are per-level pivots, far below the sentinel.
-            return Ok((i as u32, pivot, tree_label));
+        if access.in_tree(from, pivot) {
+            return Ok((pivot, tree_label));
         }
     }
     Err(RoutingError::NoCommonTree { from, to })
-}
-
-/// Replays a memoised decision against the live storage: the same one or
-/// two reads the decision named when it was recorded. Returns `Ok(None)`
-/// when the decision no longer resolves (impossible on the immutable
-/// storage it was recorded from; the caller then falls back to the full
-/// scan).
-fn replay_decision<A: RouteAccess>(
-    access: &A,
-    from: NodeId,
-    to: NodeId,
-    decision: u32,
-) -> Result<Option<(NodeId, A::Label)>, RoutingError> {
-    if decision == DECISION_OWN_LABEL {
-        return Ok(access.own_label(from, to)?.map(|label| (from, label)));
-    }
-    let i = decision as usize;
-    if i >= access.label_entry_count(to)? {
-        return Ok(None);
-    }
-    let (pivot, tree_label) = access.label_entry(to, i)?;
-    Ok(tree_label.map(|label| (pivot, label)))
-}
-
-/// [`find_tree_via`] fronted by a [`RouteCache`]: a hit replays the
-/// memoised decision through `access` (bit-identical by construction), a
-/// miss runs the full scan and memoises the winning decision. Errors
-/// (out-of-range vertices, no common tree, storage corruption) are never
-/// cached.
-///
-/// # Errors
-///
-/// Exactly what [`find_tree_via`] reports.
-pub fn find_tree_via_cached<A: RouteAccess>(
-    access: &A,
-    cache: &mut RouteCache,
-    from: NodeId,
-    to: NodeId,
-) -> Result<(NodeId, A::Label), RoutingError> {
-    let Some(key) = RouteCache::key_of(from, to) else {
-        // Endpoints beyond 32 bits bypass the cache (and its counters).
-        return find_tree_via(access, from, to);
-    };
-    if let Some(decision) = cache.lookup(key) {
-        if let Some((root, label)) = replay_decision(access, from, to, decision)? {
-            cache.stats.hits += 1;
-            return Ok((root, label));
-        }
-    }
-    cache.stats.misses += 1;
-    let (decision, root, label) = find_tree_decided(access, from, to)?;
-    cache.insert(key, decision);
-    Ok((root, label))
 }
 
 /// THE forwarding loop: [`find_tree_via`], then hop-by-hop
@@ -331,46 +109,17 @@ pub fn find_tree_via_cached<A: RouteAccess>(
 ///
 /// # Errors
 ///
-/// Everything [`find_tree_via`] reports, a vertex falling out of the tree
-/// mid-route, a hop budget overrun (both impossible on a consistent
-/// scheme), and whatever corruption a checked accessor reports.
+/// Everything [`find_tree_via`] reports, plus a vertex falling out of the
+/// tree mid-route and a hop budget overrun (both impossible on a consistent
+/// scheme).
 pub fn forward_via<A: RouteAccess>(
     access: &A,
     from: NodeId,
     to: NodeId,
 ) -> Result<(NodeId, usize, Path), RoutingError> {
     let (root, header_label) = find_tree_via(access, from, to)?;
-    forward_in_tree(access, from, to, root, header_label)
-}
-
-/// [`forward_via`] with its `Find-tree` fronted by a [`RouteCache`]
-/// ([`find_tree_via_cached`]); the hop loop itself still walks the stored
-/// tables, so a cached route traverses exactly the path the uncached one
-/// does.
-///
-/// # Errors
-///
-/// Exactly what [`forward_via`] reports.
-pub fn forward_via_cached<A: RouteAccess>(
-    access: &A,
-    cache: &mut RouteCache,
-    from: NodeId,
-    to: NodeId,
-) -> Result<(NodeId, usize, Path), RoutingError> {
-    let (root, header_label) = find_tree_via_cached(access, cache, from, to)?;
-    forward_in_tree(access, from, to, root, header_label)
-}
-
-/// The shared hop loop after a `Find-tree` decision (cached or not).
-fn forward_in_tree<A: RouteAccess>(
-    access: &A,
-    from: NodeId,
-    to: NodeId,
-    root: NodeId,
-    header_label: A::Label,
-) -> Result<(NodeId, usize, Path), RoutingError> {
     let (tree, level) = access
-        .tree(root)?
+        .tree(root)
         .ok_or_else(|| RoutingError::TreeRouting(format!("no cluster for centre {root}")))?;
     // Tree routes are short (≤ 2·depth of a cluster tree); reserve enough
     // that typical routes never reallocate mid-loop.
@@ -378,12 +127,11 @@ fn forward_in_tree<A: RouteAccess>(
     let mut current = from;
     for _ in 0..=access.n() {
         let table = access
-            .table(&tree, current)?
+            .table(&tree, current)
             .ok_or(TreeRoutingError::NotInTree { vertex: current })?;
         match next_hop_view(table, header_label)? {
             None => return Ok((root, level, path)),
             Some(next) => {
-                access.check_hop(next)?;
                 path.push(next);
                 current = next;
             }
@@ -392,109 +140,4 @@ fn forward_in_tree<A: RouteAccess>(
     Err(RoutingError::TreeRouting(format!(
         "forwarding from {from} to {to} through tree {root} did not terminate"
     )))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::exact::exact_cluster_family;
-    use crate::hierarchy::Hierarchy;
-    use crate::params::SchemeParams;
-    use crate::scheme::RoutingScheme;
-    use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
-
-    fn scheme(n: usize, k: usize, seed: u64) -> RoutingScheme {
-        let g = erdos_renyi_connected(&GeneratorConfig::new(n, seed).with_weights(1, 30), 0.1);
-        let params = SchemeParams::new(k, n, seed);
-        let hierarchy = Hierarchy::sample(&params);
-        let family = exact_cluster_family(&g, &hierarchy);
-        RoutingScheme::assemble(&family, seed)
-    }
-
-    #[test]
-    fn cache_capacity_rounds_up_to_a_power_of_two() {
-        assert_eq!(RouteCache::new(0).capacity(), 0);
-        assert_eq!(RouteCache::new(1).capacity(), 1);
-        assert_eq!(RouteCache::new(3).capacity(), 4);
-        assert_eq!(RouteCache::new(64).capacity(), 64);
-        assert_eq!(RouteCache::new(100).capacity(), 128);
-    }
-
-    #[test]
-    fn cached_routing_is_bit_identical_at_every_capacity() {
-        let s = scheme(40, 2, 9);
-        let access = &s;
-        for capacity in [0usize, 1, 64, 4096] {
-            let mut cache = RouteCache::new(capacity);
-            // Two passes: the second replays cached decisions on cap > 0.
-            for _pass in 0..2 {
-                for from in 0..s.n() as NodeId {
-                    for to in 0..s.n() as NodeId {
-                        if from == to {
-                            continue;
-                        }
-                        let plain = forward_via(&access, from, to).unwrap();
-                        let cached = forward_via_cached(&access, &mut cache, from, to).unwrap();
-                        assert_eq!(plain, cached, "cap {capacity}: {from}->{to}");
-                    }
-                }
-            }
-            let stats = cache.stats();
-            let pairs = (s.n() * (s.n() - 1)) as u64;
-            assert_eq!(stats.hits + stats.misses, 2 * pairs);
-            if capacity == 0 {
-                assert_eq!(stats.hits, 0, "a disabled cache never hits");
-            } else if capacity as u64 >= pairs {
-                // Smaller capacities legitimately never hit here: a strict
-                // sweep over all pairs cycles more keys through every slot
-                // than the slot can hold, so each revisit finds a later key.
-                assert!(stats.hits > 0, "cap {capacity} should replay some pairs");
-            }
-            assert!(stats.evictions <= stats.misses);
-        }
-    }
-
-    #[test]
-    fn a_one_slot_cache_counts_evictions_and_hits() {
-        let s = scheme(30, 2, 4);
-        let access = &s;
-        let mut cache = RouteCache::new(1);
-        // Same pair back-to-back: miss then hit.
-        forward_via_cached(&access, &mut cache, 0, 5).unwrap();
-        forward_via_cached(&access, &mut cache, 0, 5).unwrap();
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().misses, 1);
-        // A different pair lands in the only slot and evicts.
-        forward_via_cached(&access, &mut cache, 1, 7).unwrap();
-        assert_eq!(cache.stats().evictions, 1);
-        // The evicted pair misses again.
-        forward_via_cached(&access, &mut cache, 0, 5).unwrap();
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().misses, 3);
-        let rate = cache.stats().hit_rate();
-        assert!((rate - 0.25).abs() < 1e-12, "hit rate {rate}");
-    }
-
-    #[test]
-    fn merged_stats_add_fieldwise() {
-        let mut a = CacheStats {
-            hits: 3,
-            misses: 5,
-            evictions: 1,
-        };
-        let b = CacheStats {
-            hits: 7,
-            misses: 11,
-            evictions: 2,
-        };
-        a.merge(&b);
-        assert_eq!(
-            a,
-            CacheStats {
-                hits: 10,
-                misses: 16,
-                evictions: 3,
-            }
-        );
-    }
 }

@@ -31,8 +31,8 @@
 //! * [`scheme`] — Section 4: assembling per-vertex routing tables and labels,
 //!   Algorithm 1 (`Find-tree`), and hop-by-hop packet forwarding.
 //! * [`access`] — the storage-generic forwarding kernel: one `Find-tree` +
-//!   one hop loop shared by the in-memory scheme and the flat snapshot's
-//!   fast/checked accessors (in `en_wire`), bit-identical by construction.
+//!   one hop loop shared by the in-memory scheme and the validated flat
+//!   snapshot (in `en_wire`), bit-identical by construction.
 //! * [`distance_estimation`] — Section 5: sketches and Algorithm 2 (`Dist`).
 //! * [`construction`] — the end-to-end distributed construction with its
 //!   round ledger (Theorems 4 and 5).

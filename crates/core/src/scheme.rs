@@ -22,9 +22,7 @@ use std::sync::Arc;
 
 use en_graph::dijkstra::dijkstra;
 use en_graph::{shard_spans, BuildOptions, BuildStats, Dist, NodeId, NodeMap, Path, WeightedGraph};
-use en_tree_routing::{
-    TableSlots, TreeLabel, TreeLabelRef, TreeRoutingConfig, TreeRoutingScheme, TreeTable,
-};
+use en_tree_routing::{TreeLabel, TreeLabelRef, TreeRoutingConfig, TreeRoutingScheme, TreeTable};
 
 use crate::access::{self, RouteAccess};
 use crate::error::RoutingError;
@@ -131,7 +129,7 @@ fn run_sharded<T: Send>(spans: &[Range<usize>], work: impl Fn(Range<usize>) -> T
 }
 
 /// The outcome of routing one packet.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RouteOutcome {
     /// The tree (centre) the packet was routed through.
     pub tree_root: NodeId,
@@ -592,8 +590,7 @@ impl RoutingScheme {
 }
 
 /// The in-memory instantiation of the forwarding kernel: lookups go through
-/// the owned tables, labels, and per-centre tree schemes; none of them can
-/// fail beyond the kernel's own range checks.
+/// the owned tables, labels, and per-centre tree schemes.
 impl<'a> RouteAccess for &'a RoutingScheme {
     type Label = TreeLabelRef<'a>;
     type Table = &'a TreeTable;
@@ -605,55 +602,42 @@ impl<'a> RouteAccess for &'a RoutingScheme {
     }
 
     #[inline]
-    fn own_label(
-        &self,
-        center: NodeId,
-        member: NodeId,
-    ) -> Result<Option<TreeLabelRef<'a>>, RoutingError> {
+    fn own_label(&self, center: NodeId, member: NodeId) -> Option<TreeLabelRef<'a>> {
         let this: &'a RoutingScheme = self;
-        Ok(this.tables[center]
+        this.tables[center]
             .own_cluster_labels
             .get(&member)
-            .map(|l| l.as_view()))
+            .map(|l| l.as_view())
     }
 
     #[inline]
-    fn label_entry_count(&self, to: NodeId) -> Result<usize, RoutingError> {
-        Ok(self.labels[to].entries.len())
+    fn label_entry_count(&self, to: NodeId) -> usize {
+        self.labels[to].entries.len()
     }
 
     #[inline]
-    fn label_entry(
-        &self,
-        to: NodeId,
-        i: usize,
-    ) -> Result<(NodeId, Option<TreeLabelRef<'a>>), RoutingError> {
+    fn label_entry(&self, to: NodeId, i: usize) -> (NodeId, Option<TreeLabelRef<'a>>) {
         let this: &'a RoutingScheme = self;
         let entry = &this.labels[to].entries[i];
-        Ok((entry.pivot, entry.tree_label.as_ref().map(|l| l.as_view())))
+        (entry.pivot, entry.tree_label.as_ref().map(|l| l.as_view()))
     }
 
     #[inline]
-    fn in_tree(&self, v: NodeId, root: NodeId) -> Result<bool, RoutingError> {
-        Ok(self.tables[v].trees.binary_search(&root).is_ok())
+    fn in_tree(&self, v: NodeId, root: NodeId) -> bool {
+        self.tables[v].trees.binary_search(&root).is_ok()
     }
 
     #[inline]
-    fn tree(&self, root: NodeId) -> Result<Option<(&'a TreeRoutingScheme, usize)>, RoutingError> {
+    fn tree(&self, root: NodeId) -> Option<(&'a TreeRoutingScheme, usize)> {
         let this: &'a RoutingScheme = self;
-        Ok(this
-            .tree_schemes
+        this.tree_schemes
             .get(&root)
-            .map(|ts| (ts, this.center_level.get(&root).copied().unwrap_or(0))))
+            .map(|ts| (ts, this.center_level.get(&root).copied().unwrap_or(0)))
     }
 
     #[inline]
-    fn table(
-        &self,
-        tree: &&'a TreeRoutingScheme,
-        v: NodeId,
-    ) -> Result<Option<&'a TreeTable>, RoutingError> {
-        Ok(tree.table_of(v))
+    fn table(&self, tree: &&'a TreeRoutingScheme, v: NodeId) -> Option<&'a TreeTable> {
+        tree.table(v)
     }
 }
 

@@ -44,4 +44,4 @@ pub mod table;
 pub use cost::{remark3_rounds, theorem7_rounds};
 pub use label::{LabelView, LocalLabel, LocalLabelView, TreeLabel, TreeLabelRef};
 pub use scheme::{next_hop_view, TreeRoutingConfig, TreeRoutingScheme};
-pub use table::{GlobalHeavyEntry, TableSlots, TableView, TreeTable};
+pub use table::{GlobalHeavyEntry, TableView, TreeTable};

@@ -17,7 +17,7 @@ use en_graph::{NodeId, Path};
 
 use crate::cost::theorem7_rounds;
 use crate::label::{GlobalException, LabelView, LocalLabel, LocalLabelView, TreeLabel};
-use crate::table::{GlobalHeavyEntry, TableSlots, TableView, TreeTable};
+use crate::table::{GlobalHeavyEntry, TableView, TreeTable};
 
 /// Configuration of the tree-routing construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -573,20 +573,6 @@ impl TreeRoutingScheme {
             }
         }
         Err(TreeRoutingError::RoutingLoop { from, to })
-    }
-}
-
-impl<'a> TableSlots for &'a TreeRoutingScheme {
-    type Table = &'a TreeTable;
-
-    #[inline]
-    fn slot_of(&self, v: NodeId) -> Option<usize> {
-        self.index_of(v)
-    }
-
-    #[inline]
-    fn table_at(&self, slot: usize) -> Option<&'a TreeTable> {
-        self.tables.get(slot)
     }
 }
 

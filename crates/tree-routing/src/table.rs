@@ -118,36 +118,6 @@ pub trait TableView: Copy {
     fn global_heavy(&self) -> Option<(NodeId, Self::Local)>;
 }
 
-/// Slot-addressed access to the routing tables of one tree — the companion
-/// of [`TableView`] for the *collection* side of a lookup.
-///
-/// A tree's tables are conceptually keyed by vertex, but every storage keeps
-/// them in member order: the owned [`TreeRoutingScheme`] aligns its table
-/// vector with the sorted member array, and a flat snapshot lays table
-/// records out along the member column. The *slot* — a vertex's rank in
-/// that member order — is therefore a storage-independent address:
-/// [`Self::table_at`] is O(1) column arithmetic everywhere, and
-/// [`Self::slot_of`] is as fast as the storage can resolve a vertex (a
-/// member binary search in the owned scheme, an index-column read in a v3
-/// snapshot).
-///
-/// [`TreeRoutingScheme`]: crate::scheme::TreeRoutingScheme
-pub trait TableSlots {
-    /// The table view this storage hands out.
-    type Table: TableView;
-
-    /// The member-order rank of `v`, if `v` is in the tree.
-    fn slot_of(&self, v: NodeId) -> Option<usize>;
-
-    /// The table stored at member-order rank `slot` (O(1) on every storage).
-    fn table_at(&self, slot: usize) -> Option<Self::Table>;
-
-    /// The table of vertex `v`: [`Self::slot_of`] then [`Self::table_at`].
-    fn table_of(&self, v: NodeId) -> Option<Self::Table> {
-        self.slot_of(v).and_then(|slot| self.table_at(slot))
-    }
-}
-
 impl<'a> TableView for &'a TreeTable {
     type Local = &'a LocalLabel;
 

@@ -94,15 +94,6 @@ impl fmt::Display for WireError {
 
 impl Error for WireError {}
 
-/// Snapshot corruption surfacing mid-query degrades into a routing error —
-/// the single conversion the checked accessor paths lean on (via `?`), so
-/// every corruption message carries the same `corrupt snapshot:` prefix.
-impl From<WireError> for en_routing::error::RoutingError {
-    fn from(e: WireError) -> Self {
-        en_routing::error::RoutingError::TreeRouting(format!("corrupt snapshot: {e}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,20 +4,22 @@
 //! corruption. This module makes that claim drillable: seeded, fully
 //! deterministic fault **plans** (truncations at every section boundary,
 //! single-bit flips over the header and each section, scrambled offset
-//! columns) plus runners that apply each fault to a pristine buffer and
-//! classify what the stack did about it:
+//! columns) plus two runners that apply each fault to a pristine buffer
+//! and classify what the stack did about it:
 //!
-//! * **detected** — [`FlatScheme::from_bytes`] rejected the bytes with a
-//!   structured [`WireError`]; nothing corrupt was ever served.
-//! * **degraded** — the bytes were forced in past validation (via
-//!   [`FlatScheme::from_bytes_unvalidated`], simulating corruption that
-//!   strikes *after* load) and the engine turned the damage into per-query
-//!   errors while the batch and process survived.
-//! * **survived** — the fault turned out not to affect any observable
-//!   outcome (possible only for post-load corruption of bytes no query
-//!   touches).
-//! * **undetected** — the failure mode: a corrupt buffer validated clean.
-//!   The drills assert this count is zero.
+//! * [`drill_loads`] — plain corruption (bit rot, torn or tampered bytes):
+//!   every fault must be **detected**, i.e. [`FlatScheme::from_bytes`]
+//!   rejects the bytes with a structured [`WireError`](crate::WireError).
+//! * [`drill_forged`] — the same section damage with the checksums
+//!   re-sealed around it, as a forger would, so only the structural proof
+//!   in `from_bytes` stands between the bytes and the server. A forged
+//!   fault is either **detected**, or validates and is served at 1, 2 and
+//!   8 threads with zero shard panics and identical outcomes: **degraded**
+//!   when some queries fail with structured errors, **survived** when every
+//!   query delivers.
+//! * **undetected** — the failure mode: corrupt bytes that validated clean
+//!   in a load drill, or forged bytes whose serving panicked a shard or
+//!   varied with the thread count. The drills assert this count is zero.
 //!
 //! Plans are pure data (`Vec<FaultCase>`), so tests, the `fault_drill`
 //! harness bin, and CI all execute byte-identical fault sequences for a
@@ -26,7 +28,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::error::WireError;
+use en_graph::{NodeId, WeightedGraph};
+
+use crate::engine::QueryEngine;
 use crate::flat::{FlatScheme, SnapshotManifest};
 use crate::format::{Section, HEADER_WORDS};
 
@@ -200,40 +204,29 @@ pub fn offset_scramble_plan(
     plan
 }
 
-/// How the stack handled one injected fault.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FaultOutcome {
-    /// `from_bytes` rejected the corrupt buffer.
-    Detected(WireError),
-    /// Post-load corruption was served degraded: this many queries errored,
-    /// the batch and process survived.
-    Degraded {
-        /// Queries that returned structured errors.
-        errors: usize,
-    },
-    /// The fault changed no observable outcome.
-    Survived,
-    /// A corrupt buffer validated clean — the failure mode drills hunt.
-    Undetected,
-}
-
 /// Aggregated drill results.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultReport {
     /// Faults injected.
     pub injected: usize,
-    /// Faults rejected at load time.
+    /// Faults [`FlatScheme::from_bytes`] rejected.
     pub detected: usize,
-    /// Faults served degraded (post-load corruption, per-query errors).
+    /// Forged faults that validated and were served panic-free with
+    /// identical outcomes at every thread count, some queries failing with
+    /// structured errors.
     pub degraded: usize,
-    /// Faults with no observable effect.
+    /// Forged faults that validated and were served panic-free with
+    /// identical outcomes at every thread count, every query delivered.
     pub survived: usize,
-    /// Labels of faults that validated clean — must stay empty.
+    /// Labels of faults the stack mishandled — must stay empty: corrupt
+    /// bytes that validated clean in a load drill, or forged bytes whose
+    /// serving panicked a shard or varied with the thread count.
     pub undetected: Vec<String>,
 }
 
 impl FaultReport {
-    /// Whether every injected fault was detected, degraded, or survived.
+    /// Whether every injected fault was detected, or served as a degraded
+    /// or surviving forged fault.
     pub fn all_handled(&self) -> bool {
         self.undetected.is_empty() && self.detected + self.degraded + self.survived == self.injected
     }
@@ -274,6 +267,69 @@ pub fn drill_loads(bytes: &[u8], plan: &[FaultCase]) -> FaultReport {
         match FlatScheme::from_bytes(&corrupt) {
             Err(_) => report.detected += 1,
             Ok(_) => report.undetected.push(case.name.clone()),
+        }
+    }
+    report
+}
+
+/// Runs a forged-checksum drill over the valid snapshot `bytes` of
+/// `graph`: each fault in `plan` is applied and the checksums are re-sealed
+/// around it, so only the structural proof in [`FlatScheme::from_bytes`]
+/// can reject the result. A forged snapshot that validates must route
+/// `pairs` at 1, 2 and 8 threads with zero shard panics and identical
+/// outcomes; otherwise the fault is recorded as undetected. Faults that
+/// reach the header or change the length leave no section table to seal
+/// against and are skipped, as are no-ops.
+///
+/// # Panics
+///
+/// Panics if `bytes` is not a valid snapshot for `graph`.
+pub fn drill_forged(
+    bytes: &[u8],
+    graph: &WeightedGraph,
+    pairs: &[(NodeId, NodeId)],
+    plan: &[FaultCase],
+) -> FaultReport {
+    FlatScheme::from_bytes(bytes).expect("drill_forged needs a valid snapshot");
+    let header_bytes = HEADER_WORDS * 8;
+    let mut report = FaultReport::default();
+    for case in plan {
+        let in_sections = match case.kind {
+            FaultKind::Truncate { .. } => false,
+            FaultKind::BitFlip { byte, .. } => (header_bytes..bytes.len()).contains(&byte),
+            FaultKind::WordWrite { word, .. } => (HEADER_WORDS..bytes.len() / 8).contains(&word),
+        };
+        if !in_sections {
+            continue;
+        }
+        let mut forged = case.apply(bytes);
+        if forged == bytes {
+            continue;
+        }
+        crate::snapshot::seal(&mut forged);
+        report.injected += 1;
+        let Ok(flat) = FlatScheme::from_bytes(&forged) else {
+            report.detected += 1;
+            continue;
+        };
+        // Forging leaves the header alone, so only a wrong `graph` fails here.
+        let engine =
+            QueryEngine::new(flat, graph).expect("drill_forged needs the snapshot's graph");
+        let batches: Vec<_> = [1usize, 2, 8]
+            .iter()
+            .map(|&threads| engine.route_batch(pairs, None, threads))
+            .collect();
+        let clean = batches.iter().all(|b| {
+            b.stats.shard_panics == 0
+                && b.stats == batches[0].stats
+                && b.outcomes == batches[0].outcomes
+        });
+        if !clean {
+            report.undetected.push(case.name.clone());
+        } else if batches[0].stats.failed > 0 {
+            report.degraded += 1;
+        } else {
+            report.survived += 1;
         }
     }
     report

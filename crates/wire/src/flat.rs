@@ -1,14 +1,24 @@
 //! The zero-copy snapshot reader: validate once, then borrow.
 //!
-//! [`FlatScheme::from_bytes`] walks the whole buffer a single time — header,
-//! section bounds, CSR monotonicity, every table and label record — and
-//! rejects anything inconsistent. After that, every accessor is plain
-//! arithmetic over the borrowed bytes: the views handed out
-//! ([`FlatTreeTable`], [`FlatTreeLabel`], [`FlatLocalLabel`],
+//! [`FlatScheme::from_bytes`] is the only way to obtain a [`FlatScheme`]
+//! outside this crate. It walks the whole buffer a single time — header and
+//! section checksums, section bounds, then a structural proof: centre index
+//! and cluster descriptors agree, member columns are strictly ascending
+//! ids below `n` that tile their section, CSR offsets are monotone inside
+//! their value columns, every table and label record lies inside its pool,
+//! and the member-slot rank index is a bijection onto the member columns.
+//! Anything inconsistent is rejected, checksums or not, so a buffer that
+//! opens is one the accessors can read without re-checking: there is one
+//! accessor set, plain arithmetic over the borrowed bytes, and the views it
+//! hands out ([`FlatTreeTable`], [`FlatTreeLabel`], [`FlatLocalLabel`],
 //! [`FlatU64s`]) are `Copy` slice-plus-offset handles that never allocate.
+//!
+//! The epoch store re-opens bytes it validated at publish time with the
+//! crate-private shape-only pass (`FlatScheme::from_bytes_unvalidated`),
+//! so pinning an epoch costs O(header), not another walk.
 
 use en_graph::NodeId;
-use en_tree_routing::{LabelView, LocalLabelView, TableSlots, TableView};
+use en_tree_routing::{LabelView, LocalLabelView, TableView};
 
 use crate::checksum::{fnv1a_bytes, fnv1a_lanes_bytes};
 use crate::error::WireError;
@@ -52,47 +62,12 @@ impl FlatU64s<'_> {
         self.len == 0
     }
 
-    /// Element `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the underlying read runs past the buffer — impossible on
-    /// a fully validated snapshot, possible on one loaded with
-    /// [`FlatScheme::from_bytes_unvalidated`]. The checked paths use
-    /// [`Self::try_get`].
+    /// Element `i` (`i < len()`; validation keeps every column inside the
+    /// buffer).
     #[inline]
     pub fn get(&self, i: usize) -> u64 {
         debug_assert!(i < self.len);
         self.words.get(self.start + i)
-    }
-
-    /// Element `i`, or `None` when `i` is out of range or the slice itself
-    /// (computed from possibly-corrupt offsets) runs past the buffer.
-    #[inline]
-    pub fn try_get(&self, i: usize) -> Option<u64> {
-        if i >= self.len {
-            return None;
-        }
-        self.words.try_get(self.start.checked_add(i)?)
-    }
-
-    /// Binary search over an ascending column without trusting the column
-    /// bounds: out-of-buffer reads surface as `Err(WireError)` instead of a
-    /// panic, and `Ok` mirrors [`Self::binary_search`]'s `Ok`.
-    pub fn try_binary_search(&self, x: u64) -> Result<Result<usize, usize>, WireError> {
-        let err = WireError::Corrupt {
-            what: "member column runs past the buffer",
-        };
-        let (mut lo, mut hi) = (0usize, self.len);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match self.try_get(mid).ok_or(err)?.cmp(&x) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Ok(Ok(mid)),
-            }
-        }
-        Ok(Err(lo))
     }
 
     /// Binary search for `x` over an ascending column.
@@ -149,25 +124,6 @@ impl<'a> FlatCluster<'a> {
         }
     }
 
-    /// The member column with its span checked against the member section:
-    /// a descriptor whose `members_start`/`members_len` (untrusted words)
-    /// overrun the column is reported instead of read.
-    pub fn try_members(&self) -> Result<FlatU64s<'a>, WireError> {
-        let err = WireError::Corrupt {
-            what: "cluster members overrun the member column",
-        };
-        let sec = self.scheme.secs[Section::MemberIds as usize];
-        let sec_len = self.scheme.secs[Section::MemberIds as usize + 1] - sec;
-        let end = self
-            .members_start
-            .checked_add(self.members_len)
-            .ok_or(err)?;
-        if end > sec_len {
-            return Err(err);
-        }
-        Ok(self.members())
-    }
-
     /// The member-order rank of `v` in this cluster.
     ///
     /// A *full* cluster (`n` members — every top-level cluster, since
@@ -177,13 +133,6 @@ impl<'a> FlatCluster<'a> {
     /// [`Section::MemberSlots`] rank index: a forward scan of `v`'s *own*
     /// short tree list for the centre, then one word read — never a search
     /// over the member column.
-    ///
-    /// # Panics
-    ///
-    /// May panic over a scheme loaded with
-    /// [`FlatScheme::from_bytes_unvalidated`] whose CSR or slot columns are
-    /// corrupt, and over such bytes a full cluster's identity answer is
-    /// unproven; [`Self::try_slot_of`] is the checked equivalent.
     pub fn slot_of(&self, v: NodeId) -> Option<usize> {
         if self.members_len == self.scheme.n {
             return (v < self.members_len).then_some(v);
@@ -218,35 +167,6 @@ impl<'a> FlatCluster<'a> {
         (slot < self.members_len).then_some(slot)
     }
 
-    /// [`Self::slot_of`] with every untrusted read checked: the CSR range,
-    /// the slot-column bounds, and — because the rank index itself is
-    /// untrusted over unvalidated bytes — agreement with the member column
-    /// (`members[slot] == v`) before the slot is handed out.
-    pub fn try_slot_of(&self, v: NodeId) -> Result<Option<usize>, WireError> {
-        let trees = self.scheme.try_trees_of(v)?;
-        let Ok(i) = trees.try_binary_search(self.center as u64)? else {
-            return Ok(None);
-        };
-        let err = WireError::Corrupt {
-            what: "member-slot index runs past its section",
-        };
-        let ms_base = self.scheme.secs[Section::MemberSlots as usize];
-        let ms_len = self.scheme.secs[Section::MemberSlots as usize + 1] - ms_base;
-        let rel = trees.start - self.scheme.secs[Section::VtreesVals as usize];
-        let at = rel.checked_add(i).ok_or(err)?;
-        if at >= ms_len {
-            return Err(err);
-        }
-        let slot = self.scheme.words.try_get(ms_base + at).ok_or(err)? as usize;
-        let members = self.try_members()?;
-        if members.try_get(slot) != Some(v as u64) {
-            return Err(WireError::Corrupt {
-                what: "member-slot index disagrees with the member column",
-            });
-        }
-        Ok(Some(slot))
-    }
-
     /// The routing table stored at member-order rank `slot`: one
     /// offset-column read plus the pool offset — O(1) on any slot source.
     pub fn table_at(&self, slot: usize) -> Option<FlatTreeTable<'a>> {
@@ -274,14 +194,6 @@ impl<'a> FlatCluster<'a> {
     /// The routing table of member `v`, if `v` is in this cluster:
     /// [`Self::slot_of`] (the identity on a full cluster, the v3 rank index
     /// otherwise), then O(1) column arithmetic.
-    ///
-    /// # Panics
-    ///
-    /// May panic (never reads out of bounds — every accessor is checked
-    /// Rust; `unsafe` is denied outside the `mmap` module) over a scheme
-    /// loaded with [`FlatScheme::from_bytes_unvalidated`]
-    /// whose columns are corrupt; [`Self::try_table_of`] is the checked
-    /// equivalent.
     pub fn table_of(&self, v: NodeId) -> Option<FlatTreeTable<'a>> {
         let slot = self.slot_of(v)?;
         Some(self.table_at_slot(slot, v))
@@ -293,55 +205,6 @@ impl<'a> FlatCluster<'a> {
     pub(crate) fn table_of_by_search(&self, v: NodeId) -> Option<FlatTreeTable<'a>> {
         let pos = self.members().binary_search(v as u64).ok()?;
         Some(self.table_at_slot(pos, v))
-    }
-
-    /// [`Self::table_of`] with every untrusted index checked: the slot
-    /// resolution (including member-column agreement), the offset-column
-    /// read, and the whole table record (including its global-heavy tail)
-    /// are bounds-validated before a view is handed out, so the returned
-    /// view's reads cannot leave the table pool.
-    pub fn try_table_of(&self, v: NodeId) -> Result<Option<FlatTreeTable<'a>>, WireError> {
-        let Some(slot) = self.try_slot_of(v)? else {
-            return Ok(None);
-        };
-        let off_col = WireError::Corrupt {
-            what: "table-offset column runs past the buffer",
-        };
-        let rel = self
-            .scheme
-            .words
-            .try_get(
-                self.scheme.secs[Section::MemberTableOffs as usize]
-                    + self.members_start.checked_add(slot).ok_or(off_col)?,
-            )
-            .ok_or(off_col)?;
-        let pool_base = self.scheme.secs[Section::TablePool as usize];
-        let pool_len = self.scheme.secs[Section::TablePool as usize + 1] - pool_base;
-        validate_table_record(self.scheme.words, pool_base, pool_len, rel as usize)?;
-        Ok(Some(FlatTreeTable {
-            words: self.scheme.words,
-            off: pool_base + rel as usize,
-            vertex: v,
-        }))
-    }
-}
-
-impl<'a> TableSlots for FlatCluster<'a> {
-    type Table = FlatTreeTable<'a>;
-
-    #[inline]
-    fn slot_of(&self, v: NodeId) -> Option<usize> {
-        FlatCluster::slot_of(self, v)
-    }
-
-    #[inline]
-    fn table_at(&self, slot: usize) -> Option<FlatTreeTable<'a>> {
-        FlatCluster::table_at(self, slot)
-    }
-
-    #[inline]
-    fn table_of(&self, v: NodeId) -> Option<FlatTreeTable<'a>> {
-        FlatCluster::table_of(self, v)
     }
 }
 
@@ -522,12 +385,14 @@ pub struct FlatLabelEntry<'a> {
 }
 
 impl<'a> FlatScheme<'a> {
-    /// Validates `bytes` as a snapshot and wraps it for zero-copy access.
+    /// Validates `bytes` as a snapshot and wraps it for zero-copy access —
+    /// the one way to open a snapshot.
     ///
     /// The validation is exhaustive — header magic/version/size, the header
-    /// checksum, every per-section checksum, section bounds, CSR
-    /// monotonicity, every record reachable from a column — so the
-    /// accessors never have to re-check and simply borrow. The checksums
+    /// checksum, every per-section checksum, section bounds, and the
+    /// structural proof of the module docs, which holds even for bytes
+    /// whose checksums were recomputed after tampering — so the accessors
+    /// never have to re-check and simply borrow. The checksums
     /// are verified here, once per load, in one single-threaded pass over
     /// the sections: integrity costs one linear pass at publish/load time
     /// and nothing on the per-query hot path.
@@ -558,26 +423,24 @@ impl<'a> FlatScheme<'a> {
         Ok(flat)
     }
 
-    /// Wraps `bytes` after shape checks only: header geometry, section
-    /// bounds, and fixed column lengths — **no checksums, no structural
-    /// validation of section contents**.
+    /// Re-opens `bytes` that already passed [`Self::from_bytes`], after
+    /// shape checks only: header geometry, section bounds, and fixed column
+    /// lengths — **no checksums, no structural validation of section
+    /// contents**.
     ///
-    /// This exists for two callers. The epoch store re-opens bytes it
-    /// already fully validated at publish time, where re-walking hundreds
-    /// of megabytes per reader would defeat validate-once. And the
-    /// fault-injection harness deliberately loads malformed-but-header-valid
-    /// buffers to drill the checked accessor paths ([`FlatU64s::try_get`],
-    /// [`FlatCluster::try_table_of`],
-    /// [`route_checked`](crate::QueryEngine::route_checked)) — over an
-    /// unvalidated scheme the *unchecked* accessors may panic or return
-    /// garbage, the checked ones must return errors.
+    /// The epoch store calls it on bytes it validated at publish time, where
+    /// re-walking hundreds of megabytes per reader would defeat
+    /// validate-once; in-crate tests call it to poison bytes past
+    /// validation. Over bytes that never passed [`Self::from_bytes`] the
+    /// accessors may panic (never read out of bounds: they are checked
+    /// Rust), which is why it is not public.
     ///
     /// # Errors
     ///
     /// Rejects buffers whose header geometry is unusable (misalignment,
     /// truncation, foreign magic/version, out-of-order section offsets,
     /// wrong fixed-column lengths); everything deeper is trusted.
-    pub fn from_bytes_unvalidated(bytes: &'a [u8]) -> Result<Self, WireError> {
+    pub(crate) fn from_bytes_unvalidated(bytes: &'a [u8]) -> Result<Self, WireError> {
         Self::parse_header(bytes, false)
     }
 
@@ -740,12 +603,14 @@ impl<'a> FlatScheme<'a> {
                     what: "cluster descriptor inconsistent",
                 });
             }
-            covered += c.members_len;
-            if covered > total_members {
-                return Err(WireError::Corrupt {
-                    what: "cluster members overrun the member column",
-                });
-            }
+            covered = match covered.checked_add(c.members_len) {
+                Some(end) if end <= total_members => end,
+                _ => {
+                    return Err(WireError::Corrupt {
+                        what: "cluster members overrun the member column",
+                    })
+                }
+            };
             let members = c.members();
             let mut prev: Option<u64> = None;
             let mut has_center = false;
@@ -973,43 +838,6 @@ impl<'a> FlatScheme<'a> {
         (start, end - start)
     }
 
-    /// [`Self::csr_range`] with the offset pair checked for monotonicity
-    /// and against the value section's capacity (`unit` words per entry).
-    fn try_csr_range(
-        &self,
-        offsets: Section,
-        vals: Section,
-        unit: usize,
-        v: NodeId,
-    ) -> Result<(usize, usize), WireError> {
-        if v >= self.n {
-            return Ok((0, 0));
-        }
-        let err = WireError::Corrupt {
-            what: "CSR offsets not monotone within bounds",
-        };
-        let base = self.secs[offsets as usize];
-        let start = self.words.try_get(base + v).ok_or(err)? as usize;
-        let end = self.words.try_get(base + v + 1).ok_or(err)? as usize;
-        let vals_len = (self.secs[vals as usize + 1] - self.secs[vals as usize]) / unit;
-        if start > end || end > vals_len {
-            return Err(err);
-        }
-        Ok((start, end - start))
-    }
-
-    /// [`Self::trees_of`] with the CSR offsets checked: a corrupt offset
-    /// pair (non-monotone, or pointing past the value column) is reported
-    /// instead of producing a slice that reads out of bounds.
-    pub fn try_trees_of(&self, v: NodeId) -> Result<FlatU64s<'a>, WireError> {
-        let (start, len) = self.try_csr_range(Section::VtreesOff, Section::VtreesVals, 1, v)?;
-        Ok(FlatU64s {
-            words: self.words,
-            start: self.secs[Section::VtreesVals as usize] + start,
-            len,
-        })
-    }
-
     fn own_range(&self, v: NodeId) -> (usize, usize) {
         self.csr_range(Section::OwnOff, v)
     }
@@ -1036,51 +864,6 @@ impl<'a> FlatScheme<'a> {
             }
         }
         None
-    }
-
-    /// [`Self::own_label`] with the CSR range, the entry reads, and the
-    /// label record all bounds-checked before a view escapes.
-    pub fn try_own_label(
-        &self,
-        center: NodeId,
-        member: NodeId,
-    ) -> Result<Option<FlatTreeLabel<'a>>, WireError> {
-        let (start, count) = self.try_csr_range(
-            Section::OwnOff,
-            Section::OwnEntries,
-            OWN_ENTRY_WORDS,
-            center,
-        )?;
-        let err = WireError::Corrupt {
-            what: "own-cluster entry runs past the buffer",
-        };
-        let base = self.secs[Section::OwnEntries as usize];
-        let (mut lo, mut hi) = (0usize, count);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let m = self
-                .words
-                .try_get(base + (start + mid) * OWN_ENTRY_WORDS)
-                .ok_or(err)?;
-            match m.cmp(&(member as u64)) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => {
-                    let off = self
-                        .words
-                        .try_get(base + (start + mid) * OWN_ENTRY_WORDS + 1)
-                        .ok_or(err)? as usize;
-                    let pool_base = self.secs[Section::LabelPool as usize];
-                    let pool_len = self.secs[Section::LabelPool as usize + 1] - pool_base;
-                    validate_label_record(self.words, pool_base, pool_len, off)?;
-                    return Ok(Some(FlatTreeLabel {
-                        words: self.words,
-                        off: pool_base + off,
-                    }));
-                }
-            }
-        }
-        Ok(None)
     }
 
     /// Number of own-cluster labels stored at `center` (0 unless `center` is
@@ -1120,119 +903,11 @@ impl<'a> FlatScheme<'a> {
         }
     }
 
-    /// [`Self::label_entry_count`] with the CSR offsets checked.
-    pub fn try_label_entry_count(&self, v: NodeId) -> Result<usize, WireError> {
-        self.try_csr_range(
-            Section::LabelEntriesOff,
-            Section::LabelEntries,
-            LABEL_ENTRY_WORDS,
-            v,
-        )
-        .map(|(_, count)| count)
-    }
-
-    /// [`Self::label_entry_at`] with the CSR range, the level/pivot fields,
-    /// and the referenced label record all checked before a view escapes —
-    /// the per-entry building block of the checked query path (no
-    /// allocation, unlike [`Self::try_label_entries_of`]).
-    pub fn try_label_entry_at(
-        &self,
-        v: NodeId,
-        i: usize,
-    ) -> Result<Option<FlatLabelEntry<'a>>, WireError> {
-        let (start, count) = self.try_csr_range(
-            Section::LabelEntriesOff,
-            Section::LabelEntries,
-            LABEL_ENTRY_WORDS,
-            v,
-        )?;
-        if i >= count {
-            return Ok(None);
-        }
-        let err = WireError::Corrupt {
-            what: "label entry runs past the buffer",
-        };
-        let at = self.secs[Section::LabelEntries as usize] + (start + i) * LABEL_ENTRY_WORDS;
-        let level = self.words.try_get(at).ok_or(err)?;
-        let pivot = self.words.try_get(at + 1).ok_or(err)?;
-        if level >= self.k as u64 || pivot >= self.n as u64 {
-            return Err(WireError::Corrupt {
-                what: "label entry level or pivot out of range",
-            });
-        }
-        let dist = self.words.try_get(at + 2).ok_or(err)?;
-        let off = self.words.try_get(at + 3).ok_or(err)?;
-        let pool_base = self.secs[Section::LabelPool as usize];
-        let tree_label = if off == NULL {
-            None
-        } else {
-            let pool_len = self.secs[Section::LabelPool as usize + 1] - pool_base;
-            validate_label_record(self.words, pool_base, pool_len, off as usize)?;
-            Some(FlatTreeLabel {
-                words: self.words,
-                off: pool_base + off as usize,
-            })
-        };
-        Ok(Some(FlatLabelEntry {
-            level: level as usize,
-            pivot: pivot as NodeId,
-            dist,
-            tree_label,
-        }))
-    }
-
     /// The node-label entries of `v`, in ascending level order (empty for a
     /// vertex id outside the snapshot).
     pub fn label_entries_of(&self, v: NodeId) -> impl Iterator<Item = FlatLabelEntry<'a>> + '_ {
         let (start, count) = self.label_entry_range(v);
         (0..count).map(move |e| self.decode_label_entry(start + e))
-    }
-
-    /// [`Self::label_entries_of`] with every entry checked — the CSR range,
-    /// the level/pivot fields, and each referenced label record — collected
-    /// into a vector (the checked path may allocate; the hot path may not).
-    pub fn try_label_entries_of(&self, v: NodeId) -> Result<Vec<FlatLabelEntry<'a>>, WireError> {
-        let (start, count) = self.try_csr_range(
-            Section::LabelEntriesOff,
-            Section::LabelEntries,
-            LABEL_ENTRY_WORDS,
-            v,
-        )?;
-        let err = WireError::Corrupt {
-            what: "label entry runs past the buffer",
-        };
-        let base = self.secs[Section::LabelEntries as usize];
-        let pool_base = self.secs[Section::LabelPool as usize];
-        let pool_len = self.secs[Section::LabelPool as usize + 1] - pool_base;
-        let mut out = Vec::with_capacity(count);
-        for e in 0..count {
-            let at = base + (start + e) * LABEL_ENTRY_WORDS;
-            let level = self.words.try_get(at).ok_or(err)?;
-            let pivot = self.words.try_get(at + 1).ok_or(err)?;
-            if level >= self.k as u64 || pivot >= self.n as u64 {
-                return Err(WireError::Corrupt {
-                    what: "label entry level or pivot out of range",
-                });
-            }
-            let dist = self.words.try_get(at + 2).ok_or(err)?;
-            let off = self.words.try_get(at + 3).ok_or(err)?;
-            let tree_label = if off == NULL {
-                None
-            } else {
-                validate_label_record(self.words, pool_base, pool_len, off as usize)?;
-                Some(FlatTreeLabel {
-                    words: self.words,
-                    off: pool_base + off as usize,
-                })
-            };
-            out.push(FlatLabelEntry {
-                level: level as usize,
-                pivot: pivot as NodeId,
-                dist,
-                tree_label,
-            });
-        }
-        Ok(out)
     }
 
     /// The cluster with dense id `id`.
@@ -1254,12 +929,6 @@ impl<'a> FlatScheme<'a> {
     }
 
     /// The cluster rooted at `center`, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics over an unvalidated scheme whose centre index names a cluster
-    /// id past the cluster table; [`Self::try_cluster_of_center`] reports
-    /// that instead.
     pub fn cluster_of_center(&self, center: NodeId) -> Option<FlatCluster<'a>> {
         if center >= self.n {
             return None;
@@ -1268,32 +937,6 @@ impl<'a> FlatScheme<'a> {
             .words
             .get(self.secs[Section::CenterIndex as usize] + center);
         (id != NULL).then(|| self.cluster(id as usize))
-    }
-
-    /// [`Self::cluster_of_center`] with the centre-index word checked
-    /// against the cluster table before it is used as an index.
-    pub fn try_cluster_of_center(
-        &self,
-        center: NodeId,
-    ) -> Result<Option<FlatCluster<'a>>, WireError> {
-        if center >= self.n {
-            return Ok(None);
-        }
-        let id = self
-            .words
-            .try_get(self.secs[Section::CenterIndex as usize] + center)
-            .ok_or(WireError::Corrupt {
-                what: "centre index runs past the buffer",
-            })?;
-        if id == NULL {
-            return Ok(None);
-        }
-        if id as usize >= self.num_clusters {
-            return Err(WireError::Corrupt {
-                what: "centre index points past the cluster table",
-            });
-        }
-        Ok(Some(self.cluster(id as usize)))
     }
 
     /// Iterates all clusters in dense id order.
@@ -1430,13 +1073,6 @@ fn validate_label_record(
 
 #[cfg(test)]
 mod tests {
-    //! Per-accessor corruption drills: each test poisons one word that the
-    //! header's *shape* checks cannot see (so the buffer still opens with
-    //! [`FlatScheme::from_bytes_unvalidated`]), then asserts the checked
-    //! accessor reports the damage as a [`WireError`] instead of panicking —
-    //! and that the full [`FlatScheme::from_bytes`] pass catches the same
-    //! corruption up front via the section checksums.
-
     use super::*;
     use crate::serialize;
     use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
@@ -1452,15 +1088,21 @@ mod tests {
         u64::from_le_bytes(bytes[w * 8..w * 8 + 8].try_into().unwrap())
     }
 
-    /// Overwrites word `w` and asserts the checksum layer would have caught
-    /// it, then hands back the corrupt buffer for the accessor drill.
-    fn poke(bytes: &[u8], w: usize, value: u64) -> Vec<u8> {
+    /// A copy of `bytes` with each `(word, value)` edit applied.
+    fn poke(bytes: &[u8], edits: &[(usize, u64)]) -> Vec<u8> {
         let mut out = bytes.to_vec();
-        out[w * 8..w * 8 + 8].copy_from_slice(&value.to_le_bytes());
-        assert!(
-            FlatScheme::from_bytes(&out).is_err(),
-            "a poisoned word must never validate"
-        );
+        for &(w, value) in edits {
+            out[w * 8..w * 8 + 8].copy_from_slice(&value.to_le_bytes());
+        }
+        out
+    }
+
+    /// [`poke`], then the checksums re-sealed, so the forged buffer passes
+    /// the integrity layer and only the structural validation can reject
+    /// it.
+    fn forge(bytes: &[u8], edits: &[(usize, u64)]) -> Vec<u8> {
+        let mut out = poke(bytes, edits);
+        crate::snapshot::seal(&mut out);
         out
     }
 
@@ -1468,80 +1110,82 @@ mod tests {
         m.sections[s as usize].start_word
     }
 
+    /// Asserts `from_bytes` refuses the poisoned words twice over: as plain
+    /// corruption by the section checksum, and — with the checksums
+    /// re-sealed around them — by the structural proof, naming `what`.
+    #[track_caller]
+    fn assert_rejected(bytes: &[u8], edits: &[(usize, u64)], what: &'static str) {
+        assert!(
+            matches!(
+                FlatScheme::from_bytes(&poke(bytes, edits)),
+                Err(WireError::ChecksumMismatch { .. })
+            ),
+            "the section checksum must catch the poisoned word"
+        );
+        assert_eq!(
+            FlatScheme::from_bytes(&forge(bytes, edits)).unwrap_err(),
+            WireError::Corrupt { what },
+            "re-sealed checksums must not let it through"
+        );
+    }
+
+    // The `try_<accessor>_reports_*` drills each poison a word that
+    // `<accessor>` reads without a bounds check. `from_bytes` is the only
+    // gate before those reads, so it must refuse every one of them.
+
     #[test]
     fn try_cluster_of_center_reports_poisoned_centre_index() {
         let bytes = snapshot();
         let flat = FlatScheme::from_bytes(&bytes).unwrap();
-        let m = flat.manifest();
-        let ci = start(&m, Section::CenterIndex);
+        let ci = start(&flat.manifest(), Section::CenterIndex);
         let center = (0..flat.n())
             .find(|&v| word_at(&bytes, ci + v) != NULL)
             .expect("some vertex is a centre");
-        let bad = poke(&bytes, ci + center, flat.num_clusters() as u64 + 7);
-        let forced = FlatScheme::from_bytes_unvalidated(&bad).unwrap();
-        assert!(matches!(
-            forced.try_cluster_of_center(center),
-            Err(WireError::Corrupt { .. })
-        ));
-        // Ids past n stay a clean miss even on a corrupt buffer.
-        assert!(matches!(
-            forced.try_cluster_of_center(forced.n() + 3),
-            Ok(None)
-        ));
+        assert_rejected(
+            &bytes,
+            &[(ci + center, flat.num_clusters() as u64 + 7)],
+            "centre index points past the cluster table",
+        );
     }
 
     #[test]
     fn try_members_reports_member_span_overrun() {
         let bytes = snapshot();
         let m = FlatScheme::from_bytes(&bytes).unwrap().manifest();
-        let cl = start(&m, Section::Clusters);
         // Cluster 0's descriptor: [center, level, members_start, members_len].
-        let bad = poke(&bytes, cl + 3, 1 << 40);
-        let forced = FlatScheme::from_bytes_unvalidated(&bad).unwrap();
-        let cluster = forced.cluster(0);
-        assert!(matches!(
-            cluster.try_members(),
-            Err(WireError::Corrupt { .. })
-        ));
-        // table_of goes through the same span first.
-        assert!(cluster.try_table_of(0).is_err());
+        let cl = start(&m, Section::Clusters);
+        assert_rejected(
+            &bytes,
+            &[(cl + 3, 1 << 40)],
+            "cluster members overrun the member column",
+        );
     }
 
     #[test]
     fn try_table_of_reports_poisoned_table_offset() {
         let bytes = snapshot();
-        let m = FlatScheme::from_bytes(&bytes).unwrap().manifest();
-        let cl = start(&m, Section::Clusters);
-        let members_start = word_at(&bytes, cl + 2) as usize;
-        let member0 = word_at(&bytes, start(&m, Section::MemberIds) + members_start) as NodeId;
-        let bad = poke(
+        let flat = FlatScheme::from_bytes(&bytes).unwrap();
+        let table_off =
+            start(&flat.manifest(), Section::MemberTableOffs) + flat.cluster(0).members_start;
+        assert_rejected(
             &bytes,
-            start(&m, Section::MemberTableOffs) + members_start,
-            u64::MAX,
+            &[(table_off, u64::MAX)],
+            "table record overruns the table pool",
         );
-        let forced = FlatScheme::from_bytes_unvalidated(&bad).unwrap();
-        assert!(matches!(
-            forced.cluster(0).try_table_of(member0),
-            Err(WireError::Corrupt { .. })
-        ));
     }
 
     #[test]
     fn try_trees_of_reports_corrupt_csr_offsets() {
         let bytes = snapshot();
         let m = FlatScheme::from_bytes(&bytes).unwrap().manifest();
-        let vo = start(&m, Section::VtreesOff);
         // Poisoning off[1] breaks vertex 0 (end past the column) and vertex 1
         // (non-monotone start > end) at once.
-        let bad = poke(&bytes, vo + 1, u64::MAX);
-        let forced = FlatScheme::from_bytes_unvalidated(&bad).unwrap();
-        assert!(forced.try_trees_of(0).is_err());
-        assert!(forced.try_trees_of(1).is_err());
-        // Vertices whose offsets are untouched still read cleanly.
-        let pristine = FlatScheme::from_bytes(&bytes).unwrap();
-        let healthy: Vec<u64> = forced.try_trees_of(5).unwrap().iter().collect();
-        let expect: Vec<u64> = pristine.trees_of(5).iter().collect();
-        assert_eq!(healthy, expect);
+        let vo = start(&m, Section::VtreesOff);
+        assert_rejected(
+            &bytes,
+            &[(vo + 1, u64::MAX)],
+            "CSR offsets not monotone within bounds",
+        );
     }
 
     #[test]
@@ -1555,15 +1199,14 @@ mod tests {
             .expect("some centre stores own-cluster labels (4k-5 refinement)");
         let entry =
             start(&m, Section::OwnEntries) + word_at(&bytes, oo + v) as usize * OWN_ENTRY_WORDS;
-        let member = word_at(&bytes, entry) as NodeId;
         // Sanity: the pristine lookup resolves.
-        assert!(flat.try_own_label(v, member).unwrap().is_some());
-        let bad = poke(&bytes, entry + 1, u64::MAX);
-        let forced = FlatScheme::from_bytes_unvalidated(&bad).unwrap();
-        assert!(matches!(
-            forced.try_own_label(v, member),
-            Err(WireError::Corrupt { .. })
-        ));
+        let member = word_at(&bytes, entry) as NodeId;
+        assert!(flat.own_label(v, member).is_some());
+        assert_rejected(
+            &bytes,
+            &[(entry + 1, u64::MAX)],
+            "label record overruns the label pool",
+        );
     }
 
     #[test]
@@ -1577,145 +1220,40 @@ mod tests {
             .expect("some vertex has label entries");
         let entry =
             start(&m, Section::LabelEntries) + word_at(&bytes, lo + v) as usize * LABEL_ENTRY_WORDS;
-
         // Level past k.
-        let bad = poke(&bytes, entry, flat.k() as u64 + 100);
-        let forced = FlatScheme::from_bytes_unvalidated(&bad).unwrap();
-        assert!(matches!(
-            forced.try_label_entries_of(v),
-            Err(WireError::Corrupt { .. })
-        ));
-
+        assert_rejected(
+            &bytes,
+            &[(entry, flat.k() as u64 + 100)],
+            "label entry level or pivot out of range",
+        );
         // Pivot past n.
-        let bad = poke(&bytes, entry + 1, flat.n() as u64 + 100);
-        let forced = FlatScheme::from_bytes_unvalidated(&bad).unwrap();
-        assert!(forced.try_label_entries_of(v).is_err());
-
+        assert_rejected(
+            &bytes,
+            &[(entry + 1, flat.n() as u64 + 100)],
+            "label entry level or pivot out of range",
+        );
         // Label-pool offset past the pool.
-        let bad = poke(&bytes, entry + 3, u64::MAX - 1);
-        let forced = FlatScheme::from_bytes_unvalidated(&bad).unwrap();
-        assert!(forced.try_label_entries_of(v).is_err());
-
-        // The pristine checked path agrees with the fast iterator.
-        let checked = flat.try_label_entries_of(v).unwrap();
-        let fast: Vec<FlatLabelEntry<'_>> = flat.label_entries_of(v).collect();
-        assert_eq!(checked.len(), fast.len());
-        for (a, b) in checked.iter().zip(&fast) {
-            assert_eq!(a.level, b.level);
-            assert_eq!(a.pivot, b.pivot);
-            assert_eq!(a.dist, b.dist);
-        }
+        assert_rejected(
+            &bytes,
+            &[(entry + 3, u64::MAX - 1)],
+            "label record overruns the label pool",
+        );
     }
 
     #[test]
     fn scrambled_member_column_never_panics_the_checked_paths() {
+        // A descending run breaks the invariant the member search and the
+        // rank index lean on: the open must report it, not panic.
         let bytes = snapshot();
         let flat = FlatScheme::from_bytes(&bytes).unwrap();
-        let m = flat.manifest();
-        let cl = start(&m, Section::Clusters);
-        let members_start = word_at(&bytes, cl + 2) as usize;
-        let members_len = word_at(&bytes, cl + 3) as usize;
-        assert!(members_len >= 2, "cluster 0 needs two members for the swap");
-        let mi = start(&m, Section::MemberIds) + members_start;
+        assert!(flat.cluster(0).len() >= 2, "cluster 0 needs two members");
+        let mi = start(&flat.manifest(), Section::MemberIds) + flat.cluster(0).members_start;
         let (a, b) = (word_at(&bytes, mi), word_at(&bytes, mi + 1));
-        let bad = poke(&poke(&bytes, mi, b), mi + 1, a);
-        let forced = FlatScheme::from_bytes_unvalidated(&bad).unwrap();
-        let cluster = forced.cluster(0);
-        // A descending run breaks the binary-search invariant: the lookups
-        // may miss or err, but they must return, not panic.
-        for v in [a as NodeId, b as NodeId, 0, forced.n() - 1] {
-            let _ = cluster.try_table_of(v);
-            let _ = forced.try_own_label(v, a as NodeId);
-        }
-    }
-
-    #[test]
-    fn rank_index_agrees_with_the_member_search_oracle() {
-        let bytes = snapshot();
-        let flat = FlatScheme::from_bytes(&bytes).unwrap();
-        let mut lookups = 0usize;
-        let (mut full, mut partial) = (0usize, 0usize);
-        for cluster in flat.clusters() {
-            if cluster.len() == flat.n() {
-                // The identity branch: every vertex is its own slot, ids
-                // past n miss, and the rank index the checked path reads
-                // says the same.
-                full += 1;
-                for v in 0..flat.n() {
-                    assert_eq!(cluster.slot_of(v), Some(v));
-                    assert_eq!(cluster.try_slot_of(v).unwrap(), Some(v));
-                }
-                assert_eq!(cluster.slot_of(flat.n()), None);
-            } else {
-                partial += 1;
-            }
-            for slot in 0..cluster.len() {
-                let v = cluster.members().get(slot) as NodeId;
-                assert_eq!(cluster.slot_of(v), Some(slot));
-                let fast = cluster.table_of(v).expect("member resolves via the index");
-                let oracle = cluster
-                    .table_of_by_search(v)
-                    .expect("member resolves via search");
-                assert_eq!(fast.off, oracle.off, "index and search disagree on {v}");
-                assert_eq!(fast.vertex(), oracle.vertex());
-                // table_at addresses the same record by slot alone.
-                assert_eq!(cluster.table_at(slot).unwrap().off, fast.off);
-                // The checked path lands on the same record too.
-                assert_eq!(cluster.try_table_of(v).unwrap().unwrap().off, fast.off);
-                lookups += 1;
-            }
-            // Non-members miss on both paths (a cluster may span all of V,
-            // in which case there is no outsider to probe).
-            if let Some(outsider) =
-                (0..flat.n()).find(|&v| cluster.members().binary_search(v as u64).is_err())
-            {
-                assert!(cluster.table_of(outsider).is_none());
-                assert!(cluster.table_of_by_search(outsider).is_none());
-                assert!(cluster.try_table_of(outsider).unwrap().is_none());
-            }
-        }
-        assert!(lookups > 0, "the drill must exercise real lookups");
-        assert!(full > 0, "the identity branch must be exercised");
-        assert!(partial > 0, "the rank-index branch must be exercised");
-    }
-
-    /// Edits member-column words and re-seals the checksums, so the forged
-    /// buffer passes the integrity layer and only the structural validation
-    /// can reject it.
-    fn forge_member_ids(bytes: &[u8], edits: &[(usize, u64)]) -> Vec<u8> {
-        let mut out = bytes.to_vec();
-        for &(w, value) in edits {
-            out[w * 8..w * 8 + 8].copy_from_slice(&value.to_le_bytes());
-        }
-        crate::snapshot::seal(&mut out);
-        out
-    }
-
-    #[test]
-    fn forged_non_identity_full_cluster_fails_structural_validation() {
-        // The full-cluster fast path answers slot_of(v) = v. That is sound
-        // only because validation proves every member column strictly
-        // ascending below n; a forger who re-seals the checksums must
-        // still be stopped by that proof.
-        let bytes = snapshot();
-        let flat = FlatScheme::from_bytes(&bytes).unwrap();
-        let cluster = flat
-            .clusters()
-            .find(|c| c.len() == flat.n())
-            .expect("the top level's clusters span V");
-        let col = start(&flat.manifest(), Section::MemberIds) + cluster.members_start;
-        let swapped = [(col, 1), (col + 1, 0)];
-        let duplicated = [(col + 1, 0)];
-        for (name, edits) in [("swap", &swapped[..]), ("duplicate", &duplicated[..])] {
-            let forged = forge_member_ids(&bytes, edits);
-            assert_eq!(
-                FlatScheme::from_bytes(&forged).unwrap_err(),
-                WireError::Corrupt {
-                    what: "cluster members not ascending vertex ids"
-                },
-                "{name}: the re-sealed checksums must not let it through"
-            );
-        }
+        assert_rejected(
+            &bytes,
+            &[(mi, b), (mi + 1, a)],
+            "cluster members not ascending vertex ids",
+        );
     }
 
     #[test]
@@ -1734,26 +1272,112 @@ mod tests {
         let slot_word = start(&m, Section::MemberSlots)
             + (flat.trees_of(v).start - start(&m, Section::VtreesVals))
             + i;
-        let cluster = flat.cluster_of_center(c).unwrap();
-        let good = word_at(&bytes, slot_word) as usize;
-
+        let good = word_at(&bytes, slot_word);
+        let len = flat.cluster_of_center(c).unwrap().len() as u64;
         // A slot naming a *different* member: in range, so only the
         // member-column agreement check can catch it.
-        let bad = poke(&bytes, slot_word, ((good + 1) % cluster.len()) as u64);
-        let forced = FlatScheme::from_bytes_unvalidated(&bad).unwrap();
-        assert!(matches!(
-            forced.cluster_of_center(c).unwrap().try_table_of(v),
-            Err(WireError::Corrupt { .. })
-        ));
-
+        assert_rejected(
+            &bytes,
+            &[(slot_word, (good + 1) % len)],
+            "member-slot index disagrees with the member column",
+        );
         // A slot far past every column.
-        let bad = poke(&bytes, slot_word, u64::MAX);
-        let forced = FlatScheme::from_bytes_unvalidated(&bad).unwrap();
-        assert!(forced
-            .cluster_of_center(c)
-            .unwrap()
-            .try_table_of(v)
-            .is_err());
+        assert_rejected(
+            &bytes,
+            &[(slot_word, u64::MAX)],
+            "member-slot index disagrees with the member column",
+        );
+    }
+
+    #[test]
+    fn forged_member_count_overflow_is_rejected_not_wrapped() {
+        // A descriptor past the first has `members_start > 0`, so adding a
+        // member count of u64::MAX to the running total overflows: it must
+        // be reported, not panic (overflow checks) or wrap (release).
+        let bytes = snapshot();
+        let flat = FlatScheme::from_bytes(&bytes).unwrap();
+        let id = (0..flat.num_clusters())
+            .find(|&id| flat.cluster(id).members_start > 0)
+            .expect("a second cluster starts past the first");
+        let count = start(&flat.manifest(), Section::Clusters) + id * CLUSTER_RECORD_WORDS + 3;
+        assert_eq!(
+            FlatScheme::from_bytes(&forge(&bytes, &[(count, u64::MAX)])).unwrap_err(),
+            WireError::Corrupt {
+                what: "cluster members overrun the member column"
+            }
+        );
+    }
+
+    #[test]
+    fn rank_index_agrees_with_the_member_search_oracle() {
+        let bytes = snapshot();
+        let flat = FlatScheme::from_bytes(&bytes).unwrap();
+        let mut lookups = 0usize;
+        let (mut full, mut partial) = (0usize, 0usize);
+        for cluster in flat.clusters() {
+            if cluster.len() == flat.n() {
+                // The identity branch: every vertex is its own slot, and
+                // ids past n miss.
+                full += 1;
+                for v in 0..flat.n() {
+                    assert_eq!(cluster.slot_of(v), Some(v));
+                }
+                assert_eq!(cluster.slot_of(flat.n()), None);
+            } else {
+                partial += 1;
+            }
+            for slot in 0..cluster.len() {
+                let v = cluster.members().get(slot) as NodeId;
+                assert_eq!(cluster.slot_of(v), Some(slot));
+                let fast = cluster.table_of(v).expect("member resolves via the index");
+                let oracle = cluster
+                    .table_of_by_search(v)
+                    .expect("member resolves via search");
+                assert_eq!(fast.off, oracle.off, "index and search disagree on {v}");
+                assert_eq!(fast.vertex(), oracle.vertex());
+                // table_at addresses the same record by slot alone.
+                assert_eq!(cluster.table_at(slot).unwrap().off, fast.off);
+                lookups += 1;
+            }
+            // Non-members miss on both paths (a cluster may span all of V,
+            // in which case there is no outsider to probe).
+            if let Some(outsider) =
+                (0..flat.n()).find(|&v| cluster.members().binary_search(v as u64).is_err())
+            {
+                assert!(cluster.table_of(outsider).is_none());
+                assert!(cluster.table_of_by_search(outsider).is_none());
+            }
+        }
+        assert!(lookups > 0, "the drill must exercise real lookups");
+        assert!(full > 0, "the identity branch must be exercised");
+        assert!(partial > 0, "the rank-index branch must be exercised");
+    }
+
+    #[test]
+    fn forged_non_identity_full_cluster_fails_structural_validation() {
+        // The full-cluster fast path answers slot_of(v) = v. That is sound
+        // only because validation proves every member column strictly
+        // ascending below n; a forger who re-seals the checksums must
+        // still be stopped by that proof.
+        let bytes = snapshot();
+        let flat = FlatScheme::from_bytes(&bytes).unwrap();
+        let cluster = flat
+            .clusters()
+            .find(|c| c.len() == flat.n())
+            .expect("the top level's clusters span V");
+        let col = start(&flat.manifest(), Section::MemberIds) + cluster.members_start;
+        let swapped = [(col, 1), (col + 1, 0)];
+        let duplicated = [(col + 1, 0)];
+        for (name, edits) in [("swap", &swapped[..]), ("duplicate", &duplicated[..])] {
+            let forged = forge(&bytes, edits);
+            assert_eq!(
+                FlatScheme::from_bytes(&forged).unwrap_err(),
+                WireError::Corrupt {
+                    what: "cluster members not ascending vertex ids"
+                },
+                "{name}: the re-sealed checksums must not let it through"
+            );
+        }
     }
 
     #[test]

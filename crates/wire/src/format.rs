@@ -238,21 +238,11 @@ impl<'a> Words<'a> {
     /// # Panics
     ///
     /// Panics if `i` is out of bounds — the snapshot validator guarantees
-    /// in-bounds access for every offset it accepted. (Accessors that may
-    /// run over *unvalidated* bytes use [`Self::try_get`] instead.)
+    /// in-bounds access for every offset it accepted.
     #[inline]
     pub fn get(&self, i: usize) -> u64 {
         let b = &self.bytes[i * 8..i * 8 + 8];
         u64::from_le_bytes(b.try_into().expect("8-byte slice"))
-    }
-
-    /// Reads word `i`, or `None` when `i` is out of bounds — the checked
-    /// read the hardened accessor paths build on.
-    #[inline]
-    pub fn try_get(&self, i: usize) -> Option<u64> {
-        let at = i.checked_mul(8)?;
-        let b = self.bytes.get(at..at.checked_add(8)?)?;
-        Some(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
     }
 
     /// The raw underlying bytes.
@@ -342,20 +332,6 @@ mod tests {
     #[test]
     fn magic_is_ascii_tag() {
         assert_eq!(&MAGIC.to_le_bytes(), b"ENWIRE01");
-    }
-
-    #[test]
-    fn try_get_checks_bounds() {
-        let mut buf = vec![0u8; 2 * 8];
-        let mut out = WordsMut::new(&mut buf);
-        out.set(1, 22);
-        out.set(0, 11);
-        let words = Words::new(&buf);
-        assert_eq!(words.try_get(0), Some(11));
-        assert_eq!(words.try_get(1), Some(22));
-        assert_eq!(words.try_get(2), None);
-        assert_eq!(words.try_get(usize::MAX), None);
-        assert_eq!(words.try_get(usize::MAX / 8 + 1), None);
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //!   one relocatable little-endian buffer of CSR-style columns with pooled
 //!   variable-length records (shared tree labels are written once), plus a
 //!   versioned header carrying `n`, `k`, and the Table-1 word-size stats.
-//! * [`FlatScheme::from_bytes`] validates that buffer **once** and then
-//!   serves every access zero-copy: the views it hands out are `Copy`
+//! * [`FlatScheme::from_bytes`] — the only way to open a snapshot —
+//!   validates that buffer **once**, checksums and a structural proof of
+//!   every offset alike, and then serves every access zero-copy through
+//!   one accessor set: the views it hands out are `Copy`
 //!   slice-plus-offset handles, no per-label or per-table allocation. Since
 //!   format v3 the snapshot also carries a member-slot rank index (one word
 //!   per tree incidence, checksummed like every section), so resolving a
@@ -23,8 +25,8 @@
 //!   member column is the identity.
 //! * [`QueryEngine`] answers `find_tree` / `route` batches directly off the
 //!   flat columns, sharding batches over `std::thread::scope` workers.
-//!   There is no forwarding loop in this crate: the fast and the checked
-//!   paths both instantiate the storage-generic kernel in
+//!   There is no forwarding loop in this crate: the validated
+//!   [`FlatScheme`] instantiates the storage-generic kernel in
 //!   [`en_routing::access`] — the same `Find-tree` + hop loop the in-memory
 //!   scheme runs — so outcomes are bit-identical by construction (and
 //!   property-proven in `tests/property_wire_roundtrip.rs`).
@@ -34,11 +36,6 @@
 //!   read-into-heap fallback for non-Linux targets and shape-invalid files
 //!   (see that module's SIGBUS-safety argument); [`SnapshotSource`] lets
 //!   [`SchemeStore`] epochs serve owned and mapped buffers alike.
-//! * [`en_routing::access::RouteCache`] (sized per engine via
-//!   [`CacheConfig`]) memoises hot `Find-tree` decisions in front of the
-//!   kernel — the win the Zipf workloads model — with hit/miss/eviction
-//!   counters in [`BatchStats`]; cached outcomes are bit-identical by
-//!   construction because the cache stores decisions, not answers.
 //! * [`workload::generate_pairs`] produces uniform, Zipf-hotspot, and
 //!   near-vs-far query workloads for the benches.
 //!
@@ -52,18 +49,24 @@
 //!   [`FlatScheme::from_bytes`] verifies them once at load, so corruption is
 //!   a structured [`WireError::ChecksumMismatch`], never a wrong answer, and
 //!   the per-query hot path stays checksum-free.
+//! * **Structural proof** — the same pass proves every offset, CSR, record
+//!   and vertex id in bounds, so bytes forged with recomputed checksums are
+//!   rejected with [`WireError::Corrupt`] or, when they are consistent, are
+//!   served without a panic.
 //! * **Epoch hot swap** — [`SchemeStore`] validates candidate snapshots
 //!   *before* atomically swapping them in; a failed publish leaves the
 //!   current epoch serving (rollback by default) and readers pin whole
 //!   epochs, so a swap never tears a batch.
 //! * **Panic-isolated shards** — [`QueryEngine::route_batch`] runs each
-//!   shard under `catch_unwind`; a panicking shard is retried one query at a
-//!   time through the checked accessors ([`QueryEngine::route_checked`]), so
-//!   one corrupt record degrades one query, and [`BatchStats`] /
-//!   [`ShardStats`] report exactly what happened.
+//!   shard under `catch_unwind` as the last barrier against a latent bug; a
+//!   panicking shard is retried one query at a time on the same path, each
+//!   query under its own guard, so only the queries that panic again
+//!   degrade, and [`BatchStats`] / [`ShardStats`] report exactly what
+//!   happened.
 //! * **Deterministic fault injection** — [`faultsim`] builds seeded fault
-//!   plans (boundary truncations, bit flips, offset scrambles) and drills
-//!   the whole stack, asserting error-not-crash everywhere.
+//!   plans (boundary truncations, bit flips, offset scrambles), applies them
+//!   plain and with forged checksums, and drills the whole stack, asserting
+//!   error-not-crash everywhere.
 //!
 //! # Example
 //!
@@ -102,7 +105,7 @@ pub mod snapshot;
 pub mod store;
 pub mod workload;
 
-pub use engine::{BatchOutcome, BatchStats, CacheConfig, QueryEngine, ShardStats};
+pub use engine::{BatchOutcome, BatchStats, QueryEngine, ShardStats};
 pub use error::WireError;
 pub use flat::{
     FlatCluster, FlatLabelEntry, FlatScheme, FlatTreeLabel, FlatTreeTable, FlatU64s, SectionSpan,

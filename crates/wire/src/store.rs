@@ -86,9 +86,10 @@ impl From<MappedSnapshot> for SnapshotSource {
 
 /// One validated, immutable snapshot generation.
 ///
-/// The bytes were fully validated when the epoch was published, so
-/// [`Self::scheme`] re-opens them with the cheap shape-only pass — readers
-/// pay O(header), not O(snapshot), to borrow a [`FlatScheme`].
+/// The bytes passed [`FlatScheme::from_bytes`] when the epoch was
+/// published, so [`Self::scheme`] re-opens them with the crate's cheap
+/// shape-only pass — readers pay O(header), not O(snapshot), to borrow a
+/// [`FlatScheme`].
 #[derive(Debug)]
 pub struct SnapshotEpoch {
     id: u64,

@@ -9,7 +9,7 @@
 //!   seeded random rankings of the vertices, modelling skewed traffic
 //!   (heavy-hitter sources talking to popular destinations, so a small hot
 //!   set of `(source, destination)` pairs carries most packets — the shape
-//!   the hot-route cache and the page-cache-resident snapshot exploit).
+//!   a page-cache-resident snapshot and warm CPU caches favour).
 //! * **Near vs. far** — a tunable fraction of pairs are *near* (the
 //!   destination is reached by a short random walk from the source, so the
 //!   pair is usually covered by a low-level cluster), the rest are uniform

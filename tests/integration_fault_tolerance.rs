@@ -1,7 +1,7 @@
 //! Fault tolerance of the serving stack, end to end: snapshot integrity
-//! rejects corruption at load, the epoch store hot-swaps without tearing
-//! concurrent readers, and corrupt bytes forced in past validation degrade
-//! to per-query errors instead of crashing batches.
+//! rejects corruption at load, the structural proof rejects corruption
+//! whose checksums were forged or else serves it without a panic, and the
+//! epoch store hot-swaps without tearing concurrent readers.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -11,7 +11,9 @@ use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
 use en_graph::WeightedGraph;
 use en_routing::construction::{build_routing_scheme, ConstructionConfig};
 use en_routing::error::RoutingError;
-use en_wire::faultsim::{drill_loads, offset_scramble_plan, section_flip_plan, truncation_plan};
+use en_wire::faultsim::{
+    drill_forged, drill_loads, offset_scramble_plan, section_flip_plan, truncation_plan,
+};
 use en_wire::{generate_pairs, serialize, FlatScheme, PairWorkload, QueryEngine, SchemeStore};
 
 fn graph(n: usize, seed: u64) -> WeightedGraph {
@@ -52,11 +54,12 @@ fn corruption_is_detected_at_load() {
     );
 }
 
-/// Corrupt bytes forced in past validation (corruption striking after
-/// load) degrade to per-query errors: batches complete at every thread
-/// count, the process survives, and shard accounting still adds up.
+/// Section damage with the checksums re-sealed around it leaves only the
+/// structural proof in `from_bytes` to stop it: every forged snapshot is
+/// rejected, or validates and is served at 1, 2 and 8 threads with zero
+/// shard panics and identical outcomes.
 #[test]
-fn post_load_corruption_degrades_instead_of_crashing() {
+fn forged_corruption_is_rejected_or_served_panic_free() {
     let g = graph(150, 6);
     let bytes = snapshot_of(&g, 2, 6);
     let manifest = FlatScheme::from_bytes(&bytes).unwrap().manifest();
@@ -64,84 +67,24 @@ fn post_load_corruption_degrades_instead_of_crashing() {
 
     let mut plan = section_flip_plan(&manifest, 31, 4);
     plan.extend(offset_scramble_plan(&manifest, 32, 16));
-    let mut served = 0usize;
-    for case in &plan {
-        let corrupt = case.apply(&bytes);
-        // Shape-invalid corruption is already covered by the load drill.
-        let Ok(flat) = FlatScheme::from_bytes_unvalidated(&corrupt) else {
-            continue;
-        };
-        let Ok(engine) = QueryEngine::new(flat, &g) else {
-            continue;
-        };
-        served += 1;
-        for threads in [1usize, 2, 8] {
-            let batch = engine.route_batch(&pairs, None, threads);
-            assert_eq!(batch.outcomes.len(), pairs.len(), "{}", case.name);
-            assert_eq!(
-                batch.stats.delivered + batch.stats.failed,
-                pairs.len(),
-                "{} at {threads} threads",
-                case.name
-            );
-            assert_eq!(
-                batch.shards.iter().map(|s| s.queries).sum::<usize>(),
-                pairs.len(),
-                "{} at {threads} threads",
-                case.name
-            );
-            assert_eq!(
-                batch.shards.iter().map(|s| s.errors).sum::<usize>(),
-                batch.stats.failed,
-                "{} at {threads} threads",
-                case.name
-            );
-            // A panicked shard must be fully accounted as retried.
-            for s in &batch.shards {
-                if s.panicked {
-                    assert_eq!(s.retries, s.queries, "{}", case.name);
-                }
-            }
-            assert_eq!(
-                batch.stats.shard_panics,
-                batch.shards.iter().filter(|s| s.panicked).count(),
-                "{}",
-                case.name
-            );
-        }
-    }
-    assert!(served > 0, "some faults must be shape-valid and get served");
-}
-
-/// `route_checked` agrees bit-for-bit with the fast path on a healthy
-/// snapshot — the degraded path is a slower twin, not a different router.
-#[test]
-fn checked_route_matches_fast_path_on_healthy_snapshot() {
-    let g = graph(120, 7);
-    let bytes = snapshot_of(&g, 3, 7);
-    let flat = FlatScheme::from_bytes(&bytes).unwrap();
-    let engine = QueryEngine::new(flat, &g).unwrap();
-    for &(u, v) in &generate_pairs(&g, &PairWorkload::Uniform, 200, 9) {
-        let fast = engine.route_with_exact(u, v, 0).unwrap();
-        let checked = engine.route_checked(u, v, 0).unwrap();
-        assert_eq!(fast.tree_root, checked.tree_root, "{u}->{v}");
-        assert_eq!(fast.level, checked.level, "{u}->{v}");
-        assert_eq!(fast.path, checked.path, "{u}->{v}");
-        assert_eq!(fast.length, checked.length, "{u}->{v}");
-    }
-    // Out-of-range endpoints are structured errors on both paths.
-    let n = g.num_nodes();
-    assert!(engine.route_with_exact(n, 0, 0).is_err());
-    assert!(engine.route_checked(n, 0, 0).is_err());
-    assert!(engine.route_checked(0, n + 7, 0).is_err());
+    let report = drill_forged(&bytes, &g, &pairs, &plan);
+    assert!(
+        report.all_handled(),
+        "forged snapshots that panicked a shard or varied with the thread count: {:?}",
+        report.undetected
+    );
+    assert!(report.detected > 0, "the structural proof must reject some");
+    assert!(
+        report.degraded + report.survived > 0,
+        "some forged damage is consistent and must be served"
+    );
 }
 
 /// A snapshot served against a different graph of the same size:
 /// `QueryEngine::new` can only compare vertex counts, so every route must
 /// either weigh its path in the graph it was given or fail with a
 /// structured `NonEdgeHop` — never report a length the graph does not
-/// have. The in-memory scheme, the fast path and the checked path agree on
-/// every pair.
+/// have. The in-memory scheme and the snapshot agree on every pair.
 #[test]
 fn wrong_graph_of_the_same_size_fails_non_edge_hops() {
     let g = graph(120, 7);
@@ -163,29 +106,25 @@ fn wrong_graph_of_the_same_size_fails_non_edge_hops() {
     let engine = QueryEngine::new(flat, &other).expect("same n passes the constructor");
     let (mut weighed, mut non_edge) = (0usize, 0usize);
     for &(u, v) in &generate_pairs(&other, &PairWorkload::Uniform, 300, 9) {
-        let fast = engine.route(u, v);
-        let checked = engine.route_checked(u, v, fast.as_ref().map_or(0, |o| o.exact));
+        let flat = engine.route(u, v);
         let in_memory = built.scheme.route(&other, u, v);
-        match (&fast, &checked, &in_memory) {
-            (Ok(a), Ok(b), Ok(c)) => {
+        match (&flat, &in_memory) {
+            (Ok(a), Ok(c)) => {
                 assert_eq!(a.path.length_in(&other), Some(a.length), "{u}->{v}");
                 // A real path of `other` is never shorter than its
                 // shortest path: no stretch below 1 can be reported.
                 assert!(a.length >= a.exact, "{u}->{v}");
-                for o in [b, c] {
-                    assert_eq!(o.tree_root, a.tree_root, "{u}->{v}");
-                    assert_eq!((&o.path, o.length), (&a.path, a.length), "{u}->{v}");
-                    assert_eq!(o.stretch.to_bits(), a.stretch.to_bits(), "{u}->{v}");
-                }
+                assert_eq!(c.tree_root, a.tree_root, "{u}->{v}");
+                assert_eq!((&c.path, c.length), (&a.path, a.length), "{u}->{v}");
+                assert_eq!(c.stretch.to_bits(), a.stretch.to_bits(), "{u}->{v}");
                 weighed += 1;
             }
-            (Err(e @ RoutingError::NonEdgeHop { from, to }), _, _) => {
+            (Err(e @ RoutingError::NonEdgeHop { from, to }), _) => {
                 assert!(!other.has_edge(*from, *to), "{u}->{v}: {from}->{to}");
                 assert!(
                     g.has_edge(*from, *to),
                     "the hop is a tree edge of the built graph"
                 );
-                assert_eq!(checked.as_ref().err(), Some(e), "{u}->{v}: checked path");
                 assert_eq!(
                     in_memory.as_ref().err(),
                     Some(e),

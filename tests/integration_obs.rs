@@ -144,9 +144,6 @@ fn batch_counters_reconcile_and_outcomes_stay_bit_identical() {
             ("wire.shard.panics", s.shard_panics as u64),
             ("wire.shard.retried", s.retried as u64),
             ("wire.shard.degraded", s.degraded as u64),
-            ("wire.cache.hits", s.cache_hits),
-            ("wire.cache.misses", s.cache_misses),
-            ("wire.cache.evictions", s.cache_evictions),
         ] {
             assert_eq!(
                 registry.counter_value(name),

@@ -29,14 +29,11 @@ use proptest::prelude::*;
 
 use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
 use en_graph::WeightedGraph;
-use en_routing::access::{self, RouteCache};
 use en_routing::construction::{build_routing_scheme, ConstructionConfig};
 use en_routing::exact::exact_cluster_family;
 use en_routing::scheme::RoutingScheme;
 use en_routing::{Hierarchy, SchemeParams};
-use en_wire::{
-    serialize, CacheConfig, FlatScheme, MappedSnapshot, QueryEngine, SchemeStore, WireError,
-};
+use en_wire::{serialize, FlatScheme, MappedSnapshot, QueryEngine, SchemeStore, WireError};
 
 fn arb_graph() -> impl Strategy<Value = (WeightedGraph, u64)> {
     (16usize..56, 0u64..10_000, 1u64..60).prop_map(|(n, seed, max_w)| {
@@ -246,16 +243,11 @@ proptest! {
         // v3 with its single-chain section checksums) is refused with the
         // structured version error — the version word is examined before
         // any checksum, so the caller learns "old format", never a
-        // misleading checksum mismatch. Both the validating and the
-        // shape-only open refuse it.
+        // misleading checksum mismatch.
         for old in [2u64, 3] {
             let stamped = stamp_version(&bytes, old);
             prop_assert_eq!(
                 FlatScheme::from_bytes(&stamped).unwrap_err(),
-                WireError::UnsupportedVersion { found: old }
-            );
-            prop_assert_eq!(
-                FlatScheme::from_bytes_unvalidated(&stamped).unwrap_err(),
                 WireError::UnsupportedVersion { found: old }
             );
         }
@@ -325,100 +317,6 @@ proptest! {
         let b = scheme.route(&g, 1, 40).expect("routes");
         prop_assert_eq!(a.path, b.path);
         prop_assert_eq!(a.length, b.length);
-    }
-
-    /// The hot-route cache is observationally invisible: at every capacity
-    /// — disabled, one slot, small, and larger than the whole key set —
-    /// cached routing returns bit-identical outcomes on all three storages
-    /// (in-memory scheme, fast flat, checked flat), and the per-shard
-    /// batch surface agrees with a cache-disabled engine.
-    #[test]
-    fn cached_routing_is_bit_identical_on_every_storage(
-        gs in arb_graph(),
-        k in 2usize..4,
-    ) {
-        let (g, seed) = gs;
-        let built = build_routing_scheme(&g, &ConstructionConfig::new(k, seed)).unwrap();
-        let scheme = &built.scheme;
-        let bytes = serialize(scheme);
-        let flat = FlatScheme::from_bytes(&bytes).expect("snapshot validates");
-        let engine = QueryEngine::new(flat, &g).expect("sizes match");
-        let n = g.num_nodes();
-
-        for capacity in [0usize, 1, 64, 4096] {
-            let mut mem = RouteCache::new(capacity);
-            let mut fast = RouteCache::new(capacity);
-            let mut checked = RouteCache::new(capacity);
-            let mut lookups = 0u64;
-            // Two passes so capacities that can hold the working set replay
-            // cached decisions on the second sweep.
-            for _pass in 0..2 {
-                for u in (0..n).step_by(4) {
-                    for v in (0..n).step_by(7) {
-                        if u == v {
-                            continue;
-                        }
-                        lookups += 1;
-                        let plain = access::forward_via(&scheme, u, v).unwrap();
-                        let cached =
-                            access::forward_via_cached(&scheme, &mut mem, u, v).unwrap();
-                        assert_eq!(plain, cached, "in-memory, cap {capacity}: {u}->{v}");
-
-                        let a = engine.route_with_exact(u, v, 0).unwrap();
-                        let b = engine.route_with_cache(&mut fast, u, v, 0).unwrap();
-                        let c = engine
-                            .route_checked_with_cache(&mut checked, u, v, 0)
-                            .unwrap();
-                        for (label, o) in [("fast", &b), ("checked", &c)] {
-                            assert_eq!(a.tree_root, o.tree_root, "{label} cap {capacity}");
-                            assert_eq!(a.level, o.level, "{label} cap {capacity}");
-                            assert_eq!(a.path, o.path, "{label} cap {capacity}");
-                            assert_eq!(a.length, o.length, "{label} cap {capacity}");
-                            assert_eq!(
-                                a.stretch.to_bits(),
-                                o.stretch.to_bits(),
-                                "{label} cap {capacity}"
-                            );
-                        }
-                    }
-                }
-            }
-            // Counter accounting: every lookup is a hit or a miss, on every
-            // storage; a disabled cache never hits.
-            for (label, cache) in [("mem", &mem), ("fast", &fast), ("checked", &checked)] {
-                let s = cache.stats();
-                prop_assert_eq!(s.hits + s.misses, lookups, "{} cap {}", label, capacity);
-                if capacity == 0 {
-                    prop_assert_eq!(s.hits, 0, "{} disabled cache hit", label);
-                }
-            }
-        }
-
-        // Batch surface: a cache-enabled engine (per-shard caches) returns
-        // the same outcomes and the same normalized stats as the default
-        // cache-disabled one, at several thread counts.
-        let cached_engine = QueryEngine::new(FlatScheme::from_bytes(&bytes).unwrap(), &g)
-            .expect("sizes match")
-            .with_cache(CacheConfig { capacity: 64 });
-        let pairs = en_wire::generate_pairs(&g, &en_wire::PairWorkload::Uniform, 200, seed);
-        let base = engine.route_batch(&pairs, None, 1);
-        for threads in [1usize, 3] {
-            let cached = cached_engine.route_batch(&pairs, None, threads);
-            prop_assert_eq!(
-                base.stats.without_cache_counters(),
-                cached.stats.without_cache_counters()
-            );
-            for (i, (a, b)) in base.outcomes.iter().zip(&cached.outcomes).enumerate() {
-                let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-                assert_eq!(a.path, b.path, "batch pair {i}, {threads} threads");
-                assert_eq!(a.length, b.length, "batch pair {i}");
-                assert_eq!(a.stretch.to_bits(), b.stretch.to_bits(), "batch pair {i}");
-            }
-            prop_assert_eq!(
-                cached.stats.cache_hits + cached.stats.cache_misses,
-                pairs.len() as u64
-            );
-        }
     }
 
     /// A mapped open serves the snapshot byte-identically to the owned
