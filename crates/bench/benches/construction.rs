@@ -154,7 +154,7 @@ fn bench_assemble(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new("assemble", format!("n{n}_k{k}")),
                 &family,
-                |b, family| b.iter(|| RoutingScheme::assemble(family, 42)),
+                |b, family| b.iter(|| RoutingScheme::assemble(family, &g, 42)),
             );
         }
     }

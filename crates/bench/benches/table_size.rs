@@ -19,9 +19,9 @@ fn bench_assembly(c: &mut Criterion) {
         let hierarchy = Hierarchy::sample(&params);
         let family = exact_cluster_family(&g, &hierarchy);
         group.bench_with_input(BenchmarkId::new("assemble", k), &k, |b, _| {
-            b.iter(|| RoutingScheme::assemble(&family, 7))
+            b.iter(|| RoutingScheme::assemble(&family, &g, 7))
         });
-        let scheme = RoutingScheme::assemble(&family, 7);
+        let scheme = RoutingScheme::assemble(&family, &g, 7);
         group.bench_with_input(BenchmarkId::new("measure_table_words", k), &k, |b, _| {
             b.iter(|| (scheme.max_table_words(), scheme.max_label_words()))
         });

@@ -240,7 +240,7 @@ fn main() {
             let hierarchy = Hierarchy::sample(&params);
             let family = exact_cluster_family(&g, &hierarchy);
             let family_bytes = family.cluster_bytes();
-            let (assemble_ms, _) = best_of(runs, || RoutingScheme::assemble(&family, 42));
+            let (assemble_ms, _) = best_of(runs, || RoutingScheme::assemble(&family, &g, 42));
             println!(
                 "assemble n={n} k={k}: {assemble_ms:.3} ms, {} clusters, \
                  total members {}, family footprint {:.2} MB",

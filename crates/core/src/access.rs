@@ -15,8 +15,14 @@
 //! and, in `en_wire`, the validated flat snapshot. Because both share this
 //! single loop, their outcomes are bit-identical by construction, not by
 //! convention.
+//!
+//! The loop also weighs the route in the host graph as it goes, the way a
+//! node knows the port it forwards through: every tree table carries the
+//! port of its parent edge, so each hop's weight is one adjacency-list
+//! read at a vertex whose table the loop has already resolved (see
+//! [`forward_via`]).
 
-use en_graph::{NodeId, Path};
+use en_graph::{dist_add, Dist, NodeId, Path, Weight, WeightedGraph};
 use en_tree_routing::{next_hop_view, scheme::TreeRoutingError, LabelView, TableView};
 
 use crate::error::RoutingError;
@@ -102,21 +108,48 @@ pub fn find_tree_via<A: RouteAccess>(
     Err(RoutingError::NoCommonTree { from, to })
 }
 
+/// The weight of the edge between `at` and `towards`, read through `port`
+/// at `at` when that port leads to `towards`, and otherwise found by
+/// scanning `at`'s adjacency list (a port resolved in another graph, or
+/// none at all); `None` when there is no such edge.
+#[inline]
+fn weigh(g: &WeightedGraph, at: NodeId, port: Option<u32>, towards: NodeId) -> Option<Weight> {
+    match port.and_then(|p| g.neighbors(at).get(p as usize)) {
+        Some(nb) if nb.node == towards => Some(nb.weight),
+        _ => g.edge_weight(at, towards),
+    }
+}
+
 /// THE forwarding loop: [`find_tree_via`], then hop-by-hop
 /// [`next_hop_view`] steps through the chosen tree until arrival, bounded
-/// by `n + 1` hops. Returns the tree root, its level, and the traversed
-/// path.
+/// by `n + 1` hops. Returns the tree root, its level, the traversed path,
+/// and the path's weighted length in `g`.
+///
+/// Each hop is weighed through a parent port the loop reads anyway. A hop
+/// up to the sender's parent is weighed at the sender, through its own
+/// [`TableView::parent_port`]. Any other hop goes down to a child, so it is
+/// weighed at the receiver, through the child's parent port, once the
+/// child's table has resolved. The graph is indexed only by vertices whose
+/// table resolved.
 ///
 /// # Errors
 ///
 /// Everything [`find_tree_via`] reports, plus a vertex falling out of the
 /// tree mid-route and a hop budget overrun (both impossible on a consistent
-/// scheme).
+/// scheme). When forwarding succeeds but a hop is not an edge of `g` (the
+/// scheme was built for another graph), [`RoutingError::NonEdgeHop`] names
+/// the first such hop; forwarding errors take precedence over it.
+///
+/// # Panics
+///
+/// Panics if a vertex of the route is not a vertex of `g` (a graph with
+/// fewer vertices than the scheme).
 pub fn forward_via<A: RouteAccess>(
     access: &A,
+    g: &WeightedGraph,
     from: NodeId,
     to: NodeId,
-) -> Result<(NodeId, usize, Path), RoutingError> {
+) -> Result<(NodeId, usize, Path, Dist), RoutingError> {
     let (root, header_label) = find_tree_via(access, from, to)?;
     let (tree, level) = access
         .tree(root)
@@ -124,14 +157,42 @@ pub fn forward_via<A: RouteAccess>(
     // Tree routes are short (≤ 2·depth of a cluster tree); reserve enough
     // that typical routes never reallocate mid-loop.
     let mut path = Path::trivial_with_capacity(from, 16);
+    // The length so far, or the first hop that is not an edge of `g` —
+    // reported only if forwarding itself succeeds.
+    let mut length: Result<Dist, (NodeId, NodeId)> = Ok(0);
+    let mut add_hop = |hop: (NodeId, NodeId), weight: Option<Weight>| {
+        if let Ok(total) = length {
+            length = weight.map(|w| dist_add(total, w)).ok_or(hop);
+        }
+    };
+    // The sender of a down-hop into `current`, still to be weighed there.
+    let mut down_from: Option<NodeId> = None;
     let mut current = from;
     for _ in 0..=access.n() {
         let table = access
             .table(&tree, current)
             .ok_or(TreeRoutingError::NotInTree { vertex: current })?;
+        if let Some(sender) = down_from.take() {
+            add_hop(
+                (sender, current),
+                weigh(g, current, table.parent_port(), sender),
+            );
+        }
         match next_hop_view(table, header_label)? {
-            None => return Ok((root, level, path)),
+            None => {
+                return length
+                    .map(|length| (root, level, path, length))
+                    .map_err(|(from, to)| RoutingError::NonEdgeHop { from, to })
+            }
             Some(next) => {
+                if table.parent() == Some(next) {
+                    add_hop(
+                        (current, next),
+                        weigh(g, current, table.parent_port(), next),
+                    );
+                } else {
+                    down_from = Some(current);
+                }
                 path.push(next);
                 current = next;
             }

@@ -79,7 +79,7 @@ pub fn build_landmark_baseline(
     }
     let hierarchy = Hierarchy::from_levels(n, vec![(0..n).collect(), landmarks.clone()]);
     let family = exact_cluster_family(g, &hierarchy);
-    let scheme = RoutingScheme::assemble(&family, seed ^ 0x1A4D_0002);
+    let scheme = RoutingScheme::assemble(&family, g, seed ^ 0x1A4D_0002);
     let mut ledger = RoundLedger::new();
     let k = k_for_charge.max(1) as f64;
     let rounds = ((n as f64).powf(0.5 + 1.0 / k) + hop_diameter as f64) * (n as f64).ln().max(1.0);

@@ -57,7 +57,7 @@ pub fn build_tz_baseline(
     let params = SchemeParams::new(k, g.num_nodes(), seed);
     let hierarchy = Hierarchy::sample(&params);
     let family = exact_cluster_family(g, &hierarchy);
-    let scheme = RoutingScheme::assemble(&family, seed ^ 0xBA5E_11AE);
+    let scheme = RoutingScheme::assemble(&family, g, seed ^ 0xBA5E_11AE);
     let oracle = DistanceEstimation::build(&family);
     let mut ledger = RoundLedger::new();
     ledger.charge(

@@ -244,7 +244,7 @@ pub fn build_routing_scheme_with(
     );
     let (scheme, assemble_stats) = {
         let _s = en_obs::span("assemble");
-        RoutingScheme::assemble_opts(&family, config.seed ^ 0x7EE5_0FF1CE, opts)
+        RoutingScheme::assemble_opts(&family, g, config.seed ^ 0x7EE5_0FF1CE, opts)
     };
     build_stats.absorb(&assemble_stats);
 

@@ -146,44 +146,33 @@ pub struct RouteOutcome {
 }
 
 impl RouteOutcome {
-    /// Weighs a forwarded `path` in the host graph `g` and measures its
-    /// stretch against `exact` (1.0 when `exact` is 0). Every storage of
+    /// The outcome of a route the kernel forwarded and weighed
+    /// ([`forward_via`](crate::access::forward_via)), with its stretch
+    /// measured against `exact` (1.0 when `exact` is 0). Every storage of
     /// the scheme builds its outcomes here, so they agree bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// [`RoutingError::NonEdgeHop`] names the first hop of `path` that is
-    /// not an edge of `g`: the scheme was built for a different graph.
-    pub fn weighed_in(
-        g: &WeightedGraph,
-        tree_root: NodeId,
-        level: usize,
-        path: Path,
-        exact: Dist,
-    ) -> Result<Self, RoutingError> {
-        let length = path
-            .try_length_in(g)
-            .map_err(|(from, to)| RoutingError::NonEdgeHop { from, to })?;
+    pub fn new(tree_root: NodeId, level: usize, path: Path, length: Dist, exact: Dist) -> Self {
         let stretch = if exact == 0 {
             1.0
         } else {
             length as f64 / exact as f64
         };
-        Ok(RouteOutcome {
+        RouteOutcome {
             tree_root,
             level,
             path,
             length,
             exact,
             stretch,
-        })
+        }
     }
 }
 
 impl RoutingScheme {
-    /// Assembles the routing scheme from a cluster family.
+    /// Assembles the routing scheme from a cluster family grown in `g`.
     ///
-    /// `tree_seed` seeds the portal sampling of the per-tree schemes.
+    /// `tree_seed` seeds the portal sampling of the per-tree schemes. Every
+    /// tree table gets the port of its parent edge in `g`, through which
+    /// routes weigh their hops.
     ///
     /// The per-tree schemes are built zero-copy from the family's forest
     /// slices (each costs `O(|C|)` working memory, not `O(n)`), and the
@@ -191,22 +180,31 @@ impl RoutingScheme {
     /// labels at level-0 centres — are filled in a single sweep of the
     /// forest's inverted membership CSR instead of one `members()` loop per
     /// cluster.
-    pub fn assemble(family: &ClusterFamily, tree_seed: u64) -> Self {
-        Self::assemble_opts(family, tree_seed, &BuildOptions::sequential()).0
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cluster member is not a vertex of `g`.
+    pub fn assemble(family: &ClusterFamily, g: &WeightedGraph, tree_seed: u64) -> Self {
+        Self::assemble_opts(family, g, tree_seed, &BuildOptions::sequential()).0
     }
 
     /// [`Self::assemble`] with a thread-count knob, also returning the
     /// per-thread work accounting.
     ///
     /// Two phases shard over `std::thread::scope` workers: the per-tree
-    /// scheme builds (contiguous cluster-id spans — each tree's portal
-    /// sampling is seeded from its own centre, so the processing order is
-    /// immaterial) and the per-vertex table/label sweep (contiguous vertex
-    /// spans). Per-worker outputs are concatenated in span order, so the
-    /// assembled scheme is bit-identical to the sequential one for every
-    /// thread count.
+    /// scheme builds with their parent-port resolution (contiguous
+    /// cluster-id spans — each tree's portal sampling is seeded from its own
+    /// centre, so the processing order is immaterial) and the per-vertex
+    /// table/label sweep (contiguous vertex spans). Per-worker outputs are
+    /// concatenated in span order, so the assembled scheme is bit-identical
+    /// to the sequential one for every thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cluster member is not a vertex of `g`.
     pub fn assemble_opts(
         family: &ClusterFamily,
+        g: &WeightedGraph,
         tree_seed: u64,
         opts: &BuildOptions,
     ) -> (Self, BuildStats) {
@@ -226,7 +224,9 @@ impl RoutingScheme {
                     let config = TreeRoutingConfig::new(
                         tree_seed ^ (cluster.center() as u64).wrapping_mul(0x9E37_79B9),
                     );
-                    TreeRoutingScheme::build(&cluster, &config)
+                    let mut scheme = TreeRoutingScheme::build(&cluster, &config);
+                    scheme.resolve_parent_ports(g);
+                    scheme
                 })
                 .collect();
             (schemes, members)
@@ -350,7 +350,11 @@ impl RoutingScheme {
     /// [`en_graph::forest::ClusterView::tree`], per-tree schemes are built
     /// from those trees, and tables are filled by one `members()` loop per
     /// cluster. Same inputs must yield bit-identical routing behaviour.
-    pub fn assemble_reference(family: &ClusterFamily, tree_seed: u64) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cluster member is not a vertex of `g`.
+    pub fn assemble_reference(family: &ClusterFamily, g: &WeightedGraph, tree_seed: u64) -> Self {
         let n = family.n();
         let k = family.k();
         let mut tree_schemes = NodeMap::default();
@@ -362,7 +366,9 @@ impl RoutingScheme {
             let config =
                 TreeRoutingConfig::new(tree_seed ^ (center as u64).wrapping_mul(0x9E37_79B9));
             let tree = cluster.tree();
-            tree_schemes.insert(center, TreeRoutingScheme::build(&tree, &config));
+            let mut scheme = TreeRoutingScheme::build(&tree, &config);
+            scheme.resolve_parent_ports(g);
+            tree_schemes.insert(center, scheme);
             center_level.insert(center, cluster.level());
         }
         // Tables: which trees contain each vertex.
@@ -549,9 +555,9 @@ impl RoutingScheme {
     }
 
     /// Routes a packet from `from` to `to`, forwarding hop by hop through the
-    /// chosen cluster tree (the shared
-    /// [`forward_via`](crate::access::forward_via) kernel), and measures the
-    /// stretch against the exact shortest-path distance in `g`.
+    /// chosen cluster tree and weighing each hop in `g` as it goes (the
+    /// shared [`forward_via`](crate::access::forward_via) kernel), and
+    /// measures the stretch against the exact shortest-path distance in `g`.
     ///
     /// # Errors
     ///
@@ -565,9 +571,9 @@ impl RoutingScheme {
         from: NodeId,
         to: NodeId,
     ) -> Result<RouteOutcome, RoutingError> {
-        let (root, level, path) = access::forward_via(&self, from, to)?;
+        let (root, level, path, length) = access::forward_via(&self, g, from, to)?;
         let exact = dijkstra(g, from).dist[to];
-        RouteOutcome::weighed_in(g, root, level, path, exact)
+        Ok(RouteOutcome::new(root, level, path, length, exact))
     }
 
     /// Routes between the endpoints using a precomputed all-pairs distance
@@ -584,8 +590,8 @@ impl RoutingScheme {
         to: NodeId,
         exact: Dist,
     ) -> Result<RouteOutcome, RoutingError> {
-        let (root, level, path) = access::forward_via(&self, from, to)?;
-        RouteOutcome::weighed_in(g, root, level, path, exact)
+        let (root, level, path, length) = access::forward_via(&self, g, from, to)?;
+        Ok(RouteOutcome::new(root, level, path, length, exact))
     }
 }
 
@@ -654,7 +660,7 @@ mod tests {
         let params = SchemeParams::new(k, n, seed);
         let hierarchy = Hierarchy::sample(&params);
         let family = exact_cluster_family(&g, &hierarchy);
-        let scheme = RoutingScheme::assemble(&family, seed);
+        let scheme = RoutingScheme::assemble(&family, &g, seed);
         (g, scheme, params)
     }
 
@@ -756,6 +762,41 @@ mod tests {
             scheme.find_tree(99, 0),
             Err(RoutingError::NodeOutOfRange { .. })
         ));
+    }
+
+    /// Forwarding does not read the graph, so a route in a graph missing
+    /// some edges takes the path it takes in the built graph, and the
+    /// kernel, which weighs hops at either end, names the path's first
+    /// missing edge.
+    #[test]
+    fn non_edge_hop_names_the_first_missing_edge_of_the_path() {
+        let (g, scheme, _) = exact_scheme(50, 3, 9);
+        let thinned =
+            WeightedGraph::from_edges(50, g.edges().step_by(2).map(|e| (e.u, e.v, e.weight)))
+                .unwrap();
+        let mut with_two_missing = 0;
+        for u in g.nodes() {
+            for v in g.nodes() {
+                let path = scheme.route(&g, u, v).unwrap().path;
+                let mut missing = path
+                    .nodes()
+                    .windows(2)
+                    .filter(|hop| !thinned.has_edge(hop[0], hop[1]));
+                let res = scheme.route_with_exact(&thinned, u, v, 1);
+                match missing.next() {
+                    None => assert_eq!(res.unwrap().path, path),
+                    Some(hop) => {
+                        let first = RoutingError::NonEdgeHop {
+                            from: hop[0],
+                            to: hop[1],
+                        };
+                        assert_eq!(res.unwrap_err(), first, "{u}->{v}");
+                        with_two_missing += missing.next().is_some() as usize;
+                    }
+                }
+            }
+        }
+        assert!(with_two_missing > 0, "some route misses two edges");
     }
 
     #[test]

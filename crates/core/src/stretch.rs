@@ -131,7 +131,8 @@ mod tests {
         let params = SchemeParams::new(k, n, seed);
         let hierarchy = Hierarchy::sample(&params);
         let family = exact_cluster_family(&g, &hierarchy);
-        (g, RoutingScheme::assemble(&family, seed), params)
+        let scheme = RoutingScheme::assemble(&family, &g, seed);
+        (g, scheme, params)
     }
 
     #[test]
@@ -169,7 +170,7 @@ mod tests {
         let params = SchemeParams::new(1, 1, 0);
         let hierarchy = Hierarchy::sample(&params);
         let family = exact_cluster_family(&g, &hierarchy);
-        let s = RoutingScheme::assemble(&family, 0);
+        let s = RoutingScheme::assemble(&family, &g, 0);
         let report = measure_stretch_sampled(&g, &s, 10, 0);
         assert_eq!(report.pairs, 0);
     }

@@ -2,10 +2,13 @@
 //!
 //! The adjacency list of each vertex is ordered; the index of a neighbour in
 //! that list is the *port number* of the edge at that endpoint, exactly as a
-//! node in the CONGEST model would address its incident links. Routing tables
-//! produced by the schemes in this workspace store port numbers, never raw
-//! neighbour ids, mirroring the paper's model where "port numbers may be
-//! assigned by the routing process".
+//! node in the CONGEST model would address its incident links. The routing
+//! tables of this workspace name tree neighbours by vertex id, and each tree
+//! table also stores the port of its parent edge (resolved once with
+//! [`WeightedGraph::port_towards`] when the scheme is assembled), so a route
+//! weighs a hop with one [`WeightedGraph::neighbors`] read instead of a scan
+//! ([`WeightedGraph::edge_weight`]) — the paper's model, where a node
+//! forwards through one of its own ports.
 
 use crate::error::GraphError;
 use crate::types::{Dist, NodeId, Weight};

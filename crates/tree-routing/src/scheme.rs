@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use en_graph::forest::{LocalTopology, TreeView, NO_LOCAL_PARENT};
-use en_graph::{NodeId, Path};
+use en_graph::{NodeId, Path, WeightedGraph};
 
 use crate::cost::theorem7_rounds;
 use crate::label::{GlobalException, LabelView, LocalLabel, LocalLabelView, TreeLabel};
@@ -410,6 +410,7 @@ impl TreeRoutingScheme {
                 tree_root: root,
                 subtree_root: w,
                 parent: (parent_idx[i] != NO_LOCAL_PARENT).then(|| vid(parent(i))),
+                parent_port: None,
                 heavy_child: heavy_child[i].map(vid),
                 a_local: local.a,
                 b_local: local.a + local_size[i],
@@ -434,6 +435,23 @@ impl TreeRoutingScheme {
             labels,
             portals: portals.into_iter().map(vid).collect(),
             tree_size,
+        }
+    }
+
+    /// Resolves every table's [`TreeTable::parent_port`] in `g`, the host
+    /// graph the tree was built in: one scan of each member's adjacency
+    /// list, so a route can later weigh an edge through its port instead
+    /// of scanning again. A parent that is not adjacent keeps `None`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a member is not a vertex of `g`.
+    pub fn resolve_parent_ports(&mut self, g: &WeightedGraph) {
+        for t in &mut self.tables {
+            t.parent_port = t
+                .parent
+                .and_then(|p| g.port_towards(t.vertex, p))
+                .and_then(|port| u32::try_from(port).ok());
         }
     }
 
@@ -704,6 +722,28 @@ mod tests {
         }
         // The fixture exercises each kind of sharing on non-empty lists.
         assert!(global_lists > 0 && heavy_entries > 0 && local_lists > 0);
+    }
+
+    #[test]
+    fn resolved_parent_ports_lead_to_the_parent() {
+        let g = erdos_renyi_connected(&GeneratorConfig::new(70, 9).with_weights(1, 50), 0.06);
+        let tree = spt_of(&g, 3);
+        let mut scheme = TreeRoutingScheme::build(&tree, &TreeRoutingConfig::new(4));
+        assert!(scheme.tables.iter().all(|t| t.parent_port.is_none()));
+        scheme.resolve_parent_ports(&g);
+        for t in &scheme.tables {
+            match t.parent {
+                Some(p) => {
+                    let port = t.parent_port.expect("a tree edge is an edge of g") as usize;
+                    assert_eq!(g.neighbors(t.vertex)[port].node, p, "vertex {}", t.vertex);
+                }
+                None => assert_eq!(t.parent_port, None),
+            }
+        }
+        // A parent that is not adjacent in the graph has no port.
+        let edgeless = WeightedGraph::new(g.num_nodes());
+        scheme.resolve_parent_ports(&edgeless);
+        assert!(scheme.tables.iter().all(|t| t.parent_port.is_none()));
     }
 
     #[test]

@@ -50,6 +50,13 @@ pub struct TreeTable {
     pub subtree_root: NodeId,
     /// The parent of this vertex in the real tree `T` (None only at the tree root).
     pub parent: Option<NodeId>,
+    /// The port of the edge to [`Self::parent`]: the parent's position in
+    /// this vertex's adjacency list of the host graph (see
+    /// [`TreeRoutingScheme::resolve_parent_ports`](crate::TreeRoutingScheme::resolve_parent_ports)).
+    /// `None` until resolved, at the root, and when the parent is not
+    /// adjacent. It is part of the parent entry, as a node forwards up
+    /// through a port of its own.
+    pub parent_port: Option<u32>,
     /// The heavy child of this vertex *within its subtree*, if it has children there.
     pub heavy_child: Option<NodeId>,
     /// DFS entry time of this vertex within its subtree.
@@ -80,8 +87,8 @@ impl TreeTable {
 
     /// Size of the table in `O(log n)`-bit words.
     pub fn words(&self) -> usize {
-        // vertex, tree root, subtree root, parent, heavy child, 4 interval
-        // endpoints, plus the global heavy entry.
+        // vertex, tree root, subtree root, parent (with its port), heavy
+        // child, 4 interval endpoints, plus the global heavy entry.
         9 + self
             .global_heavy
             .as_deref()
@@ -105,6 +112,11 @@ pub trait TableView: Copy {
     fn subtree_root(&self) -> NodeId;
     /// The parent of this vertex in the real tree (None only at the root).
     fn parent(&self) -> Option<NodeId>;
+    /// The port of the edge to [`Self::parent`] in this vertex's adjacency
+    /// list of the host graph, if known. Forwarding does not read it; the
+    /// route kernel weighs hops through it, and checks that it leads to the
+    /// expected neighbour before trusting it.
+    fn parent_port(&self) -> Option<u32>;
     /// The heavy child of this vertex within its subtree, if any.
     fn heavy_child(&self) -> Option<NodeId>;
     /// DFS entry time of this vertex within its subtree.
@@ -134,6 +146,11 @@ impl<'a> TableView for &'a TreeTable {
     #[inline]
     fn parent(&self) -> Option<NodeId> {
         self.parent
+    }
+
+    #[inline]
+    fn parent_port(&self) -> Option<u32> {
+        self.parent_port
     }
 
     #[inline]
@@ -174,6 +191,7 @@ mod tests {
             tree_root: 0,
             subtree_root: 2,
             parent: Some(2),
+            parent_port: None,
             heavy_child: Some(7),
             a_local: 3,
             b_local: 6,

@@ -4,10 +4,10 @@
 //! snapshot columns. There is no forwarding loop in this module: the
 //! validated [`FlatScheme`] implements [`RouteAccess`], so flat and
 //! in-memory routing run the single storage-generic kernel in
-//! [`en_routing::access`] — one `Find-tree` and one hop loop, bit-identical
-//! by construction. Batches shard across plain `std::thread::scope` workers
-//! (the engine is `Sync`: a snapshot borrow plus a graph borrow), each with
-//! its own pre-sized output scratch.
+//! [`en_routing::access`] — one `Find-tree` and one hop loop that also
+//! weighs each hop, bit-identical by construction. Batches shard across
+//! plain `std::thread::scope` workers (the engine is `Sync`: a snapshot
+//! borrow plus a graph borrow), each with its own pre-sized output scratch.
 //!
 //! # Fault tolerance
 //!
@@ -27,7 +27,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use en_graph::dijkstra::dijkstra;
-use en_graph::{Dist, NodeId, Path, WeightedGraph};
+use en_graph::{Dist, NodeId, WeightedGraph};
 use en_routing::access::{self, RouteAccess};
 use en_routing::error::RoutingError;
 use en_routing::scheme::RouteOutcome;
@@ -83,9 +83,12 @@ impl<'a> RouteAccess for FlatScheme<'a> {
 
 /// A query engine serving one snapshot over one host graph.
 ///
-/// The graph is needed only to weigh traversed paths (and, for
-/// [`Self::route`], to compute the exact-distance denominator the stretch
-/// report uses); forwarding itself reads nothing but the snapshot.
+/// Forwarding decisions read nothing but the snapshot. The graph supplies
+/// the hop weights: the kernel reads each hop's edge through the parent
+/// port a table stores, and scans an adjacency list only when that port
+/// does not lead to the expected neighbour (a snapshot served against
+/// another graph). [`Self::route`] also runs Dijkstra in it for the
+/// exact-distance denominator of the stretch report.
 #[derive(Debug, Clone, Copy)]
 pub struct QueryEngine<'a> {
     flat: FlatScheme<'a>,
@@ -198,11 +201,6 @@ impl<'a> QueryEngine<'a> {
         access::find_tree_via(&self.flat, from, to)
     }
 
-    /// Forwards hop by hop, returning the tree used, its level, and the path.
-    fn forward(&self, from: NodeId, to: NodeId) -> Result<(NodeId, usize, Path), RoutingError> {
-        access::forward_via(&self.flat, from, to)
-    }
-
     /// Routes one packet, measuring stretch against the exact distance
     /// (computed with Dijkstra, like the in-memory scheme's `route`).
     ///
@@ -210,9 +208,9 @@ impl<'a> QueryEngine<'a> {
     ///
     /// Mirrors [`RoutingScheme::route`](en_routing::scheme::RoutingScheme::route).
     pub fn route(&self, from: NodeId, to: NodeId) -> Result<RouteOutcome, RoutingError> {
-        let (root, level, path) = self.forward(from, to)?;
+        let (root, level, path, length) = access::forward_via(&self.flat, self.graph, from, to)?;
         let exact = dijkstra(self.graph, from).dist[to];
-        RouteOutcome::weighed_in(self.graph, root, level, path, exact)
+        Ok(RouteOutcome::new(root, level, path, length, exact))
     }
 
     /// Routes one packet against a caller-supplied exact distance (the
@@ -228,8 +226,8 @@ impl<'a> QueryEngine<'a> {
         to: NodeId,
         exact: Dist,
     ) -> Result<RouteOutcome, RoutingError> {
-        let (root, level, path) = self.forward(from, to)?;
-        RouteOutcome::weighed_in(self.graph, root, level, path, exact)
+        let (root, level, path, length) = access::forward_via(&self.flat, self.graph, from, to)?;
+        Ok(RouteOutcome::new(root, level, path, length, exact))
     }
 
     fn route_chunk(

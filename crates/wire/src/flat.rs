@@ -5,7 +5,9 @@
 //! section checksums, section bounds, then a structural proof: centre index
 //! and cluster descriptors agree, member columns are strictly ascending
 //! ids below `n` that tile their section, CSR offsets are monotone inside
-//! their value columns, every table and label record lies inside its pool,
+//! their value columns, the table and label records tile their pools in
+//! the order the serializer writes them (so every offset starts the record
+//! it names, and a label record names the vertex it is referenced for),
 //! and the member-slot rank index is a bijection onto the member columns.
 //! Anything inconsistent is rejected, checksums or not, so a buffer that
 //! opens is one the accessors can read without re-checking: there is one
@@ -25,8 +27,8 @@ use crate::error::WireError;
 use crate::format::{
     Section, Words, CLUSTER_RECORD_WORDS, HEADER_WORDS, H_HEADER_SUM, H_K, H_MAX_LABEL_WORDS,
     H_MAX_TABLE_WORDS, H_N, H_NUM_CLUSTERS, H_SECTIONS, H_SECTION_SUMS, H_TOTAL_LABEL_WORDS,
-    H_TOTAL_MEMBERS, H_TOTAL_TABLE_WORDS, H_TOTAL_WORDS, LABEL_ENTRY_WORDS, MAGIC, NULL,
-    NUM_SECTIONS, OWN_ENTRY_WORDS, TABLE_FIXED_WORDS, VERSION,
+    H_TOTAL_MEMBERS, H_TOTAL_TABLE_WORDS, H_TOTAL_WORDS, LABEL_ENTRY_WORDS, MAGIC, MAX_N, NO_PORT,
+    NULL, NUM_SECTIONS, OWN_ENTRY_WORDS, TABLE_FIXED_WORDS, VERSION,
 };
 
 /// A complete routing scheme served directly from a snapshot buffer.
@@ -262,7 +264,14 @@ impl<'a> TableView for FlatTreeTable<'a> {
 
     #[inline]
     fn parent(&self) -> Option<NodeId> {
-        opt(self.words.get(self.off + 1))
+        let w = self.words.get(self.off + 1);
+        (w != NULL).then_some(w as u32 as NodeId)
+    }
+
+    #[inline]
+    fn parent_port(&self) -> Option<u32> {
+        let port = (self.words.get(self.off + 1) >> 32) as u32;
+        (port != NO_PORT).then_some(port)
     }
 
     #[inline]
@@ -495,6 +504,11 @@ impl<'a> FlatScheme<'a> {
         if k == 0 {
             return Err(WireError::Corrupt { what: "k is zero" });
         }
+        if n > MAX_N {
+            return Err(WireError::Corrupt {
+                what: "n exceeds the 32-bit vertex ids of the format",
+            });
+        }
 
         // Section table: contiguous, in order, inside the buffer.
         let mut secs = [0usize; NUM_SECTIONS + 1];
@@ -591,6 +605,12 @@ impl<'a> FlatScheme<'a> {
         }
         let table_pool_len =
             self.secs[Section::TablePool as usize + 1] - self.secs[Section::TablePool as usize];
+        let not_tiled = WireError::Corrupt {
+            what: "table records do not tile the table pool in member order",
+        };
+        // Member order is the serializer's write order: each member's
+        // record starts where the previous one ends.
+        let mut table_end = 0usize;
         let mut covered = 0usize;
         for id in 0..self.num_clusters {
             let c = self.cluster(id);
@@ -626,12 +646,16 @@ impl<'a> FlatScheme<'a> {
                 let rel = words
                     .get(self.secs[Section::MemberTableOffs as usize] + c.members_start + i)
                     as usize;
-                validate_table_record(
+                let end = validate_table_record(
                     words,
                     self.secs[Section::TablePool as usize],
                     table_pool_len,
                     rel,
                 )?;
+                if rel != table_end {
+                    return Err(not_tiled);
+                }
+                table_end = end;
             }
             if !has_center {
                 return Err(WireError::Corrupt {
@@ -643,6 +667,9 @@ impl<'a> FlatScheme<'a> {
             return Err(WireError::Corrupt {
                 what: "member column not fully covered by clusters",
             });
+        }
+        if table_end != table_pool_len {
+            return Err(not_tiled);
         }
         Ok(())
     }
@@ -696,8 +723,37 @@ impl<'a> FlatScheme<'a> {
             Section::LabelEntries,
         )?;
 
+        // Label records tile LABEL_POOL in first-reference order — every
+        // node-label entry by vertex, then every own-cluster entry — which
+        // is the order the serializer interns them in. A first reference
+        // points at the end of the records walked so far and walks its
+        // record once; a repeated one must name a record start seen before.
+        // Either way the record's first word must be the vertex the entry
+        // is for.
         let label_pool_base = self.secs[Section::LabelPool as usize];
         let label_pool_len = self.secs[Section::LabelPool as usize + 1] - label_pool_base;
+        let mut label_end = 0usize;
+        let mut starts = vec![0u64; label_pool_len.div_ceil(64)];
+        let mut label_ref = |off: usize, vertex: u64| -> Result<(), WireError> {
+            if off == label_end {
+                label_end = validate_label_record(words, label_pool_base, label_pool_len, off)?;
+                starts[off / 64] |= 1 << (off % 64);
+            } else if off >= label_pool_len {
+                return Err(WireError::Corrupt {
+                    what: "label record overruns the label pool",
+                });
+            } else if off > label_end || starts[off / 64] & (1 << (off % 64)) == 0 {
+                return Err(WireError::Corrupt {
+                    what: "label offset does not start a label record",
+                });
+            }
+            if words.get(label_pool_base + off) != vertex {
+                return Err(WireError::Corrupt {
+                    what: "label record names another vertex",
+                });
+            }
+            Ok(())
+        };
         for v in 0..self.n {
             // Tree memberships: ascending centre ids, each with a rank-index
             // slot that resolves back to `v` in that cluster's member column.
@@ -722,7 +778,24 @@ impl<'a> FlatScheme<'a> {
                     });
                 }
             }
-            // Own-cluster entries: ascending member ids, valid label records.
+            // Node-label entries: levels within range, `v`'s label records.
+            let (start, count) = self.label_entry_range(v);
+            let base = self.secs[Section::LabelEntries as usize];
+            for e in 0..count {
+                let at = base + (start + e) * LABEL_ENTRY_WORDS;
+                if words.get(at) >= self.k as u64 || words.get(at + 1) >= self.n as u64 {
+                    return Err(WireError::Corrupt {
+                        what: "label entry level or pivot out of range",
+                    });
+                }
+                let off = words.get(at + 3);
+                if off != NULL {
+                    label_ref(off as usize, v as u64)?;
+                }
+            }
+        }
+        for v in 0..self.n {
+            // Own-cluster entries: ascending member ids, each member's record.
             let (start, count) = self.own_range(v);
             let base = self.secs[Section::OwnEntries as usize];
             for e in 0..count {
@@ -735,23 +808,13 @@ impl<'a> FlatScheme<'a> {
                     });
                 }
                 let off = words.get(base + (start + e) * OWN_ENTRY_WORDS + 1) as usize;
-                validate_label_record(words, label_pool_base, label_pool_len, off)?;
+                label_ref(off, m)?;
             }
-            // Node-label entries: levels within range, valid label records.
-            let (start, count) = self.label_entry_range(v);
-            let base = self.secs[Section::LabelEntries as usize];
-            for e in 0..count {
-                let at = base + (start + e) * LABEL_ENTRY_WORDS;
-                if words.get(at) >= self.k as u64 || words.get(at + 1) >= self.n as u64 {
-                    return Err(WireError::Corrupt {
-                        what: "label entry level or pivot out of range",
-                    });
-                }
-                let off = words.get(at + 3);
-                if off != NULL {
-                    validate_label_record(words, label_pool_base, label_pool_len, off as usize)?;
-                }
-            }
+        }
+        if label_end != label_pool_len {
+            return Err(WireError::Corrupt {
+                what: "label records do not tile the label pool",
+            });
         }
         Ok(())
     }
@@ -1006,13 +1069,14 @@ impl SnapshotManifest {
     }
 }
 
-/// Walks one table record, checking that it fits inside the table pool.
+/// Walks one table record, checking that it fits inside the table pool;
+/// returns where it ends.
 fn validate_table_record(
     words: Words<'_>,
     pool_base: usize,
     pool_len: usize,
     rel: usize,
-) -> Result<(), WireError> {
+) -> Result<usize, WireError> {
     let err = WireError::Corrupt {
         what: "table record overruns the table pool",
     };
@@ -1020,32 +1084,33 @@ fn validate_table_record(
     if end > pool_len {
         return Err(err);
     }
-    if words.get(pool_base + rel + 7) != NULL {
-        // Global-heavy tail: portal, portal-label DFS time, exception count…
-        let count_end = end.checked_add(3).ok_or(err)?;
-        if count_end > pool_len {
-            return Err(err);
-        }
-        // …then that many (x, x') pairs.
-        let exc = words.get(pool_base + end + 2) as usize;
-        if count_end
-            .checked_add(exc.checked_mul(2).ok_or(err)?)
-            .ok_or(err)?
-            > pool_len
-        {
-            return Err(err);
-        }
+    if words.get(pool_base + rel + 7) == NULL {
+        return Ok(end);
     }
-    Ok(())
+    // Global-heavy tail: portal, portal-label DFS time, exception count…
+    let count_end = end.checked_add(3).ok_or(err)?;
+    if count_end > pool_len {
+        return Err(err);
+    }
+    // …then that many (x, x') pairs.
+    let exc = words.get(pool_base + end + 2) as usize;
+    let end = count_end
+        .checked_add(exc.checked_mul(2).ok_or(err)?)
+        .ok_or(err)?;
+    if end > pool_len {
+        return Err(err);
+    }
+    Ok(end)
 }
 
-/// Walks one label record, checking that it fits inside the label pool.
+/// Walks one label record, checking that it fits inside the label pool;
+/// returns where it ends.
 fn validate_label_record(
     words: Words<'_>,
     pool_base: usize,
     pool_len: usize,
     rel: usize,
-) -> Result<(), WireError> {
+) -> Result<usize, WireError> {
     let err = WireError::Corrupt {
         what: "label record overruns the label pool",
     };
@@ -1068,20 +1133,26 @@ fn validate_label_record(
                 .ok_or(err)?,
         )?;
     }
-    Ok(())
+    Ok(at)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serialize;
+    use crate::{generate_pairs, serialize, PairWorkload, QueryEngine};
     use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
+    use en_graph::WeightedGraph;
     use en_routing::construction::{build_routing_scheme, ConstructionConfig};
+    use en_routing::scheme::RoutingScheme;
 
-    fn snapshot() -> Vec<u8> {
+    fn built() -> (WeightedGraph, RoutingScheme) {
         let g = erdos_renyi_connected(&GeneratorConfig::new(64, 9).with_weights(1, 15), 0.12);
         let built = build_routing_scheme(&g, &ConstructionConfig::new(2, 9)).unwrap();
-        serialize(&built.scheme)
+        (g, built.scheme)
+    }
+
+    fn snapshot() -> Vec<u8> {
+        serialize(&built().1)
     }
 
     fn word_at(bytes: &[u8], w: usize) -> u64 {
@@ -1172,6 +1243,131 @@ mod tests {
             &[(table_off, u64::MAX)],
             "table record overruns the table pool",
         );
+    }
+
+    #[test]
+    fn table_offset_shifted_by_one_record_is_rejected() {
+        let bytes = snapshot();
+        let flat = FlatScheme::from_bytes(&bytes).unwrap();
+        let offs = start(&flat.manifest(), Section::MemberTableOffs);
+        // The second member's offset names the third member's record: a
+        // whole record, in the pool, that is not the one this member owns.
+        assert_rejected(
+            &bytes,
+            &[(offs + 1, word_at(&bytes, offs + 2))],
+            "table records do not tile the table pool in member order",
+        );
+    }
+
+    /// The word of the first node-label entry of a vertex other than
+    /// vertex 0 that names a label record, and that vertex.
+    fn later_label_entry(flat: &FlatScheme<'_>) -> (usize, NodeId) {
+        let m = flat.manifest();
+        (1..flat.n())
+            .find_map(|v| {
+                let (first, count) = flat.label_entry_range(v);
+                (first..first + count)
+                    .map(|e| start(&m, Section::LabelEntries) + e * LABEL_ENTRY_WORDS + 3)
+                    .find(|&at| flat.words.get(at) != NULL)
+                    .map(|at| (at, v))
+            })
+            .expect("some vertex past 0 carries a tree label")
+    }
+
+    #[test]
+    fn label_entry_offset_naming_another_vertex_is_rejected() {
+        let bytes = snapshot();
+        let flat = FlatScheme::from_bytes(&bytes).unwrap();
+        let (at, v) = later_label_entry(&flat);
+        // The pool's first record is vertex 0's, from its first entry.
+        let pool = start(&flat.manifest(), Section::LabelPool);
+        assert_eq!(word_at(&bytes, pool), 0);
+        assert_ne!(v, 0);
+        assert_rejected(&bytes, &[(at, 0)], "label record names another vertex");
+    }
+
+    #[test]
+    fn label_entry_offset_into_a_record_is_rejected() {
+        let bytes = snapshot();
+        let flat = FlatScheme::from_bytes(&bytes).unwrap();
+        let (at, _) = later_label_entry(&flat);
+        // Word 1 of the pool is inside vertex 0's record.
+        assert_rejected(
+            &bytes,
+            &[(at, 1)],
+            "label offset does not start a label record",
+        );
+    }
+
+    #[test]
+    fn parent_ports_lead_to_the_parent_in_memory_and_in_the_snapshot() {
+        let (g, scheme) = built();
+        let bytes = serialize(&scheme);
+        let flat = FlatScheme::from_bytes(&bytes).unwrap();
+        let leads_to_parent = |v: NodeId, parent: Option<NodeId>, port: Option<u32>| match parent {
+            Some(p) => {
+                let port = port.expect("a tree edge is an edge of the graph") as usize;
+                assert_eq!(g.neighbors(v)[port].node, p, "vertex {v}");
+            }
+            None => assert_eq!(port, None, "the root {v} has no parent edge"),
+        };
+        let mut tables = 0;
+        for c in scheme.centers() {
+            let ts = scheme.tree_scheme(c).unwrap();
+            for v in ts.members() {
+                let t = ts.table(v).unwrap();
+                leads_to_parent(v, t.parent, t.parent_port);
+                tables += 1;
+            }
+        }
+        for cluster in flat.clusters() {
+            for slot in 0..cluster.len() {
+                let t = cluster.table_at(slot).unwrap();
+                leads_to_parent(t.vertex(), t.parent(), t.parent_port());
+                tables -= 1;
+            }
+        }
+        assert_eq!(tables, 0, "the snapshot holds every table");
+    }
+
+    /// The ports are only a shortcut: with every port half of a re-sealed
+    /// snapshot pointing at the wrong neighbour, past the adjacency list,
+    /// or nowhere, each hop is weighed by the adjacency scan instead and
+    /// every outcome is the pristine snapshot's.
+    #[test]
+    fn scrambled_parent_ports_serve_the_pristine_outcomes() {
+        let (g, scheme) = built();
+        let bytes = serialize(&scheme);
+        let flat = FlatScheme::from_bytes(&bytes).unwrap();
+        let mut edits = Vec::new();
+        for cluster in flat.clusters() {
+            for slot in 0..cluster.len() {
+                let t = cluster.table_at(slot).unwrap();
+                let (Some(parent), Some(port)) = (t.parent(), t.parent_port()) else {
+                    continue;
+                };
+                let degree = g.degree(t.vertex()) as u32;
+                let scrambled = match edits.len() % 3 {
+                    0 if degree > 1 => (port + 1) % degree,
+                    1 => degree,
+                    _ => NO_PORT,
+                };
+                edits.push((t.off + 1, parent as u64 | u64::from(scrambled) << 32));
+            }
+        }
+        assert!(edits.len() > 100, "the drill rewrites many parent words");
+        let forged = forge(&bytes, &edits);
+        let scrambled = FlatScheme::from_bytes(&forged).expect("ports are not validated");
+        let pristine = QueryEngine::new(flat, &g).unwrap();
+        let served = QueryEngine::new(scrambled, &g).unwrap();
+        let pairs = generate_pairs(&g, &PairWorkload::Uniform, 400, 5);
+        let expect = pristine.route_batch(&pairs, None, 1);
+        assert_eq!(expect.stats.failed, 0);
+        for threads in [1usize, 2, 8] {
+            let batch = served.route_batch(&pairs, None, threads);
+            assert_eq!(batch.stats.shard_panics, 0, "{threads} threads");
+            assert_eq!(batch.outcomes, expect.outcomes, "{threads} threads");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! ```text
 //! header (HEADER_WORDS words)
 //!   0  magic "ENWIRE01"
-//!   1  format version (4)
+//!   1  format version (5)
 //!   2  n                      (host vertices)
 //!   3  k                      (levels)
 //!   4  number of clusters
@@ -54,11 +54,16 @@
 //! ```
 //!
 //! **Table record** (vertex and tree root are implicit — the member column
-//! and the cluster centre): subtree root, parent or NULL, heavy child or
+//! and the cluster centre): subtree root, parent word, heavy child or
 //! NULL, `a_local`, `b_local`, `a_global`, `b_global`, global-heavy child
 //! subtree or NULL; when present, the global-heavy entry continues with
 //! portal, portal-label DFS time, exception count, and that many `(x, x')`
-//! word pairs.
+//! word pairs. The parent word is NULL at the tree root and otherwise
+//! `parent | port << 32`: the parent's id in the low half and, in the high
+//! half, the port of the parent edge in the vertex's adjacency list, or
+//! [`NO_PORT`] when the parent is not adjacent. Vertex ids therefore fit
+//! 32 bits: a snapshot holds fewer than `u32::MAX` vertices ([`MAX_N`]),
+//! so no parent word but the root's is NULL.
 //!
 //! **Label record**: vertex, subtree root, `a_global`, local DFS time, local
 //! exception count, the `(x, x')` pairs, global exception count, then per
@@ -80,14 +85,25 @@ pub const MAGIC: u64 = u64::from_le_bytes(*b"ENWIRE01");
 /// tree), growing the header to 48 words. Version 4 keeps the v3 layout
 /// and size but computes each section checksum with the 16-lane
 /// [`fnv1a_lanes_bytes`](crate::checksum::fnv1a_lanes_bytes) instead of
-/// the single chain; the header checksum is unchanged. v2 and v3
-/// snapshots are rejected with a structured unsupported-version error,
-/// never a checksum mismatch.
-pub const VERSION: u64 = 4;
+/// the single chain; the header checksum is unchanged. Version 5 keeps the
+/// v4 layout, size and checksums but packs the port of the parent edge
+/// into the high half of each table record's parent word (see the module
+/// docs), which caps `n` below `u32::MAX`. v2, v3 and v4 snapshots are
+/// rejected with a structured unsupported-version error, never a checksum
+/// mismatch.
+pub const VERSION: u64 = 5;
 
 /// Sentinel standing for "absent" (`None` parents, missing global-heavy
 /// entries, label entries whose vertex is outside the pivot's tree).
 pub const NULL: u64 = u64::MAX;
+
+/// The port half of a table record's parent word when the parent is not
+/// adjacent in the graph the scheme was assembled in.
+pub const NO_PORT: u32 = u32::MAX;
+
+/// The largest vertex count a snapshot holds: every vertex id, and so
+/// every parent in the low half of a parent word, stays below `u32::MAX`.
+pub const MAX_N: usize = u32::MAX as usize - 1;
 
 /// Number of header words before the first section (40 in v2, 48 since v3 —
 /// one more section offset and checksum, re-padded to a power-of-two size).

@@ -8,7 +8,8 @@
 //!
 //! * [`snapshot::serialize`] flattens a complete
 //!   [`RoutingScheme`](en_routing::scheme::RoutingScheme) — per-vertex
-//!   tables, node labels, pivots, and the `4k−5` own-cluster labels — into
+//!   tables (each tree table with the port of its parent edge), node
+//!   labels, pivots, and the `4k−5` own-cluster labels — into
 //!   one relocatable little-endian buffer of CSR-style columns with pooled
 //!   variable-length records (shared tree labels are written once), plus a
 //!   versioned header carrying `n`, `k`, and the Table-1 word-size stats.
@@ -44,13 +45,14 @@
 //! Serving is hardened end to end (see `tests/integration_fault_tolerance.rs`
 //! and the `fault_drill` harness bin):
 //!
-//! * **Snapshot integrity** — the v4 header carries a per-section 16-lane
+//! * **Snapshot integrity** — the header carries a per-section 16-lane
 //!   FNV-1a checksum plus a whole-header checksum ([`checksum`]);
 //!   [`FlatScheme::from_bytes`] verifies them once at load, so corruption is
 //!   a structured [`WireError::ChecksumMismatch`], never a wrong answer, and
 //!   the per-query hot path stays checksum-free.
 //! * **Structural proof** — the same pass proves every offset, CSR, record
-//!   and vertex id in bounds, so bytes forged with recomputed checksums are
+//!   and vertex id in bounds, and every pool offset at the start of the
+//!   record it names, so bytes forged with recomputed checksums are
 //!   rejected with [`WireError::Corrupt`] or, when they are consistent, are
 //!   served without a panic.
 //! * **Epoch hot swap** — [`SchemeStore`] validates candidate snapshots

@@ -16,7 +16,7 @@ use en_tree_routing::{LocalLabel, TreeLabel, TreeTable};
 use crate::checksum::{fnv1a_bytes, fnv1a_lanes_bytes};
 use crate::format::{
     Section, Words, WordsMut, CLUSTER_RECORD_WORDS, HEADER_WORDS, H_HEADER_SUM, H_SECTIONS,
-    H_SECTION_SUMS, LABEL_ENTRY_WORDS, MAGIC, NULL, NUM_SECTIONS, OWN_ENTRY_WORDS,
+    H_SECTION_SUMS, LABEL_ENTRY_WORDS, MAGIC, MAX_N, NO_PORT, NULL, NUM_SECTIONS, OWN_ENTRY_WORDS,
     TABLE_FIXED_WORDS, VERSION,
 };
 
@@ -46,12 +46,14 @@ fn table_record_words(t: &TreeTable) -> usize {
 }
 
 /// Writes one table record. The vertex and tree root are implicit (member
-/// column / cluster centre).
+/// column / cluster centre); the parent word packs the parent edge's port
+/// above the parent's id.
 fn write_table(out: &mut WordsMut<'_>, t: &TreeTable) {
     let gh = t.global_heavy.as_deref();
+    let port = u64::from(t.parent_port.unwrap_or(NO_PORT));
     out.extend(&[
         t.subtree_root as u64,
-        opt(t.parent),
+        t.parent.map_or(NULL, |p| p as u64 | port << 32),
         opt(t.heavy_child),
         t.a_local,
         t.b_local,
@@ -131,10 +133,16 @@ impl<'a> LabelPool<'a> {
 ///
 /// # Panics
 ///
-/// Panics if a vertex's tree list and the clusters listing it as a member
-/// disagree (the assembled schemes never do).
+/// Panics if the scheme has more than [`MAX_N`] vertices (ids must fit the
+/// 32-bit halves of a table record's parent word), or if a vertex's tree
+/// list and the clusters listing it as a member disagree (the assembled
+/// schemes never do).
 pub fn serialize(scheme: &RoutingScheme) -> Vec<u8> {
     let n = scheme.n();
+    assert!(
+        n <= MAX_N,
+        "a snapshot holds at most {MAX_N} vertices, the scheme has {n}"
+    );
     let centers = scheme.centers();
     let trees: Vec<_> = centers
         .iter()
@@ -371,7 +379,7 @@ mod tests {
     /// serializer emits, or to the scheme it is handed, shows up here.
     #[test]
     fn snapshot_bytes_of_fixed_builds_are_pinned() {
-        assert_eq!(pin(64, 9, 0.12, 2, 9), (132_824, 0x232e_0ff8_4021_5457));
-        assert_eq!(pin(300, 5, 0.03, 3, 5), (845_352, 0x2443_44ff_71c7_3385));
+        assert_eq!(pin(64, 9, 0.12, 2, 9), (132_824, 0xc068_179d_2f1f_d402));
+        assert_eq!(pin(300, 5, 0.03, 3, 5), (845_352, 0xb3c9_1b48_07ff_14f0));
     }
 }

@@ -98,8 +98,8 @@ fn check_tree_schemes_match(family: &ClusterFamily, tree_seed: u64) {
 /// pre-forest reference assembly are bit-identical in everything a user can
 /// observe.
 fn check_assemblies_match(g: &WeightedGraph, family: &ClusterFamily, tree_seed: u64) {
-    let fast = RoutingScheme::assemble(family, tree_seed);
-    let reference = RoutingScheme::assemble_reference(family, tree_seed);
+    let fast = RoutingScheme::assemble(family, g, tree_seed);
+    let reference = RoutingScheme::assemble_reference(family, g, tree_seed);
     let n = g.num_nodes();
     for v in 0..n {
         assert_eq!(fast.trees_containing(v), reference.trees_containing(v));

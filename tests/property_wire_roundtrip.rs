@@ -20,10 +20,10 @@
 //!   single-bit flip anywhere in the buffer — including the v3 member-slot
 //!   rank index — so the accepted set is exactly the pristine snapshot
 //!   (which routes bit-identically by the round-trip properties).
-//! * **Version negotiation**: v2 and v3 bytes presented to the v4 reader
-//!   fail with a structured `UnsupportedVersion`, not a checksum mismatch —
-//!   also when the file arrives through the mapped open and the epoch
-//!   store.
+//! * **Version negotiation**: v2, v3 and v4 bytes presented to the v5
+//!   reader fail with a structured `UnsupportedVersion`, not a checksum
+//!   mismatch — also when the file arrives through the mapped open and the
+//!   epoch store.
 
 use proptest::prelude::*;
 
@@ -109,19 +109,21 @@ fn stamp_version(bytes: &[u8], version: u64) -> Vec<u8> {
     out
 }
 
-/// A v3-stamped snapshot file is refused on the mapped path too: the
-/// pre-map shape check reads the version word, so the file is copied
-/// rather than mapped, and the store refuses it with the version error.
-#[test]
-fn v3_snapshot_file_is_refused_by_the_mapped_open_and_the_store() {
+/// A snapshot file stamped with a retired `version` is refused on the
+/// mapped path too: the pre-map shape check reads the version word, so the
+/// file is copied rather than mapped, and the store refuses it with the
+/// version error.
+fn assert_retired_file_is_refused(version: u64) {
     let g = erdos_renyi_connected(&GeneratorConfig::new(40, 3).with_weights(1, 20), 0.12);
     let scheme = build_routing_scheme(&g, &ConstructionConfig::new(2, 3))
         .unwrap()
         .scheme;
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
     std::fs::create_dir_all(dir).unwrap();
-    let path = dir.join("v3_snapshot_file_is_refused_by_the_mapped_open.enwire");
-    std::fs::write(&path, stamp_version(&serialize(&scheme), 3)).unwrap();
+    let path = dir.join(format!(
+        "v{version}_snapshot_file_is_refused_by_the_mapped_open.enwire"
+    ));
+    std::fs::write(&path, stamp_version(&serialize(&scheme), version)).unwrap();
     let opened = MappedSnapshot::open(&path).unwrap();
     std::fs::remove_file(&path).ok();
     assert!(
@@ -130,8 +132,20 @@ fn v3_snapshot_file_is_refused_by_the_mapped_open_and_the_store() {
     );
     assert_eq!(
         SchemeStore::new_source(opened.into()).unwrap_err(),
-        WireError::UnsupportedVersion { found: 3 }
+        WireError::UnsupportedVersion { found: version }
     );
+}
+
+#[test]
+fn v3_snapshot_file_is_refused_by_the_mapped_open_and_the_store() {
+    assert_retired_file_is_refused(3);
+}
+
+/// v4 has v5's layout and checksums, without the parent-edge ports in the
+/// table records' parent words: serving it would misread every parent.
+#[test]
+fn v4_snapshot_file_is_refused_by_the_mapped_open_and_the_store() {
+    assert_retired_file_is_refused(4);
 }
 
 proptest! {
@@ -147,7 +161,7 @@ proptest! {
         let params = SchemeParams::new(k, g.num_nodes(), seed);
         let hierarchy = Hierarchy::sample(&params);
         let family = exact_cluster_family(&g, &hierarchy);
-        let scheme = RoutingScheme::assemble(&family, seed);
+        let scheme = RoutingScheme::assemble(&family, &g, seed);
         check_engine_matches_scheme(&g, &scheme);
     }
 
@@ -171,7 +185,7 @@ proptest! {
         let params = SchemeParams::new(2, g.num_nodes(), seed);
         let hierarchy = Hierarchy::sample(&params);
         let family = exact_cluster_family(&g, &hierarchy);
-        let scheme = RoutingScheme::assemble(&family, seed);
+        let scheme = RoutingScheme::assemble(&family, &g, seed);
         let bytes = serialize(&scheme);
 
         // Truncations at word and sub-word granularity.
@@ -239,12 +253,12 @@ proptest! {
             Err(WireError::UnsupportedVersion { found: 99 })
         ));
 
-        // Version negotiation: a buffer declaring a retired format (v2, or
-        // v3 with its single-chain section checksums) is refused with the
-        // structured version error — the version word is examined before
-        // any checksum, so the caller learns "old format", never a
-        // misleading checksum mismatch.
-        for old in [2u64, 3] {
+        // Version negotiation: a buffer declaring a retired format (v2, v3
+        // with its single-chain section checksums, or v4 without ports in
+        // its parent words) is refused with the structured version error —
+        // the version word is examined before any checksum, so the caller
+        // learns "old format", never a misleading checksum mismatch.
+        for old in [2u64, 3, 4] {
             let stamped = stamp_version(&bytes, old);
             prop_assert_eq!(
                 FlatScheme::from_bytes(&stamped).unwrap_err(),
@@ -288,7 +302,7 @@ proptest! {
         let params = SchemeParams::new(2, g.num_nodes(), 77);
         let hierarchy = Hierarchy::sample(&params);
         let family = exact_cluster_family(&g, &hierarchy);
-        let scheme = RoutingScheme::assemble(&family, 77);
+        let scheme = RoutingScheme::assemble(&family, &g, 77);
         let bytes = serialize(&scheme);
 
         // Header flip: one bit of the proptest-chosen header field.
@@ -334,7 +348,7 @@ proptest! {
         let scheme = if use_exact {
             let params = SchemeParams::new(k, g.num_nodes(), seed);
             let hierarchy = Hierarchy::sample(&params);
-            RoutingScheme::assemble(&exact_cluster_family(&g, &hierarchy), seed)
+            RoutingScheme::assemble(&exact_cluster_family(&g, &hierarchy), &g, seed)
         } else {
             build_routing_scheme(&g, &ConstructionConfig::new(k, seed))
                 .unwrap()
