@@ -16,9 +16,13 @@
 //! The `4k−5` refinement of \[TZ01\] is implemented as well: every centre
 //! `u ∈ A_0 \ A_1` stores the tree labels of all members of its own cluster,
 //! so packets *from* `u` to a member of `C̃(u)` are routed directly in `C̃(u)`.
+//!
+//! Each tree label is stored once, in the tree scheme of its cluster. A
+//! label entry names its tree label by (pivot, vertex), and the `4k−5`
+//! lookup by (centre, member); both read it from that tree's scheme
+//! ([`RoutingScheme::tree_label`], [`RoutingScheme::own_cluster`]).
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use en_graph::dijkstra::dijkstra;
 use en_graph::{shard_spans, BuildOptions, BuildStats, Dist, NodeId, NodeMap, Path, WeightedGraph};
@@ -28,13 +32,10 @@ use crate::access::{self, RouteAccess};
 use crate::error::RoutingError;
 use crate::family::ClusterFamily;
 
-/// One entry of a vertex label: the pivot at some level and, if the vertex
-/// belongs to that pivot's cluster tree, its tree label there.
-///
-/// The tree label is the *same allocation* the per-tree scheme built (and,
-/// for level-0 members, the same one the centre's own-cluster table holds):
-/// labels are `Arc`-pooled, so assembling a scheme never deep-copies an
-/// exception vector.
+/// One entry of a vertex label: the pivot at some level and the distance
+/// to it. The entry's tree label — `v`'s label in `C̃(ẑ_i(v))`, if `v`
+/// belongs to it — is the one the pivot's tree scheme holds
+/// ([`RoutingScheme::tree_label`]).
 #[derive(Debug, Clone)]
 pub struct LabelEntry {
     /// The level `i`.
@@ -43,15 +44,6 @@ pub struct LabelEntry {
     pub pivot: NodeId,
     /// The (approximate) distance `d̂_i(v)`.
     pub dist: Dist,
-    /// The tree label of `v` in `C̃(ẑ_i(v))`, if `v` belongs to it.
-    pub tree_label: Option<Arc<TreeLabel>>,
-}
-
-impl LabelEntry {
-    /// Size in `O(log n)` words.
-    pub fn words(&self) -> usize {
-        3 + self.tree_label.as_ref().map_or(0, |l| l.words())
-    }
 }
 
 /// The complete label of a vertex: one entry per level (missing levels — empty
@@ -65,28 +57,24 @@ pub struct NodeLabel {
 }
 
 impl NodeLabel {
+    /// `v`'s label in `family`: one entry per level that has a pivot.
+    fn of(family: &ClusterFamily, v: NodeId) -> Self {
+        let entries = (0..family.k())
+            .filter_map(|i| {
+                family.pivots[v][i].map(|(pivot, dist)| LabelEntry {
+                    level: i,
+                    pivot,
+                    dist,
+                })
+            })
+            .collect();
+        NodeLabel { vertex: v, entries }
+    }
+
     /// The entry for level `i`, if present.
     pub fn entry(&self, level: usize) -> Option<&LabelEntry> {
         self.entries.iter().find(|e| e.level == level)
     }
-
-    /// Size in `O(log n)` words.
-    pub fn words(&self) -> usize {
-        1 + self.entries.iter().map(LabelEntry::words).sum::<usize>()
-    }
-}
-
-/// The routing table of a vertex.
-#[derive(Debug, Clone, Default)]
-pub struct NodeTable {
-    /// Tree tables for every cluster tree containing this vertex, keyed by the
-    /// tree's centre. (The word size is measured through the underlying
-    /// [`TreeRoutingScheme`]; only membership is recorded here.)
-    pub trees: Vec<NodeId>,
-    /// The \[TZ01\] `4k−5` refinement: if this vertex is a level-0 centre, the
-    /// tree labels of every member of its own cluster (shared, via `Arc`,
-    /// with the members' [`LabelEntry::tree_label`]s and the tree scheme).
-    pub own_cluster_labels: NodeMap<Arc<TreeLabel>>,
 }
 
 /// The assembled routing scheme.
@@ -94,13 +82,17 @@ pub struct NodeTable {
 pub struct RoutingScheme {
     k: usize,
     n: usize,
-    /// Per-centre tree routing schemes.
+    /// Per-centre tree routing schemes: the only home of every tree table
+    /// and tree label.
     tree_schemes: NodeMap<TreeRoutingScheme>,
-    /// Per-vertex tables.
-    tables: Vec<NodeTable>,
+    /// Per vertex, the ascending centres of the cluster trees containing it
+    /// (its routing table's tree list; the tree tables themselves are read
+    /// from those trees' schemes).
+    trees: Vec<Vec<NodeId>>,
     /// Per-vertex labels.
     labels: Vec<NodeLabel>,
-    /// The level of each centre (used for reporting).
+    /// The level of each centre: it is reported with every route, and
+    /// level-0 centres make the `4k−5` lookup.
     center_level: NodeMap<usize>,
 }
 
@@ -176,10 +168,10 @@ impl RoutingScheme {
     ///
     /// The per-tree schemes are built zero-copy from the family's forest
     /// slices (each costs `O(|C|)` working memory, not `O(n)`), and the
-    /// per-vertex tables — including the \[TZ01\] `4k−5` refinement's member
-    /// labels at level-0 centres — are filled in a single sweep of the
-    /// forest's inverted membership CSR instead of one `members()` loop per
-    /// cluster.
+    /// per-vertex tree lists and label entries are filled in a single sweep
+    /// of the forest's inverted membership CSR instead of one `members()`
+    /// loop per cluster. The tree labels, the \[TZ01\] `4k−5` refinement's
+    /// included, stay in the tree schemes.
     ///
     /// # Panics
     ///
@@ -195,7 +187,7 @@ impl RoutingScheme {
     /// scheme builds with their parent-port resolution (contiguous
     /// cluster-id spans — each tree's portal sampling is seeded from its own
     /// centre, so the processing order is immaterial) and the per-vertex
-    /// table/label sweep (contiguous vertex spans). Per-worker outputs are
+    /// tree-list/label sweep (contiguous vertex spans). Per-worker outputs are
     /// concatenated in span order, so the assembled scheme is bit-identical
     /// to the sequential one for every thread count.
     ///
@@ -241,92 +233,46 @@ impl RoutingScheme {
             schemes_by_id.extend(schemes);
         }
         stats.absorb(&tree_stats);
-        // Per-cluster data addressable by dense id during the sweeps below.
+        // Centres by dense cluster id, for the sweep below.
         let mut center_level = NodeMap::default();
         center_level.reserve(num_clusters);
         let mut centers = Vec::with_capacity(num_clusters);
-        let mut is_level0 = Vec::with_capacity(num_clusters);
         for cluster in forest.clusters() {
             centers.push(cluster.center());
-            is_level0.push(cluster.level() == 0);
             center_level.insert(cluster.center(), cluster.level());
-        }
-        // Centre-keyed scheme lookup for the label sweep (the map itself is
-        // only moved into the result after `schemes_by_id` is done serving
-        // the own-cluster fill, so the sweep reads through dense ids).
-        let mut id_of_center = NodeMap::default();
-        id_of_center.reserve(num_clusters);
-        for (id, &center) in centers.iter().enumerate() {
-            id_of_center.insert(center, id);
         }
         // Phase B: the per-vertex sweep — tree memberships (sorted by
         // centre) and pivot label entries — sharded over contiguous vertex
-        // spans. Workers only read the forest CSR and the finished schemes;
-        // outputs land at fixed per-vertex slots.
-        let schemes_ref = &schemes_by_id;
-        let centers_ref = &centers;
-        let id_of_center_ref = &id_of_center;
+        // spans. Workers only read the forest CSR and the pivots; outputs
+        // are concatenated in span (= vertex) order.
         let sweep = |span: Range<usize>| -> (Vec<(Vec<NodeId>, NodeLabel)>, usize) {
             let mut produced = 0usize;
             let rows = span
                 .map(|v| {
                     let mut trees = Vec::with_capacity(forest.overlap_of(v));
                     for (id, _) in forest.membership(v) {
-                        trees.push(centers_ref[id]);
+                        trees.push(centers[id]);
                     }
                     trees.sort_unstable();
-                    let mut entries = Vec::new();
-                    for i in 0..k {
-                        if let Some((pivot, dist)) = family.pivots[v][i] {
-                            let tree_label = id_of_center_ref
-                                .get(&pivot)
-                                .and_then(|&id| schemes_ref[id].label_arc(v))
-                                .cloned();
-                            entries.push(LabelEntry {
-                                level: i,
-                                pivot,
-                                dist,
-                                tree_label,
-                            });
-                        }
-                    }
-                    produced += trees.len() + entries.len();
-                    (trees, NodeLabel { vertex: v, entries })
+                    let label = NodeLabel::of(family, v);
+                    produced += trees.len() + label.entries.len();
+                    (trees, label)
                 })
                 .collect();
             (rows, produced)
         };
         let vertex_spans = shard_spans(n, opts.threads, 1);
-        let mut tables: Vec<NodeTable> = (0..n).map(|_| NodeTable::default()).collect();
+        let mut trees: Vec<Vec<NodeId>> = Vec::with_capacity(n);
         let mut labels: Vec<NodeLabel> = Vec::with_capacity(n);
         let mut sweep_stats = BuildStats::default();
         for (span, (rows, produced)) in vertex_spans.iter().zip(run_sharded(&vertex_spans, sweep)) {
             sweep_stats.record(span.len(), produced);
-            for (j, (trees, label)) in rows.into_iter().enumerate() {
-                tables[span.start + j].trees = trees;
+            for (tree_list, label) in rows {
+                trees.push(tree_list);
                 labels.push(label);
             }
         }
         stats.absorb(&sweep_stats);
-        // The [TZ01] 4k−5 refinement: every level-0 centre stores the tree
-        // labels of its own cluster's members. The fill walks the member
-        // slice, whose positions index the scheme's labels directly; each
-        // insert shares the scheme's allocation (Arc bump).
-        for (id, scheme) in schemes_by_id.iter().enumerate() {
-            if !is_level0[id] {
-                continue;
-            }
-            let cluster = forest.cluster(id);
-            let own = &mut tables[centers[id]].own_cluster_labels;
-            own.reserve(cluster.len());
-            for (pos, v) in cluster.members().enumerate() {
-                let label = scheme
-                    .label_arc_by_index(pos)
-                    .expect("member position is within the tree scheme");
-                debug_assert_eq!(label.vertex, v);
-                own.insert(v, Arc::clone(label));
-            }
-        }
         let mut tree_schemes = NodeMap::default();
         tree_schemes.reserve(num_clusters);
         for (center, scheme) in centers.iter().zip(schemes_by_id) {
@@ -336,7 +282,7 @@ impl RoutingScheme {
             k,
             n,
             tree_schemes,
-            tables,
+            trees,
             labels,
             center_level,
         };
@@ -348,8 +294,8 @@ impl RoutingScheme {
     /// per-centre cluster-growth oracle): every cluster is first materialised
     /// as a dense host-sized [`RootedTree`](en_graph::tree::RootedTree) via
     /// [`en_graph::forest::ClusterView::tree`], per-tree schemes are built
-    /// from those trees, and tables are filled by one `members()` loop per
-    /// cluster. Same inputs must yield bit-identical routing behaviour.
+    /// from those trees, and tree lists are filled by one `members()` loop
+    /// per cluster. Same inputs must yield bit-identical routing behaviour.
     ///
     /// # Panics
     ///
@@ -371,57 +317,22 @@ impl RoutingScheme {
             tree_schemes.insert(center, scheme);
             center_level.insert(center, cluster.level());
         }
-        // Tables: which trees contain each vertex.
-        let mut tables: Vec<NodeTable> = (0..n).map(|_| NodeTable::default()).collect();
+        // Tree lists: which trees contain each vertex.
+        let mut trees: Vec<Vec<NodeId>> = vec![Vec::new(); n];
         for (&center, scheme) in &tree_schemes {
             for v in scheme.members() {
-                tables[v].trees.push(center);
+                trees[v].push(center);
             }
         }
-        for table in &mut tables {
-            table.trees.sort_unstable();
-        }
-        // Labels: pivot entries per level.
-        let mut labels: Vec<NodeLabel> = Vec::with_capacity(n);
-        for v in 0..n {
-            let mut entries = Vec::new();
-            for i in 0..k {
-                if let Some((pivot, dist)) = family.pivots[v][i] {
-                    let tree_label = tree_schemes
-                        .get(&pivot)
-                        .and_then(|s| s.label_arc(v))
-                        .cloned();
-                    entries.push(LabelEntry {
-                        level: i,
-                        pivot,
-                        dist,
-                        tree_label,
-                    });
-                }
-            }
-            labels.push(NodeLabel { vertex: v, entries });
-        }
-        // The 4k−5 refinement: level-0 centres store their members' labels.
-        for cluster in family.clusters() {
-            if cluster.level() != 0 {
-                continue;
-            }
-            let center = cluster.center();
-            let scheme = &tree_schemes[&center];
-            let mut own = NodeMap::default();
-            for v in scheme.members() {
-                if let Some(label) = scheme.label_arc(v) {
-                    own.insert(v, Arc::clone(label));
-                }
-            }
-            tables[center].own_cluster_labels = own;
+        for tree_list in &mut trees {
+            tree_list.sort_unstable();
         }
         RoutingScheme {
             k,
             n,
             tree_schemes,
-            tables,
-            labels,
+            trees,
+            labels: (0..n).map(|v| NodeLabel::of(family, v)).collect(),
             center_level,
         }
     }
@@ -445,18 +356,20 @@ impl RoutingScheme {
         &self.labels[v]
     }
 
-    /// The routing table of `v`.
+    /// The ascending centres of the cluster trees containing `v`: the tree
+    /// list of `v`'s routing table, whose tree tables the trees' schemes
+    /// hold.
     ///
     /// # Panics
     ///
     /// Panics if `v` is out of range.
-    pub fn table(&self, v: NodeId) -> &NodeTable {
-        &self.tables[v]
+    pub fn trees_of(&self, v: NodeId) -> &[NodeId] {
+        &self.trees[v]
     }
 
     /// The number of cluster trees containing `v`.
     pub fn trees_containing(&self, v: NodeId) -> usize {
-        self.tables[v].trees.len()
+        self.trees[v].len()
     }
 
     /// All cluster centres with a tree scheme, in ascending id order (the
@@ -477,25 +390,46 @@ impl RoutingScheme {
         self.center_level.get(&center).copied()
     }
 
+    /// `v`'s tree label in the cluster tree rooted at `center`, if `v`
+    /// belongs to it — the label a label entry with pivot `center` names.
+    pub fn tree_label(&self, center: NodeId, v: NodeId) -> Option<&TreeLabel> {
+        self.tree_schemes.get(&center)?.label(v)
+    }
+
+    /// The \[TZ01\] `4k−5` refinement: a level-0 centre stores the tree
+    /// labels of its own cluster's members, which are exactly the labels of
+    /// its own tree scheme. Returns that scheme when `center` is a level-0
+    /// centre, and `None` otherwise.
+    pub fn own_cluster(&self, center: NodeId) -> Option<&TreeRoutingScheme> {
+        match self.center_level.get(&center) {
+            Some(0) => self.tree_schemes.get(&center),
+            _ => None,
+        }
+    }
+
     /// Size of `v`'s routing table in `O(log n)` words: the sum of its tree
-    /// tables plus (for level-0 centres) the stored member labels.
+    /// tables plus (for level-0 centres) one member id and label per member
+    /// of its own cluster.
     pub fn table_words(&self, v: NodeId) -> usize {
-        let tree_words: usize = self.tables[v]
-            .trees
+        let tree_words: usize = self.trees[v]
             .iter()
             .map(|center| self.tree_schemes[center].table_words(v))
             .sum();
-        let own_words: usize = self.tables[v]
-            .own_cluster_labels
-            .values()
-            .map(|l| 1 + l.words())
-            .sum();
+        let own_words: usize = self
+            .own_cluster(v)
+            .map_or(0, |own| own.labels().iter().map(|l| 1 + l.words()).sum());
         tree_words + own_words
     }
 
-    /// Size of `v`'s label in `O(log n)` words.
+    /// Size of `v`'s label in `O(log n)` words: the vertex id, and per entry
+    /// its level, pivot and distance plus the tree label it names.
     pub fn label_words(&self, v: NodeId) -> usize {
-        self.labels[v].words()
+        let entry_words: usize = self.labels[v]
+            .entries
+            .iter()
+            .map(|e| 3 + self.tree_label(e.pivot, v).map_or(0, TreeLabel::words))
+            .sum();
+        1 + entry_words
     }
 
     /// Maximum table size over all vertices, in words.
@@ -526,32 +460,21 @@ impl RoutingScheme {
 
     /// Algorithm 1 (`Find-tree`) plus the \[TZ01\] `4k−5` refinement: returns
     /// the centre of the tree the packet from `from` to `to` will use, and the
-    /// destination's tree label there — using only `from`'s table and `to`'s
-    /// label, exactly as a real node would.
+    /// destination's tree label there, borrowed from that tree's scheme —
+    /// using only `from`'s table and `to`'s label, exactly as a real node
+    /// would. The scan is the storage-generic
+    /// [`find_tree_via`](crate::access::find_tree_via) kernel.
     ///
-    /// The scan itself is the storage-generic
-    /// [`find_tree_via`](crate::access::find_tree_via) kernel; this wrapper
-    /// only re-resolves the chosen label as a shared handle into the
-    /// scheme's pooled label storage (an `Arc` bump, not a deep copy of the
-    /// exception vectors).
+    /// # Errors
+    ///
+    /// Out-of-range vertices and the (low-probability) no-common-tree case.
     pub fn find_tree(
         &self,
         from: NodeId,
         to: NodeId,
-    ) -> Result<(NodeId, Arc<TreeLabel>), RoutingError> {
-        let (root, _) = access::find_tree_via(&self, from, to)?;
-        // The kernel checks the own-cluster refinement first, so when the
-        // entry exists it is exactly the hit the kernel returned.
-        if let Some(label) = self.tables[from].own_cluster_labels.get(&to) {
-            return Ok((from, Arc::clone(label)));
-        }
-        let label = self.labels[to]
-            .entries
-            .iter()
-            .find(|e| e.pivot == root && e.tree_label.is_some())
-            .and_then(|e| e.tree_label.as_ref())
-            .expect("the kernel's pivot comes from one of to's label entries");
-        Ok((root, Arc::clone(label)))
+    ) -> Result<(NodeId, &TreeLabel), RoutingError> {
+        let (root, label) = access::find_tree_via(&self, from, to)?;
+        Ok((root, label.0))
     }
 
     /// Routes a packet from `from` to `to`, forwarding hop by hop through the
@@ -596,7 +519,8 @@ impl RoutingScheme {
 }
 
 /// The in-memory instantiation of the forwarding kernel: lookups go through
-/// the owned tables, labels, and per-centre tree schemes.
+/// the per-vertex tree lists and labels, and read every tree table and tree
+/// label from the per-centre tree schemes.
 impl<'a> RouteAccess for &'a RoutingScheme {
     type Label = TreeLabelRef<'a>;
     type Table = &'a TreeTable;
@@ -610,10 +534,9 @@ impl<'a> RouteAccess for &'a RoutingScheme {
     #[inline]
     fn own_label(&self, center: NodeId, member: NodeId) -> Option<TreeLabelRef<'a>> {
         let this: &'a RoutingScheme = self;
-        this.tables[center]
-            .own_cluster_labels
-            .get(&member)
-            .map(|l| l.as_view())
+        this.own_cluster(center)?
+            .label(member)
+            .map(TreeLabel::as_view)
     }
 
     #[inline]
@@ -624,13 +547,13 @@ impl<'a> RouteAccess for &'a RoutingScheme {
     #[inline]
     fn label_entry(&self, to: NodeId, i: usize) -> (NodeId, Option<TreeLabelRef<'a>>) {
         let this: &'a RoutingScheme = self;
-        let entry = &this.labels[to].entries[i];
-        (entry.pivot, entry.tree_label.as_ref().map(|l| l.as_view()))
+        let pivot = this.labels[to].entries[i].pivot;
+        (pivot, this.tree_label(pivot, to).map(TreeLabel::as_view))
     }
 
     #[inline]
     fn in_tree(&self, v: NodeId, root: NodeId) -> bool {
-        self.tables[v].trees.binary_search(&root).is_ok()
+        self.trees[v].binary_search(&root).is_ok()
     }
 
     #[inline]
@@ -717,7 +640,7 @@ mod tests {
                 }
                 let (root, label) = scheme.find_tree(u, v).unwrap();
                 // The chosen tree really does contain both endpoints.
-                assert!(scheme.tables[u].trees.binary_search(&root).is_ok() || root == u);
+                assert!(scheme.trees_of(u).binary_search(&root).is_ok() || root == u);
                 assert_eq!(label.vertex, v);
             }
         }

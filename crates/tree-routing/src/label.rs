@@ -176,10 +176,9 @@ pub trait LabelView: Copy {
 
 /// The borrowed view of an owned [`TreeLabel`].
 ///
-/// This is the type forwarding consumes; `RoutingScheme`-level code holds
-/// labels behind `Arc` (the assemble-path pooling) or borrows them from a
-/// tree scheme, and both hand out this view without cloning any exception
-/// vector.
+/// This is the type forwarding consumes: `RoutingScheme`-level code borrows
+/// a label from the tree scheme that holds it and hands out this view
+/// without cloning any exception list.
 #[derive(Debug, Clone, Copy)]
 pub struct TreeLabelRef<'a>(pub &'a TreeLabel);
 

@@ -111,15 +111,13 @@ pub struct TreeRoutingScheme {
     /// Member vertex ids, ascending; `tables` and `labels` are aligned.
     member_ids: Vec<u32>,
     tables: Vec<TreeTable>,
-    /// Labels are `Arc`-pooled: the Section-4 assembly stores the same label
-    /// in a level-0 centre's own-cluster table *and* in the member's node
-    /// label, and hands out `Arc` clones instead of deep copies. The lists
-    /// inside a label are shared too (see [`crate::label`]): one global
-    /// exception list per subtree and one local exception list per
-    /// non-heavy edge, so building a scheme copies no list per member.
-    labels: Vec<Arc<TreeLabel>>,
+    /// The only copy of each member's label: the Section-4 scheme names a
+    /// label by (centre, vertex) and reads it here. The lists inside a
+    /// label are shared (see [`crate::label`]): one global exception list
+    /// per subtree and one local exception list per non-heavy edge, so
+    /// building a scheme copies no list per member.
+    labels: Vec<TreeLabel>,
     portals: Vec<NodeId>,
-    tree_size: usize,
 }
 
 /// Outcome of one local TZ routing step.
@@ -225,7 +223,6 @@ impl TreeRoutingScheme {
         let m = members.len();
         let root_local = topo.root_pos;
         let root = members[root_local] as NodeId;
-        let tree_size = m;
         // Local index -> host vertex id (members are ascending, so local
         // order and vertex order agree — tie-breaks below rely on this).
         let vid = |i: usize| members[i] as NodeId;
@@ -237,11 +234,11 @@ impl TreeRoutingScheme {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let gamma = config
             .gamma
-            .unwrap_or_else(|| (tree_size as f64).sqrt().ceil() as usize);
-        let p = if tree_size == 0 {
+            .unwrap_or_else(|| (m as f64).sqrt().ceil() as usize);
+        let p = if m == 0 {
             0.0
         } else {
-            (gamma as f64 / tree_size as f64).clamp(0.0, 1.0)
+            (gamma as f64 / m as f64).clamp(0.0, 1.0)
         };
         let mut is_portal = vec![false; m];
         for (i, portal) in is_portal.iter_mut().enumerate() {
@@ -399,7 +396,7 @@ impl TreeRoutingScheme {
         // Members are ascending, so pushing in local order keeps the arrays
         // binary-searchable by vertex id.
         let mut tables: Vec<TreeTable> = Vec::with_capacity(m);
-        let mut labels: Vec<Arc<TreeLabel>> = Vec::with_capacity(m);
+        let mut labels: Vec<TreeLabel> = Vec::with_capacity(m);
         for (i, local) in local_label.into_iter().enumerate() {
             let v = vid(i);
             let t = sub[i] as usize;
@@ -418,13 +415,13 @@ impl TreeRoutingScheme {
                 b_global: a_global + tprime_size[t],
                 global_heavy: global_heavy[t].clone(),
             });
-            labels.push(Arc::new(TreeLabel {
+            labels.push(TreeLabel {
                 vertex: v,
                 subtree_root: w,
                 local,
                 a_global,
                 global_exceptions: Arc::clone(&global_exceptions[t]),
-            }));
+            });
         }
 
         TreeRoutingScheme {
@@ -434,7 +431,6 @@ impl TreeRoutingScheme {
             tables,
             labels,
             portals: portals.into_iter().map(vid).collect(),
-            tree_size,
         }
     }
 
@@ -471,7 +467,7 @@ impl TreeRoutingScheme {
 
     /// Number of vertices in the tree.
     pub fn tree_size(&self) -> usize {
-        self.tree_size
+        self.member_ids.len()
     }
 
     /// The portal set `U(T)` (always contains the root).
@@ -484,33 +480,21 @@ impl TreeRoutingScheme {
         self.index_of(v).map(|i| &self.tables[i])
     }
 
-    /// The table of the `i`-th member in ascending member order (the wire
-    /// serializer walks tables in member order without re-searching).
-    pub fn table_by_index(&self, i: usize) -> Option<&TreeTable> {
-        self.tables.get(i)
+    /// Every member's table, in ascending member order (aligned with
+    /// [`Self::members`]).
+    pub fn tables(&self) -> &[TreeTable] {
+        &self.tables
     }
 
     /// The label of `v`, if `v` is in the tree.
     pub fn label(&self, v: NodeId) -> Option<&TreeLabel> {
-        self.index_of(v).map(|i| &*self.labels[i])
-    }
-
-    /// The label of `v` behind its shared `Arc`, if `v` is in the tree —
-    /// the assemble path stores this handle instead of a deep clone.
-    pub fn label_arc(&self, v: NodeId) -> Option<&Arc<TreeLabel>> {
         self.index_of(v).map(|i| &self.labels[i])
     }
 
-    /// The label of the `i`-th member in ascending member order — the same
-    /// order an [`en_graph::forest::ClusterForest`] slice lists its members,
-    /// so callers holding a membership-CSR position skip the binary search.
-    pub fn label_by_index(&self, i: usize) -> Option<&TreeLabel> {
-        self.labels.get(i).map(|l| &**l)
-    }
-
-    /// [`Self::label_by_index`], returning the shared `Arc` handle.
-    pub fn label_arc_by_index(&self, i: usize) -> Option<&Arc<TreeLabel>> {
-        self.labels.get(i)
+    /// Every member's label, in ascending member order (aligned with
+    /// [`Self::members`]).
+    pub fn labels(&self) -> &[TreeLabel] {
+        &self.labels
     }
 
     /// The member vertices of the routed tree, in increasing id order.
@@ -535,13 +519,13 @@ impl TreeRoutingScheme {
 
     /// The largest label over all members, in words.
     pub fn max_label_words(&self) -> usize {
-        self.labels.iter().map(|l| l.words()).max().unwrap_or(0)
+        self.labels.iter().map(TreeLabel::words).max().unwrap_or(0)
     }
 
     /// Round charge of building this scheme on a host with hop-diameter `d`
     /// (Theorem 7).
     pub fn construction_rounds(&self, d: usize) -> usize {
-        theorem7_rounds(self.tree_size, d)
+        theorem7_rounds(self.tree_size(), d)
     }
 
     /// Computes the next hop from `current` towards the vertex described by
@@ -573,16 +557,15 @@ impl TreeRoutingScheme {
     /// fails to terminate within `host_size` hops (which would indicate a bug).
     pub fn route(&self, from: NodeId, to: NodeId) -> Result<Path, TreeRoutingError> {
         let label = self
-            .label_arc(to)
-            .ok_or(TreeRoutingError::NotInTree { vertex: to })?
-            .clone();
+            .label(to)
+            .ok_or(TreeRoutingError::NotInTree { vertex: to })?;
         if self.table(from).is_none() {
             return Err(TreeRoutingError::NotInTree { vertex: from });
         }
         let mut path = Path::trivial(from);
         let mut current = from;
         for _ in 0..=self.host_size {
-            match self.next_hop(current, &label)? {
+            match self.next_hop(current, label)? {
                 None => return Ok(path),
                 Some(next) => {
                     path.push(next);

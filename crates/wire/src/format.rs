@@ -70,10 +70,13 @@
 //! global exception: parent subtree, child subtree, portal, portal-label DFS
 //! time, portal exception count, and its `(x, x')` pairs.
 //!
-//! Tree labels referenced from more than one place (a level-0 member's label
-//! appears in its own node label *and* in the centre's own-cluster table —
-//! the same `Arc` after the assemble-path pooling) are written to LABEL_POOL
-//! once and shared by offset.
+//! Each tree label is written to LABEL_POOL once, at its first reference,
+//! and every later reference shares that record by offset. Few records are
+//! named twice. A vertex's level-0 entry names its label in its own cluster
+//! (its level-0 pivot is itself), while a centre's own-cluster entry for
+//! member `m` names `m`'s label in the centre's cluster, so the two meet
+//! only at each level-0 centre's own label. The other repeats are a
+//! vertex's entries at levels whose pivots coincide.
 
 /// First header word: `"ENWIRE01"` as a little-endian `u64`.
 pub const MAGIC: u64 = u64::from_le_bytes(*b"ENWIRE01");

@@ -7,9 +7,8 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
-use std::sync::Arc;
 
-use en_graph::{NodeId, NodeIdHasher};
+use en_graph::NodeIdHasher;
 use en_routing::scheme::RoutingScheme;
 use en_tree_routing::{LocalLabel, TreeLabel, TreeTable};
 
@@ -94,11 +93,10 @@ fn write_label(out: &mut WordsMut<'_>, l: &TreeLabel) {
 
 /// The label pool's layout, decided before any of it is written.
 ///
-/// Labels are `Arc`-pooled by the assemble path — the same allocation backs
-/// a member's node-label entry and the centre's own-cluster table — so
-/// interning by allocation identity writes each shared label once and the
-/// snapshot inherits the in-memory sharing. Allocation addresses are
-/// hashed with the multiply-fold [`NodeIdHasher`], not SipHash.
+/// Every tree label lives once, in its tree scheme, so a label's address
+/// names it: interning by address writes each label once, however many
+/// entries name it (see the `format` module docs for which do). Addresses
+/// are hashed with the multiply-fold [`NodeIdHasher`], not SipHash.
 #[derive(Default)]
 struct LabelPool<'a> {
     /// Pool-relative word offset of each interned label's record.
@@ -111,8 +109,8 @@ struct LabelPool<'a> {
 
 impl<'a> LabelPool<'a> {
     /// Assigns `label` the next pool offset, unless it already has one.
-    fn intern(&mut self, label: &'a Arc<TreeLabel>) {
-        if let Entry::Vacant(slot) = self.offsets.entry(Arc::as_ptr(label)) {
+    fn intern(&mut self, label: &'a TreeLabel) {
+        if let Entry::Vacant(slot) = self.offsets.entry(label) {
             slot.insert(self.words as u64);
             self.records.push(label);
             self.words += label_record_words(label);
@@ -120,8 +118,8 @@ impl<'a> LabelPool<'a> {
     }
 
     /// The pool offset of an interned label.
-    fn offset(&self, label: &Arc<TreeLabel>) -> u64 {
-        self.offsets[&Arc::as_ptr(label)]
+    fn offset(&self, label: &TreeLabel) -> u64 {
+        self.offsets[&(label as *const TreeLabel)]
     }
 }
 
@@ -159,41 +157,34 @@ pub fn serialize(scheme: &RoutingScheme) -> Vec<u8> {
     let mut table_pool_words = 0;
     for (_, _, ts) in &trees {
         members += ts.tree_size();
-        table_pool_words += (0..ts.tree_size())
-            .map(|i| table_record_words(ts.table_by_index(i).expect("tables align with members")))
-            .sum::<usize>();
+        table_pool_words += ts.tables().iter().map(table_record_words).sum::<usize>();
     }
     // Where each vertex's tree list starts in VTREES_VALS (and MEMBER_SLOTS).
     let mut vtrees_start = Vec::with_capacity(n + 1);
     vtrees_start.push(0);
     for v in 0..n {
-        vtrees_start.push(vtrees_start[v] + scheme.table(v).trees.len());
+        vtrees_start.push(vtrees_start[v] + scheme.trees_of(v).len());
     }
     // The label pool is interned in emission order: every node-label entry
-    // of every vertex, then every own-cluster entry, ascending by member.
+    // of every vertex, then every level-0 centre's own-cluster entries,
+    // ascending by member — its tree scheme's member order.
     let mut pool = LabelPool::default();
     let mut label_entries = 0;
     for v in 0..n {
         for entry in &scheme.label(v).entries {
             label_entries += 1;
-            if let Some(l) = &entry.tree_label {
+            if let Some(l) = scheme.tree_label(entry.pivot, v) {
                 pool.intern(l);
             }
         }
     }
-    let mut own: Vec<(NodeId, &Arc<TreeLabel>)> = Vec::new();
+    let mut own_entries = 0;
     for v in 0..n {
-        let start = own.len();
-        own.extend(
-            scheme
-                .table(v)
-                .own_cluster_labels
-                .iter()
-                .map(|(&m, l)| (m, l)),
-        );
-        own[start..].sort_unstable_by_key(|&(m, _)| m);
-        for &(_, l) in &own[start..] {
-            pool.intern(l);
+        if let Some(own) = scheme.own_cluster(v) {
+            own_entries += own.tree_size();
+            for l in own.labels() {
+                pool.intern(l);
+            }
         }
     }
     let lens = Section::ALL.map(|section| match section {
@@ -203,7 +194,7 @@ pub fn serialize(scheme: &RoutingScheme) -> Vec<u8> {
         Section::TablePool => table_pool_words,
         Section::VtreesOff | Section::OwnOff | Section::LabelEntriesOff => n + 1,
         Section::VtreesVals | Section::MemberSlots => vtrees_start[n],
-        Section::OwnEntries => OWN_ENTRY_WORDS * own.len(),
+        Section::OwnEntries => OWN_ENTRY_WORDS * own_entries,
         Section::LabelEntries => LABEL_ENTRY_WORDS * label_entries,
         Section::LabelPool => pool.words,
     });
@@ -240,15 +231,14 @@ pub fn serialize(scheme: &RoutingScheme) -> Vec<u8> {
             member_ids.pushed() as u64,
             ts.tree_size() as u64,
         ]);
-        for (slot, v) in ts.members().enumerate() {
-            let table = ts.table_by_index(slot).expect("tables align with members");
+        for (slot, (v, table)) in ts.members().zip(ts.tables()).enumerate() {
             member_ids.push(v as u64);
             member_table_offs.push(table_pool.pushed() as u64);
             write_table(table_pool, table);
             table_words[v] += table.words();
             let at = vtrees_start[v] + filled[v];
             assert!(
-                at < vtrees_start[v + 1] && scheme.table(v).trees[filled[v]] == center,
+                at < vtrees_start[v + 1] && scheme.trees_of(v)[filled[v]] == center,
                 "vertex {v} is a member of cluster {center} but does not list it as a tree"
             );
             member_slots.set(at, slot as u64);
@@ -256,35 +246,40 @@ pub fn serialize(scheme: &RoutingScheme) -> Vec<u8> {
         }
     }
     // The per-vertex walk: tree lists, node labels, own-cluster labels.
+    // Label words are summed here as they are written: the vertex id, and
+    // per entry its level, pivot and distance plus the label it names.
     let (mut max_label_words, mut total_label_words) = (0, 0);
-    let mut own_at = own.iter();
     for v in 0..n {
-        let table = scheme.table(v);
+        let tree_list = scheme.trees_of(v);
         assert_eq!(
             filled[v],
-            table.trees.len(),
+            tree_list.len(),
             "vertex {v} lists a tree that does not have it as a member"
         );
         vtrees_off.push(vtrees_start[v] as u64);
-        for &c in &table.trees {
+        for &c in tree_list {
             vtrees_vals.push(c as u64);
         }
-        let label = scheme.label(v);
         label_entries_off.push((label_entries.pushed() / LABEL_ENTRY_WORDS) as u64);
-        for entry in &label.entries {
+        let mut label_words = 1;
+        for entry in &scheme.label(v).entries {
+            let l = scheme.tree_label(entry.pivot, v);
             label_entries.extend(&[
                 entry.level as u64,
                 entry.pivot as u64,
                 entry.dist,
-                entry.tree_label.as_ref().map_or(NULL, |l| pool.offset(l)),
+                l.map_or(NULL, |l| pool.offset(l)),
             ]);
+            label_words += 3 + l.map_or(0, TreeLabel::words);
         }
-        max_label_words = max_label_words.max(label.words());
-        total_label_words += label.words();
+        max_label_words = max_label_words.max(label_words);
+        total_label_words += label_words;
         own_off.push((own_entries.pushed() / OWN_ENTRY_WORDS) as u64);
-        for &(m, l) in own_at.by_ref().take(table.own_cluster_labels.len()) {
-            own_entries.extend(&[m as u64, pool.offset(l)]);
-            table_words[v] += 1 + l.words();
+        if let Some(own) = scheme.own_cluster(v) {
+            for (m, l) in own.members().zip(own.labels()) {
+                own_entries.extend(&[m as u64, pool.offset(l)]);
+                table_words[v] += 1 + l.words();
+            }
         }
     }
     vtrees_off.push(vtrees_start[n] as u64);

@@ -9,9 +9,12 @@
 //!   [`RoutingScheme::route`] answer — same tree, same level, same path,
 //!   same length, same exact distance, same stretch *bits* — and
 //!   `find_tree` picks the same tree with the same label vertex.
-//! * **Header accounting**: the snapshot header's Table-1 word stats equal
-//!   the in-memory scheme's own counters, and serialization is
-//!   deterministic (same scheme → same bytes).
+//! * **Header accounting**: the snapshot header's Table-1 word stats —
+//!   maxima and totals — equal the in-memory scheme's own counters, and
+//!   serialization is deterministic (same scheme → same bytes).
+//! * **`4k−5` lookups**: every centre stores the same own-cluster labels in
+//!   both storages — all of its cluster's members at a level-0 centre, none
+//!   anywhere else.
 //! * **Rejection**: truncated buffers — including cuts at every section
 //!   boundary — flipped magic/version words, and a corrupted section offset
 //!   are rejected by [`FlatScheme::from_bytes`] rather than risking a panic
@@ -29,10 +32,12 @@ use proptest::prelude::*;
 
 use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
 use en_graph::WeightedGraph;
+use en_routing::access::RouteAccess;
 use en_routing::construction::{build_routing_scheme, ConstructionConfig};
 use en_routing::exact::exact_cluster_family;
 use en_routing::scheme::RoutingScheme;
 use en_routing::{Hierarchy, SchemeParams};
+use en_tree_routing::LabelView;
 use en_wire::{serialize, FlatScheme, MappedSnapshot, QueryEngine, SchemeStore, WireError};
 
 fn arb_graph() -> impl Strategy<Value = (WeightedGraph, u64)> {
@@ -62,6 +67,38 @@ fn check_engine_matches_scheme(g: &WeightedGraph, scheme: &RoutingScheme) {
     assert_eq!(flat.max_label_words(), scheme.max_label_words());
     let engine = QueryEngine::new(flat, g).expect("graph matches snapshot");
     let n = g.num_nodes();
+    // The serializer sums the header totals in its own walk.
+    let total_table_words: usize = (0..n).map(|v| scheme.table_words(v)).sum();
+    let total_label_words: usize = (0..n).map(|v| scheme.label_words(v)).sum();
+    assert_eq!(flat.total_table_words(), total_table_words);
+    assert_eq!(flat.total_label_words(), total_label_words);
+    // The 4k−5 lookups agree: a level-0 centre stores its whole cluster,
+    // every other vertex nothing, in memory and in the snapshot alike.
+    for c in 0..n {
+        let own_size = match scheme.center_level(c) {
+            Some(0) => scheme
+                .tree_scheme(c)
+                .expect("centres have a scheme")
+                .tree_size(),
+            _ => 0,
+        };
+        assert_eq!(flat.own_label_count(c), own_size, "centre {c}");
+        for m in 0..n {
+            match (RouteAccess::own_label(&scheme, c, m), flat.own_label(c, m)) {
+                (None, None) => {}
+                (Some(a), Some(b)) => {
+                    assert_eq!((a.0.vertex, b.vertex()), (m, m), "centre {c}");
+                    assert_eq!(a.subtree_root(), b.subtree_root(), "centre {c}, member {m}");
+                    assert_eq!(a.a_global(), b.a_global(), "centre {c}, member {m}");
+                }
+                (a, b) => panic!(
+                    "centre {c}, member {m}: in memory {}, in the snapshot {}",
+                    a.is_some(),
+                    b.is_some()
+                ),
+            }
+        }
+    }
     // Routes through full clusters resolve tables by identity, the rest
     // through the rank index: the comparison must cover both.
     let (mut via_full, mut via_partial) = (0usize, 0usize);
