@@ -67,7 +67,7 @@ impl<'a> RouteAccess for FlatScheme<'a> {
 
     #[inline]
     fn in_tree(&self, v: NodeId, root: NodeId) -> bool {
-        self.trees_of(v).binary_search(root as u64).is_ok()
+        u32::try_from(root).is_ok_and(|root| self.trees_of(v).binary_search(root).is_ok())
     }
 
     #[inline]
@@ -453,9 +453,9 @@ mod tests {
         let bytes = serialize(&built.scheme);
         let pristine = QueryEngine::new(FlatScheme::from_bytes(&bytes).unwrap(), &g).unwrap();
         // Offset 6 ends vertex 5's tree row and starts vertex 6's.
-        let vo = pristine.flat().manifest().sections[Section::VtreesOff as usize].start_word;
+        let vo = 2 * pristine.flat().manifest().sections[Section::VtreesOff as usize].start_word;
         let mut bad = bytes.clone();
-        bad[(vo + 6) * 8..(vo + 7) * 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        bad[(vo + 6) * 4..(vo + 7) * 4].copy_from_slice(&(1u32 << 30).to_le_bytes());
         assert!(
             FlatScheme::from_bytes(&bad).is_err(),
             "validation rejects it"

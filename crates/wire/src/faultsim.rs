@@ -56,6 +56,13 @@ pub enum FaultKind {
         /// The value written.
         value: u64,
     },
+    /// Overwrite one 4-byte section field with an arbitrary value.
+    FieldWrite {
+        /// Field offset (in 4-byte fields from the buffer start).
+        field: usize,
+        /// The value written.
+        value: u32,
+    },
 }
 
 /// A named fault: what to do to the bytes, and a label for reports.
@@ -80,15 +87,23 @@ impl FaultCase {
                 out
             }
             FaultKind::WordWrite { word, value } => {
-                let mut out = bytes.to_vec();
-                let at = word * 8;
-                if at + 8 <= out.len() {
-                    out[at..at + 8].copy_from_slice(&value.to_le_bytes());
-                }
-                out
+                overwrite(bytes, word * 8, &value.to_le_bytes())
+            }
+            FaultKind::FieldWrite { field, value } => {
+                overwrite(bytes, field * 4, &value.to_le_bytes())
             }
         }
     }
+}
+
+/// A copy of `bytes` with `value` written at byte `at`, or an unchanged
+/// copy when it would not fit.
+fn overwrite(bytes: &[u8], at: usize, value: &[u8]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    if let Some(dst) = out.get_mut(at..at + value.len()) {
+        dst.copy_from_slice(value);
+    }
+    out
 }
 
 /// Truncations at every section boundary, one word before each boundary,
@@ -162,11 +177,13 @@ pub fn section_flip_plan(
     plan
 }
 
-/// Seeded scrambles of the offset columns — the words the reader indexes
-/// with: cluster descriptors, the member-table offset column, the v3
-/// member-slot rank index, and all three per-vertex CSRs. Each case
-/// overwrites one word with a huge or adversarial value (past-the-end
-/// offsets, reversed monotonicity, slots naming the wrong member).
+/// Seeded scrambles of the offset columns — the fields the reader indexes
+/// with: cluster descriptors, the member-table offset column, the
+/// member-slot rank index, all three per-vertex CSRs, the own-cluster and
+/// node-label entries, and the centre index. Each case overwrites one
+/// 32-bit field (pad fields included) with a huge or adversarial value
+/// (NULL, past-the-end offsets, reversed monotonicity, slots naming the
+/// wrong member).
 pub fn offset_scramble_plan(
     manifest: &SnapshotManifest,
     seed: u64,
@@ -190,15 +207,17 @@ pub fn offset_scramble_plan(
         if span.words == 0 {
             continue;
         }
-        let word = span.start_word + rng.gen_range(0..span.words);
+        let field = 2 * span.start_word + rng.gen_range(0..2 * span.words);
         let value = match rng.gen_range(0..3u32) {
-            0 => u64::MAX,
-            1 => manifest.total_words as u64 + rng.gen_range(1..1_000_000u64),
-            _ => rng.gen_range(0..u64::MAX / 2) | (1 << 40),
+            0 => u32::MAX,
+            1 => u32::try_from(2 * manifest.total_words)
+                .unwrap_or(u32::MAX)
+                .saturating_add(rng.gen_range(1..1_000_000u32)),
+            _ => rng.gen_range(0..u32::MAX / 2) | (1 << 30),
         };
         plan.push(FaultCase {
-            name: format!("scramble {} w{word}={value:#x}", span.section.name()),
-            kind: FaultKind::WordWrite { word, value },
+            name: format!("scramble {} f{field}={value:#x}", span.section.name()),
+            kind: FaultKind::FieldWrite { field, value },
         });
     }
     plan
@@ -298,6 +317,9 @@ pub fn drill_forged(
             FaultKind::Truncate { .. } => false,
             FaultKind::BitFlip { byte, .. } => (header_bytes..bytes.len()).contains(&byte),
             FaultKind::WordWrite { word, .. } => (HEADER_WORDS..bytes.len() / 8).contains(&word),
+            FaultKind::FieldWrite { field, .. } => {
+                (2 * HEADER_WORDS..bytes.len() / 4).contains(&field)
+            }
         };
         if !in_sections {
             continue;
@@ -390,11 +412,33 @@ mod tests {
             u64::from_le_bytes(w.apply(&bytes)[8..16].try_into().unwrap()),
             42
         );
+        let f = FaultCase {
+            name: "f32".into(),
+            kind: FaultKind::FieldWrite {
+                field: 3,
+                value: u32::MAX,
+            },
+        };
+        let written = f.apply(&bytes);
+        assert_eq!(&written[12..16], &[0xFF; 4], "one field is written");
+        assert_eq!(
+            written.iter().filter(|&&b| b != 0).count(),
+            4,
+            "and nothing else"
+        );
         // Out-of-range damage degrades to a no-op instead of panicking.
         let oob = FaultCase {
             name: "oob".into(),
             kind: FaultKind::WordWrite {
                 word: 100,
+                value: 1,
+            },
+        };
+        assert_eq!(oob.apply(&bytes), bytes);
+        let oob = FaultCase {
+            name: "oob32".into(),
+            kind: FaultKind::FieldWrite {
+                field: 16,
                 value: 1,
             },
         };

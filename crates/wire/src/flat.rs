@@ -8,12 +8,15 @@
 //! their value columns, the table and label records tile their pools in
 //! the order the serializer writes them (so every offset starts the record
 //! it names, and a label record names the vertex it is referenced for),
-//! and the member-slot rank index is a bijection onto the member columns.
-//! Anything inconsistent is rejected, checksums or not, so a buffer that
-//! opens is one the accessors can read without re-checking: there is one
-//! accessor set, plain arithmetic over the borrowed bytes, and the views it
-//! hands out ([`FlatTreeTable`], [`FlatTreeLabel`], [`FlatLocalLabel`],
-//! [`FlatU64s`]) are `Copy` slice-plus-offset handles that never allocate.
+//! each level-0 centre's own-label run is aligned with its member column
+//! (one offset per member, naming that member's record) while every other
+//! run is empty, the member-slot rank index is a bijection onto the member
+//! columns, and every section's pad field is zero. Anything inconsistent
+//! is rejected, checksums or not, so a buffer that opens is one the
+//! accessors can read without re-checking: there is one accessor set,
+//! plain arithmetic over the borrowed bytes, and the views it hands out
+//! ([`FlatTreeTable`], [`FlatTreeLabel`], [`FlatLocalLabel`],
+//! [`FlatU32s`]) are `Copy` slice-plus-offset handles that never allocate.
 //!
 //! The epoch store re-opens bytes it validated at publish time with the
 //! crate-private shape-only pass (`FlatScheme::from_bytes_unvalidated`),
@@ -25,10 +28,10 @@ use en_tree_routing::{LabelView, LocalLabelView, TableView};
 use crate::checksum::{fnv1a_bytes, fnv1a_lanes_bytes};
 use crate::error::WireError;
 use crate::format::{
-    Section, Words, CLUSTER_RECORD_WORDS, HEADER_WORDS, H_HEADER_SUM, H_K, H_MAX_LABEL_WORDS,
-    H_MAX_TABLE_WORDS, H_N, H_NUM_CLUSTERS, H_SECTIONS, H_SECTION_SUMS, H_TOTAL_LABEL_WORDS,
-    H_TOTAL_MEMBERS, H_TOTAL_TABLE_WORDS, H_TOTAL_WORDS, LABEL_ENTRY_WORDS, MAGIC, MAX_N, NO_PORT,
-    NULL, NUM_SECTIONS, OWN_ENTRY_WORDS, TABLE_FIXED_WORDS, VERSION,
+    section_words, Fields, Section, CLUSTER_RECORD_FIELDS, HEADER_WORDS, H_HEADER_SUM, H_K,
+    H_MAX_LABEL_WORDS, H_MAX_TABLE_WORDS, H_N, H_NUM_CLUSTERS, H_SECTIONS, H_SECTION_SUMS,
+    H_TOTAL_LABEL_WORDS, H_TOTAL_MEMBERS, H_TOTAL_TABLE_WORDS, H_TOTAL_WORDS, LABEL_ENTRY_FIELDS,
+    MAGIC, MAX_N, NULL, NUM_SECTIONS, TABLE_FIXED_FIELDS, VERSION,
 };
 
 /// A complete routing scheme served directly from a snapshot buffer.
@@ -37,23 +40,23 @@ use crate::format::{
 /// subsequent access borrows from it without allocating.
 #[derive(Debug, Clone, Copy)]
 pub struct FlatScheme<'a> {
-    words: Words<'a>,
+    fields: Fields<'a>,
     n: usize,
     k: usize,
     num_clusters: usize,
-    /// Absolute word offset of each section, plus the buffer end.
+    /// Absolute field offset of each section, plus the buffer end.
     secs: [usize; NUM_SECTIONS + 1],
 }
 
-/// A borrowed run of words viewed as a `u64` column slice.
+/// A borrowed run of fields viewed as a `u32` column slice.
 #[derive(Debug, Clone, Copy)]
-pub struct FlatU64s<'a> {
-    words: Words<'a>,
+pub struct FlatU32s<'a> {
+    fields: Fields<'a>,
     start: usize,
     len: usize,
 }
 
-impl FlatU64s<'_> {
+impl FlatU32s<'_> {
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.len
@@ -67,13 +70,13 @@ impl FlatU64s<'_> {
     /// Element `i` (`i < len()`; validation keeps every column inside the
     /// buffer).
     #[inline]
-    pub fn get(&self, i: usize) -> u64 {
+    pub fn get(&self, i: usize) -> u32 {
         debug_assert!(i < self.len);
-        self.words.get(self.start + i)
+        self.fields.get(self.start + i)
     }
 
     /// Binary search for `x` over an ascending column.
-    pub fn binary_search(&self, x: u64) -> Result<usize, usize> {
+    pub fn binary_search(&self, x: u32) -> Result<usize, usize> {
         let (mut lo, mut hi) = (0usize, self.len);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
@@ -87,7 +90,7 @@ impl FlatU64s<'_> {
     }
 
     /// Iterates the elements.
-    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
         (0..self.len).map(move |i| self.get(i))
     }
 }
@@ -118,9 +121,9 @@ impl<'a> FlatCluster<'a> {
     }
 
     /// The ascending member vertex ids.
-    pub fn members(&self) -> FlatU64s<'a> {
-        FlatU64s {
-            words: self.scheme.words,
+    pub fn members(&self) -> FlatU32s<'a> {
+        FlatU32s {
+            fields: self.scheme.fields,
             start: self.scheme.secs[Section::MemberIds as usize] + self.members_start,
             len: self.members_len,
         }
@@ -131,9 +134,9 @@ impl<'a> FlatCluster<'a> {
     /// A *full* cluster (`n` members — every top-level cluster, since
     /// `A_k = ∅`) answers `v` itself in O(1): validation proves each member
     /// column strictly ascending below `n`, so a column of length `n` is
-    /// the identity. Any other cluster resolves through the v3
+    /// the identity. Any other cluster resolves through the
     /// [`Section::MemberSlots`] rank index: a forward scan of `v`'s *own*
-    /// short tree list for the centre, then one word read — never a search
+    /// short tree list for the centre, then one field read — never a search
     /// over the member column.
     pub fn slot_of(&self, v: NodeId) -> Option<usize> {
         if self.members_len == self.scheme.n {
@@ -143,27 +146,26 @@ impl<'a> FlatCluster<'a> {
         // A vertex's tree row is short (its cluster memberships, not a
         // member column), so a forward scan with an ascending-order early
         // exit beats binary search on the per-hop path.
-        let c = self.center as u64;
         let mut i = 0usize;
         loop {
             if i >= trees.len() {
                 return None;
             }
-            let w = trees.get(i);
-            if w >= c {
-                if w > c {
+            let c = trees.get(i) as NodeId;
+            if c >= self.center {
+                if c > self.center {
                     return None;
                 }
                 break;
             }
             i += 1;
         }
-        // MEMBER_SLOTS is word-aligned with VTREES_VALS, so the tree slice's
-        // position inside its column addresses the slot directly.
+        // MEMBER_SLOTS is field-aligned with VTREES_VALS, so the tree
+        // slice's position inside its column addresses the slot directly.
         let rel = trees.start - self.scheme.secs[Section::VtreesVals as usize];
         let slot = self
             .scheme
-            .words
+            .fields
             .get(self.scheme.secs[Section::MemberSlots as usize] + rel + i)
             as usize;
         (slot < self.members_len).then_some(slot)
@@ -184,28 +186,33 @@ impl<'a> FlatCluster<'a> {
     fn table_at_slot(&self, slot: usize, vertex: NodeId) -> FlatTreeTable<'a> {
         let rel = self
             .scheme
-            .words
+            .fields
             .get(self.scheme.secs[Section::MemberTableOffs as usize] + self.members_start + slot);
         FlatTreeTable {
-            words: self.scheme.words,
+            fields: self.scheme.fields,
             off: self.scheme.secs[Section::TablePool as usize] + rel as usize,
             vertex,
         }
     }
 
     /// The routing table of member `v`, if `v` is in this cluster:
-    /// [`Self::slot_of`] (the identity on a full cluster, the v3 rank index
+    /// [`Self::slot_of`] (the identity on a full cluster, the rank index
     /// otherwise), then O(1) column arithmetic.
     pub fn table_of(&self, v: NodeId) -> Option<FlatTreeTable<'a>> {
         let slot = self.slot_of(v)?;
         Some(self.table_at_slot(slot, v))
     }
 
+    /// `v`'s member-order rank by binary search over the member column.
+    fn search(&self, v: NodeId) -> Option<usize> {
+        self.members().binary_search(u32::try_from(v).ok()?).ok()
+    }
+
     /// The pre-v3 lookup — a binary search over the full member column —
     /// kept as the test oracle the rank-index path is checked against.
     #[cfg(test)]
     pub(crate) fn table_of_by_search(&self, v: NodeId) -> Option<FlatTreeTable<'a>> {
-        let pos = self.members().binary_search(v as u64).ok()?;
+        let pos = self.search(v)?;
         Some(self.table_at_slot(pos, v))
     }
 }
@@ -213,7 +220,7 @@ impl<'a> FlatCluster<'a> {
 /// A borrowed local TZ label (a DFS time plus `(x, x')` exception pairs).
 #[derive(Debug, Clone, Copy)]
 pub struct FlatLocalLabel<'a> {
-    words: Words<'a>,
+    fields: Fields<'a>,
     a: u64,
     exc_start: usize,
     exc_count: usize,
@@ -228,8 +235,8 @@ impl LocalLabelView for FlatLocalLabel<'_> {
     #[inline]
     fn exception_at(&self, x: NodeId) -> Option<NodeId> {
         for i in 0..self.exc_count {
-            if self.words.get(self.exc_start + 2 * i) == x as u64 {
-                return Some(self.words.get(self.exc_start + 2 * i + 1) as NodeId);
+            if self.fields.get(self.exc_start + 2 * i) as NodeId == x {
+                return Some(self.fields.get(self.exc_start + 2 * i + 1) as NodeId);
             }
         }
         None
@@ -239,14 +246,22 @@ impl LocalLabelView for FlatLocalLabel<'_> {
 /// A borrowed tree-routing table record.
 #[derive(Debug, Clone, Copy)]
 pub struct FlatTreeTable<'a> {
-    words: Words<'a>,
-    /// Absolute word offset of the record.
+    fields: Fields<'a>,
+    /// Absolute field offset of the record.
     off: usize,
     vertex: NodeId,
 }
 
-fn opt(w: u64) -> Option<NodeId> {
-    (w != NULL).then_some(w as NodeId)
+fn opt(f: u32) -> Option<NodeId> {
+    (f != NULL).then_some(f as NodeId)
+}
+
+impl FlatTreeTable<'_> {
+    /// Field `i` of the record.
+    #[inline]
+    fn at(&self, i: usize) -> u32 {
+        self.fields.get(self.off + i)
+    }
 }
 
 impl<'a> TableView for FlatTreeTable<'a> {
@@ -259,51 +274,50 @@ impl<'a> TableView for FlatTreeTable<'a> {
 
     #[inline]
     fn subtree_root(&self) -> NodeId {
-        self.words.get(self.off) as NodeId
+        self.at(0) as NodeId
     }
 
     #[inline]
     fn parent(&self) -> Option<NodeId> {
-        let w = self.words.get(self.off + 1);
-        (w != NULL).then_some(w as u32 as NodeId)
+        opt(self.at(1))
     }
 
     #[inline]
     fn parent_port(&self) -> Option<u32> {
-        let port = (self.words.get(self.off + 1) >> 32) as u32;
-        (port != NO_PORT).then_some(port)
+        let port = self.at(2);
+        (port != NULL).then_some(port)
     }
 
     #[inline]
     fn heavy_child(&self) -> Option<NodeId> {
-        opt(self.words.get(self.off + 2))
+        opt(self.at(3))
     }
 
     #[inline]
     fn a_local(&self) -> u64 {
-        self.words.get(self.off + 3)
+        u64::from(self.at(4))
     }
 
     #[inline]
     fn local_interval_contains(&self, a: u64) -> bool {
-        self.words.get(self.off + 3) <= a && a < self.words.get(self.off + 4)
+        u64::from(self.at(4)) <= a && a < u64::from(self.at(5))
     }
 
     #[inline]
     fn global_interval_contains(&self, a_global: u64) -> bool {
-        self.words.get(self.off + 5) <= a_global && a_global < self.words.get(self.off + 6)
+        u64::from(self.at(6)) <= a_global && a_global < u64::from(self.at(7))
     }
 
     #[inline]
     fn global_heavy(&self) -> Option<(NodeId, FlatLocalLabel<'a>)> {
-        let child = opt(self.words.get(self.off + 7))?;
+        let child = opt(self.at(8))?;
         Some((
             child,
             FlatLocalLabel {
-                words: self.words,
-                a: self.words.get(self.off + 9),
-                exc_start: self.off + 11,
-                exc_count: self.words.get(self.off + 10) as usize,
+                fields: self.fields,
+                a: u64::from(self.at(10)),
+                exc_start: self.off + 12,
+                exc_count: self.at(11) as usize,
             },
         ))
     }
@@ -312,22 +326,22 @@ impl<'a> TableView for FlatTreeTable<'a> {
 /// A borrowed tree-label record — the packet-header view forwarding consumes.
 #[derive(Debug, Clone, Copy)]
 pub struct FlatTreeLabel<'a> {
-    words: Words<'a>,
-    /// Absolute word offset of the record.
+    fields: Fields<'a>,
+    /// Absolute field offset of the record.
     off: usize,
 }
 
 impl<'a> FlatTreeLabel<'a> {
     /// The labelled vertex.
     pub fn vertex(&self) -> NodeId {
-        self.words.get(self.off) as NodeId
+        self.fields.get(self.off) as NodeId
     }
 
     fn local_exc_count(&self) -> usize {
-        self.words.get(self.off + 4) as usize
+        self.fields.get(self.off + 4) as usize
     }
 
-    /// Word offset of the global-exception count.
+    /// Field offset of the global-exception count.
     fn gexc_base(&self) -> usize {
         self.off + 5 + 2 * self.local_exc_count()
     }
@@ -338,19 +352,19 @@ impl<'a> LabelView for FlatTreeLabel<'a> {
 
     #[inline]
     fn subtree_root(&self) -> NodeId {
-        self.words.get(self.off + 1) as NodeId
+        self.fields.get(self.off + 1) as NodeId
     }
 
     #[inline]
     fn a_global(&self) -> u64 {
-        self.words.get(self.off + 2)
+        u64::from(self.fields.get(self.off + 2))
     }
 
     #[inline]
     fn local(&self) -> FlatLocalLabel<'a> {
         FlatLocalLabel {
-            words: self.words,
-            a: self.words.get(self.off + 3),
+            fields: self.fields,
+            a: u64::from(self.fields.get(self.off + 3)),
             exc_start: self.off + 5,
             exc_count: self.local_exc_count(),
         }
@@ -358,17 +372,17 @@ impl<'a> LabelView for FlatTreeLabel<'a> {
 
     fn global_exception_at(&self, w: NodeId) -> Option<(NodeId, FlatLocalLabel<'a>)> {
         let base = self.gexc_base();
-        let count = self.words.get(base) as usize;
+        let count = self.fields.get(base) as usize;
         let mut at = base + 1;
         for _ in 0..count {
-            let parent_subtree = self.words.get(at) as NodeId;
-            let exc_count = self.words.get(at + 4) as usize;
+            let parent_subtree = self.fields.get(at) as NodeId;
+            let exc_count = self.fields.get(at + 4) as usize;
             if parent_subtree == w {
                 return Some((
-                    self.words.get(at + 1) as NodeId,
+                    self.fields.get(at + 1) as NodeId,
                     FlatLocalLabel {
-                        words: self.words,
-                        a: self.words.get(at + 3),
+                        fields: self.fields,
+                        a: u64::from(self.fields.get(at + 3)),
                         exc_start: at + 5,
                         exc_count,
                     },
@@ -391,6 +405,42 @@ pub struct FlatLabelEntry<'a> {
     pub dist: u64,
     /// The vertex's tree label in the pivot's tree, when it belongs to it.
     pub tree_label: Option<FlatTreeLabel<'a>>,
+}
+
+/// The sections whose field counts the header fixes, with what a wrong
+/// span means.
+fn fixed_sections(
+    n: usize,
+    num_clusters: usize,
+    total_members: usize,
+) -> [(Section, usize, &'static str); 9] {
+    [
+        (Section::CenterIndex, n, "centre index length"),
+        (
+            Section::Clusters,
+            num_clusters.saturating_mul(CLUSTER_RECORD_FIELDS),
+            "cluster table length",
+        ),
+        (Section::MemberIds, total_members, "member column length"),
+        (
+            Section::MemberTableOffs,
+            total_members,
+            "table-offset column length",
+        ),
+        (Section::VtreesOff, n + 1, "vertex-trees CSR length"),
+        (
+            Section::VtreesVals,
+            total_members,
+            "tree column length disagrees with the member count",
+        ),
+        (
+            Section::MemberSlots,
+            total_members,
+            "member-slot index length disagrees with the member count",
+        ),
+        (Section::OwnOff, n + 1, "own-label CSR length"),
+        (Section::LabelEntriesOff, n + 1, "label-entry CSR length"),
+    ]
 }
 
 impl<'a> FlatScheme<'a> {
@@ -419,14 +469,13 @@ impl<'a> FlatScheme<'a> {
         let t0 = en_obs::active().then(std::time::Instant::now);
         let flat = Self::parse_header(bytes, true)?;
         flat.verify_section_checksums()?;
-        let total_members = flat.words.get(H_TOTAL_MEMBERS) as usize;
-        flat.validate_clusters(total_members)?;
+        flat.validate_clusters()?;
         flat.validate_csrs()?;
         if let Some(t0) = t0 {
             let dur_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             en_obs::histogram_record("wire.validate_ns", dur_ns);
             en_obs::counter_add("wire.validate.runs", 1);
-            let section_words = flat.secs[NUM_SECTIONS] - flat.secs[0];
+            let section_words = (flat.secs[NUM_SECTIONS] - flat.secs[0]) / 2;
             en_obs::counter_add("wire.validate.words_total", section_words as u64);
         }
         Ok(flat)
@@ -466,21 +515,21 @@ impl<'a> FlatScheme<'a> {
                 actual: bytes.len(),
             });
         }
-        let words = Words::new(bytes);
-        if words.get(0) != MAGIC {
+        let fields = Fields::new(bytes);
+        if fields.word(0) != MAGIC {
             return Err(WireError::BadMagic {
-                found: words.get(0),
+                found: fields.word(0),
             });
         }
-        if words.get(1) != VERSION {
+        if fields.word(1) != VERSION {
             return Err(WireError::UnsupportedVersion {
-                found: words.get(1),
+                found: fields.word(1),
             });
         }
         if verify_header_sum {
             // Covers every header word but itself — verified before any
             // other header word is trusted.
-            let expected = words.get(H_HEADER_SUM);
+            let expected = fields.word(H_HEADER_SUM);
             let actual = fnv1a_bytes(&bytes[..H_HEADER_SUM * 8]);
             if expected != actual {
                 return Err(WireError::ChecksumMismatch {
@@ -490,17 +539,17 @@ impl<'a> FlatScheme<'a> {
                 });
             }
         }
-        let total_words = words.get(H_TOTAL_WORDS) as usize;
-        if total_words != words.len() {
+        let total_words = fields.word(H_TOTAL_WORDS) as usize;
+        if total_words != bytes.len() / 8 {
             return Err(WireError::Truncated {
-                expected: total_words * 8,
+                expected: total_words.saturating_mul(8),
                 actual: bytes.len(),
             });
         }
-        let n = words.get(H_N) as usize;
-        let k = words.get(H_K) as usize;
-        let num_clusters = words.get(H_NUM_CLUSTERS) as usize;
-        let total_members = words.get(H_TOTAL_MEMBERS) as usize;
+        let n = fields.word(H_N) as usize;
+        let k = fields.word(H_K) as usize;
+        let num_clusters = fields.word(H_NUM_CLUSTERS) as usize;
+        let total_members = fields.word(H_TOTAL_MEMBERS) as usize;
         if k == 0 {
             return Err(WireError::Corrupt { what: "k is zero" });
         }
@@ -510,10 +559,10 @@ impl<'a> FlatScheme<'a> {
             });
         }
 
-        // Section table: contiguous, in order, inside the buffer.
+        // Section table, in words: contiguous, in order, inside the buffer.
         let mut secs = [0usize; NUM_SECTIONS + 1];
         for (i, sec) in secs.iter_mut().take(NUM_SECTIONS).enumerate() {
-            *sec = words.get(H_SECTIONS + i) as usize;
+            *sec = fields.word(H_SECTIONS + i) as usize;
         }
         secs[NUM_SECTIONS] = total_words;
         if secs[0] != HEADER_WORDS {
@@ -528,50 +577,33 @@ impl<'a> FlatScheme<'a> {
                 });
             }
         }
-        let sec_len = |s: Section| secs[s as usize + 1] - secs[s as usize];
 
         // Fixed-size sections — the byte-budget manifest check: every
         // fixed column's span must match the header's own n / cluster /
         // member counts before any of it is indexed.
-        let fixed: [(Section, usize, &'static str); 7] = [
-            (Section::CenterIndex, n, "centre index length"),
-            (
-                Section::Clusters,
-                num_clusters * CLUSTER_RECORD_WORDS,
-                "cluster table length",
-            ),
-            (Section::MemberIds, total_members, "member column length"),
-            (
-                Section::MemberTableOffs,
-                total_members,
-                "table-offset column length",
-            ),
-            (Section::VtreesOff, n + 1, "vertex-trees CSR length"),
-            (Section::OwnOff, n + 1, "own-label CSR length"),
-            (Section::LabelEntriesOff, n + 1, "label-entry CSR length"),
-        ];
-        for (s, expect, what) in fixed {
-            if sec_len(s) != expect {
+        for (s, len, what) in fixed_sections(n, num_clusters, total_members) {
+            if secs[s as usize + 1] - secs[s as usize] != section_words(len) {
                 return Err(WireError::Corrupt { what });
             }
         }
 
         Ok(FlatScheme {
-            words,
+            fields,
             n,
             k,
             num_clusters,
-            secs,
+            // Words to fields.
+            secs: secs.map(|w| 2 * w),
         })
     }
 
     /// Verifies each section's stored checksum against its bytes, in
     /// section order, so the first damaged section is the one reported.
     fn verify_section_checksums(&self) -> Result<(), WireError> {
-        let bytes = self.words.bytes();
+        let bytes = self.fields.bytes();
         for (i, sec) in Section::ALL.iter().enumerate() {
-            let expected = self.words.get(H_SECTION_SUMS + i);
-            let actual = fnv1a_lanes_bytes(&bytes[self.secs[i] * 8..self.secs[i + 1] * 8]);
+            let expected = self.fields.word(H_SECTION_SUMS + i);
+            let actual = fnv1a_lanes_bytes(&bytes[self.secs[i] * 4..self.secs[i + 1] * 4]);
             if expected != actual {
                 return Err(WireError::ChecksumMismatch {
                     region: sec.name(),
@@ -583,12 +615,33 @@ impl<'a> FlatScheme<'a> {
         Ok(())
     }
 
-    fn validate_clusters(&self, total_members: usize) -> Result<(), WireError> {
-        let words = self.words;
+    /// The span of section `s` in fields, its pad field included.
+    fn span(&self, s: Section) -> usize {
+        self.secs[s as usize + 1] - self.secs[s as usize]
+    }
+
+    /// Whether section `s` holds exactly `len` fields: its span is `len`
+    /// rounded up to whole words, and the pad field, if any, is zero.
+    fn holds(&self, s: Section, len: usize) -> bool {
+        self.span(s) == 2 * section_words(len)
+            && (len % 2 == 0 || self.fields.get(self.secs[s as usize] + len) == 0)
+    }
+
+    fn validate_clusters(&self) -> Result<(), WireError> {
+        let fields = self.fields;
+        let total_members = self.total_members();
+        // The header fixed these spans; what is left is their pad fields.
+        for (s, len, _) in fixed_sections(self.n, self.num_clusters, total_members) {
+            if !self.holds(s, len) {
+                return Err(WireError::Corrupt {
+                    what: "section pad field is not zero",
+                });
+            }
+        }
         // Centre index entries point at clusters whose centre points back.
         let ci = self.secs[Section::CenterIndex as usize];
         for v in 0..self.n {
-            let c = words.get(ci + v);
+            let c = fields.get(ci + v);
             if c == NULL {
                 continue;
             }
@@ -603,8 +656,7 @@ impl<'a> FlatScheme<'a> {
                 });
             }
         }
-        let table_pool_len =
-            self.secs[Section::TablePool as usize + 1] - self.secs[Section::TablePool as usize];
+        let table_pool_len = self.span(Section::TablePool);
         let not_tiled = WireError::Corrupt {
             what: "table records do not tile the table pool in member order",
         };
@@ -615,7 +667,8 @@ impl<'a> FlatScheme<'a> {
         for id in 0..self.num_clusters {
             let c = self.cluster(id);
             if c.center >= self.n
-                || words.get(ci + c.center) != id as u64
+                || fields.get(ci + c.center) as usize != id
+                || c.level >= self.k
                 || c.members_start != covered
                 || c.members_len == 0
             {
@@ -632,22 +685,22 @@ impl<'a> FlatScheme<'a> {
                 }
             };
             let members = c.members();
-            let mut prev: Option<u64> = None;
+            let mut prev: Option<u32> = None;
             let mut has_center = false;
             for i in 0..members.len() {
                 let v = members.get(i);
-                if v >= self.n as u64 || prev.is_some_and(|p| p >= v) {
+                if v as usize >= self.n || prev.is_some_and(|p| p >= v) {
                     return Err(WireError::Corrupt {
                         what: "cluster members not ascending vertex ids",
                     });
                 }
                 has_center |= v as usize == c.center;
                 prev = Some(v);
-                let rel = words
+                let rel = fields
                     .get(self.secs[Section::MemberTableOffs as usize] + c.members_start + i)
                     as usize;
                 let end = validate_table_record(
-                    words,
+                    fields,
                     self.secs[Section::TablePool as usize],
                     table_pool_len,
                     rel,
@@ -668,39 +721,30 @@ impl<'a> FlatScheme<'a> {
                 what: "member column not fully covered by clusters",
             });
         }
-        if table_end != table_pool_len {
+        if !self.holds(Section::TablePool, table_end) {
             return Err(not_tiled);
         }
         Ok(())
     }
 
     fn validate_csrs(&self) -> Result<(), WireError> {
-        let words = self.words;
-        // The v3 rank index is column-aligned with the tree column: same
-        // length, and — checked per incidence below — every slot points back
-        // at its vertex in the named cluster's member column. Requiring the
-        // tree column to also match the member count makes the incidence map
-        // a *bijection* (slots are injective per cluster), so every member
-        // entry is reachable through the index and the indexed lookup is
-        // provably equivalent to the member binary search it replaced.
+        let fields = self.fields;
+        // The rank index is column-aligned with the tree column, and both
+        // are as long as the member column (the shape pass checked all
+        // three). Checked per incidence below, every slot points back at
+        // its vertex in the named cluster's member column, so the incidence
+        // map is a *bijection* (slots are injective per cluster): every
+        // member entry is reachable through the index and the indexed
+        // lookup is provably equivalent to the member binary search it
+        // replaced.
         let vv = Section::VtreesVals as usize;
         let ms = Section::MemberSlots as usize;
-        if self.secs[ms + 1] - self.secs[ms] != self.secs[vv + 1] - self.secs[vv] {
-            return Err(WireError::Corrupt {
-                what: "member-slot index length disagrees with the tree column",
-            });
-        }
-        if self.secs[vv + 1] - self.secs[vv] != self.words.get(H_TOTAL_MEMBERS) as usize {
-            return Err(WireError::Corrupt {
-                what: "tree column length disagrees with the member count",
-            });
-        }
         let check_csr = |s: Section, unit: usize, vals: Section| -> Result<(), WireError> {
             let base = self.secs[s as usize];
-            let vals_len = (self.secs[vals as usize + 1] - self.secs[vals as usize]) / unit;
-            let mut prev = 0u64;
+            let vals_len = self.span(vals) / unit;
+            let mut prev = 0u32;
             for v in 0..=self.n {
-                let o = words.get(base + v);
+                let o = fields.get(base + v);
                 if (v == 0 && o != 0) || o < prev || o as usize > vals_len {
                     return Err(WireError::Corrupt {
                         what: "CSR offsets not monotone within bounds",
@@ -708,7 +752,7 @@ impl<'a> FlatScheme<'a> {
                 }
                 prev = o;
             }
-            if prev as usize != vals_len {
+            if !self.holds(vals, prev as usize * unit) {
                 return Err(WireError::Corrupt {
                     what: "CSR does not cover its value column",
                 });
@@ -716,10 +760,10 @@ impl<'a> FlatScheme<'a> {
             Ok(())
         };
         check_csr(Section::VtreesOff, 1, Section::VtreesVals)?;
-        check_csr(Section::OwnOff, OWN_ENTRY_WORDS, Section::OwnEntries)?;
+        check_csr(Section::OwnOff, 1, Section::OwnEntries)?;
         check_csr(
             Section::LabelEntriesOff,
-            LABEL_ENTRY_WORDS,
+            LABEL_ENTRY_FIELDS,
             Section::LabelEntries,
         )?;
 
@@ -728,15 +772,15 @@ impl<'a> FlatScheme<'a> {
         // is the order the serializer interns them in. A first reference
         // points at the end of the records walked so far and walks its
         // record once; a repeated one must name a record start seen before.
-        // Either way the record's first word must be the vertex the entry
+        // Either way the record's first field must be the vertex the entry
         // is for.
         let label_pool_base = self.secs[Section::LabelPool as usize];
-        let label_pool_len = self.secs[Section::LabelPool as usize + 1] - label_pool_base;
+        let label_pool_len = self.span(Section::LabelPool);
         let mut label_end = 0usize;
         let mut starts = vec![0u64; label_pool_len.div_ceil(64)];
-        let mut label_ref = |off: usize, vertex: u64| -> Result<(), WireError> {
+        let mut label_ref = |off: usize, vertex: u32| -> Result<(), WireError> {
             if off == label_end {
-                label_end = validate_label_record(words, label_pool_base, label_pool_len, off)?;
+                label_end = validate_label_record(fields, label_pool_base, label_pool_len, off)?;
                 starts[off / 64] |= 1 << (off % 64);
             } else if off >= label_pool_len {
                 return Err(WireError::Corrupt {
@@ -747,7 +791,7 @@ impl<'a> FlatScheme<'a> {
                     what: "label offset does not start a label record",
                 });
             }
-            if words.get(label_pool_base + off) != vertex {
+            if fields.get(label_pool_base + off) != vertex {
                 return Err(WireError::Corrupt {
                     what: "label record names another vertex",
                 });
@@ -761,7 +805,7 @@ impl<'a> FlatScheme<'a> {
             let slots_at = self.secs[ms] + (trees.start - self.secs[vv]);
             for i in 0..trees.len() {
                 let c = trees.get(i);
-                if c >= self.n as u64 || (i > 0 && trees.get(i - 1) >= c) {
+                if c as usize >= self.n || (i > 0 && trees.get(i - 1) >= c) {
                     return Err(WireError::Corrupt {
                         what: "vertex tree list not ascending centre ids",
                     });
@@ -771,8 +815,8 @@ impl<'a> FlatScheme<'a> {
                         what: "vertex tree list names a centre without a cluster",
                     });
                 };
-                let slot = words.get(slots_at + i) as usize;
-                if slot >= cluster.len() || cluster.members().get(slot) != v as u64 {
+                let slot = fields.get(slots_at + i) as usize;
+                if slot >= cluster.len() || cluster.members().get(slot) as usize != v {
                     return Err(WireError::Corrupt {
                         what: "member-slot index disagrees with the member column",
                     });
@@ -782,36 +826,40 @@ impl<'a> FlatScheme<'a> {
             let (start, count) = self.label_entry_range(v);
             let base = self.secs[Section::LabelEntries as usize];
             for e in 0..count {
-                let at = base + (start + e) * LABEL_ENTRY_WORDS;
-                if words.get(at) >= self.k as u64 || words.get(at + 1) >= self.n as u64 {
+                let at = base + (start + e) * LABEL_ENTRY_FIELDS;
+                if fields.get(at) as usize >= self.k || fields.get(at + 1) as usize >= self.n {
                     return Err(WireError::Corrupt {
                         what: "label entry level or pivot out of range",
                     });
                 }
-                let off = words.get(at + 3);
+                let off = fields.get(at + 4);
                 if off != NULL {
-                    label_ref(off as usize, v as u64)?;
+                    label_ref(off as usize, v as u32)?;
                 }
             }
         }
         for v in 0..self.n {
-            // Own-cluster entries: ascending member ids, each member's record.
+            // Own-cluster runs: a level-0 centre's run is exactly as long as
+            // its member column and names each member's record at that
+            // member's slot; every other vertex's run is empty. The runs
+            // tile OWN_ENTRIES, so a moved boundary breaks some run's
+            // length.
             let (start, count) = self.own_range(v);
-            let base = self.secs[Section::OwnEntries as usize];
-            for e in 0..count {
-                let m = words.get(base + (start + e) * OWN_ENTRY_WORDS);
-                if m >= self.n as u64
-                    || (e > 0 && words.get(base + (start + e - 1) * OWN_ENTRY_WORDS) >= m)
-                {
-                    return Err(WireError::Corrupt {
-                        what: "own-cluster entries not ascending member ids",
-                    });
+            let own = self.cluster_of_center(v).filter(|c| c.level == 0);
+            if count != own.map_or(0, |c| c.len()) {
+                return Err(WireError::Corrupt {
+                    what: "own-label run is not its level-0 cluster's member column",
+                });
+            }
+            if let Some(own) = own {
+                let members = own.members();
+                let base = self.secs[Section::OwnEntries as usize] + start;
+                for slot in 0..count {
+                    label_ref(fields.get(base + slot) as usize, members.get(slot))?;
                 }
-                let off = words.get(base + (start + e) * OWN_ENTRY_WORDS + 1) as usize;
-                label_ref(off, m)?;
             }
         }
-        if label_end != label_pool_len {
+        if !self.holds(Section::LabelPool, label_end) {
             return Err(WireError::Corrupt {
                 what: "label records do not tile the label pool",
             });
@@ -838,54 +886,45 @@ impl<'a> FlatScheme<'a> {
 
     /// Total snapshot size in bytes.
     pub fn snapshot_bytes(&self) -> usize {
-        self.words.len() * 8
+        self.fields.bytes().len()
     }
 
     /// Sum of all cluster sizes.
     pub fn total_members(&self) -> usize {
-        self.words.get(H_TOTAL_MEMBERS) as usize
+        self.fields.word(H_TOTAL_MEMBERS) as usize
     }
 
     /// Largest routing table in `O(log n)` words (the Table-1 accounting the
     /// in-memory scheme measured at serialization time).
     pub fn max_table_words(&self) -> usize {
-        self.words.get(H_MAX_TABLE_WORDS) as usize
+        self.fields.word(H_MAX_TABLE_WORDS) as usize
     }
 
     /// Summed routing-table words over all vertices.
     pub fn total_table_words(&self) -> usize {
-        self.words.get(H_TOTAL_TABLE_WORDS) as usize
+        self.fields.word(H_TOTAL_TABLE_WORDS) as usize
     }
 
     /// Largest label in `O(log n)` words.
     pub fn max_label_words(&self) -> usize {
-        self.words.get(H_MAX_LABEL_WORDS) as usize
+        self.fields.word(H_MAX_LABEL_WORDS) as usize
     }
 
     /// Summed label words over all vertices.
     pub fn total_label_words(&self) -> usize {
-        self.words.get(H_TOTAL_LABEL_WORDS) as usize
+        self.fields.word(H_TOTAL_LABEL_WORDS) as usize
     }
 
     // --- Column accessors ----------------------------------------------------
 
     /// The ascending centres of the cluster trees containing `v` (empty for
     /// a vertex id outside the snapshot).
-    pub fn trees_of(&self, v: NodeId) -> FlatU64s<'a> {
-        if v >= self.n {
-            return FlatU64s {
-                words: self.words,
-                start: self.secs[Section::VtreesVals as usize],
-                len: 0,
-            };
-        }
-        let base = self.secs[Section::VtreesOff as usize];
-        let start = self.words.get(base + v) as usize;
-        let end = self.words.get(base + v + 1) as usize;
-        FlatU64s {
-            words: self.words,
+    pub fn trees_of(&self, v: NodeId) -> FlatU32s<'a> {
+        let (start, len) = self.csr_range(Section::VtreesOff, v);
+        FlatU32s {
+            fields: self.fields,
             start: self.secs[Section::VtreesVals as usize] + start,
-            len: end - start,
+            len,
         }
     }
 
@@ -896,8 +935,8 @@ impl<'a> FlatScheme<'a> {
             return (0, 0);
         }
         let base = self.secs[offsets as usize];
-        let start = self.words.get(base + v) as usize;
-        let end = self.words.get(base + v + 1) as usize;
+        let start = self.fields.get(base + v) as usize;
+        let end = self.fields.get(base + v + 1) as usize;
         (start, end - start)
     }
 
@@ -907,26 +946,23 @@ impl<'a> FlatScheme<'a> {
 
     /// The `4k−5` refinement lookup: if `center` stores an own-cluster label
     /// for `member`, return it (`None` for out-of-range ids).
+    ///
+    /// Only a level-0 centre has a run, aligned slot for slot with its
+    /// cluster's member column, so the lookup binary-searches that column
+    /// and reads the run at the member's slot.
     pub fn own_label(&self, center: NodeId, member: NodeId) -> Option<FlatTreeLabel<'a>> {
         let (start, count) = self.own_range(center);
-        let base = self.secs[Section::OwnEntries as usize];
-        let (mut lo, mut hi) = (0usize, count);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let m = self.words.get(base + (start + mid) * OWN_ENTRY_WORDS);
-            match m.cmp(&(member as u64)) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => {
-                    let off = self.words.get(base + (start + mid) * OWN_ENTRY_WORDS + 1) as usize;
-                    return Some(FlatTreeLabel {
-                        words: self.words,
-                        off: self.secs[Section::LabelPool as usize] + off,
-                    });
-                }
-            }
+        if count == 0 {
+            return None;
         }
-        None
+        let slot = self.cluster_of_center(center)?.search(member)?;
+        let off = self
+            .fields
+            .get(self.secs[Section::OwnEntries as usize] + start + slot);
+        Some(FlatTreeLabel {
+            fields: self.fields,
+            off: self.secs[Section::LabelPool as usize] + off as usize,
+        })
     }
 
     /// Number of own-cluster labels stored at `center` (0 unless `center` is
@@ -953,14 +989,14 @@ impl<'a> FlatScheme<'a> {
     }
 
     fn decode_label_entry(&self, entry: usize) -> FlatLabelEntry<'a> {
-        let at = self.secs[Section::LabelEntries as usize] + entry * LABEL_ENTRY_WORDS;
-        let off = self.words.get(at + 3);
+        let at = self.secs[Section::LabelEntries as usize] + entry * LABEL_ENTRY_FIELDS;
+        let off = self.fields.get(at + 4);
         FlatLabelEntry {
-            level: self.words.get(at) as usize,
-            pivot: self.words.get(at + 1) as NodeId,
-            dist: self.words.get(at + 2),
+            level: self.fields.get(at) as usize,
+            pivot: self.fields.get(at + 1) as NodeId,
+            dist: self.fields.get_u64(at + 2),
             tree_label: (off != NULL).then(|| FlatTreeLabel {
-                words: self.words,
+                fields: self.fields,
                 off: self.secs[Section::LabelPool as usize] + off as usize,
             }),
         }
@@ -980,14 +1016,14 @@ impl<'a> FlatScheme<'a> {
     /// Panics if `id >= num_clusters()`.
     pub fn cluster(&self, id: usize) -> FlatCluster<'a> {
         assert!(id < self.num_clusters, "cluster id out of range");
-        let at = self.secs[Section::Clusters as usize] + id * CLUSTER_RECORD_WORDS;
+        let at = self.secs[Section::Clusters as usize] + id * CLUSTER_RECORD_FIELDS;
         FlatCluster {
             scheme: *self,
             id,
-            center: self.words.get(at) as NodeId,
-            level: self.words.get(at + 1) as usize,
-            members_start: self.words.get(at + 2) as usize,
-            members_len: self.words.get(at + 3) as usize,
+            center: self.fields.get(at) as NodeId,
+            level: self.fields.get(at + 1) as usize,
+            members_start: self.fields.get(at + 2) as usize,
+            members_len: self.fields.get(at + 3) as usize,
         }
     }
 
@@ -997,7 +1033,7 @@ impl<'a> FlatScheme<'a> {
             return None;
         }
         let id = self
-            .words
+            .fields
             .get(self.secs[Section::CenterIndex as usize] + center);
         (id != NULL).then(|| self.cluster(id as usize))
     }
@@ -1020,14 +1056,14 @@ impl<'a> FlatScheme<'a> {
         for (i, sec) in Section::ALL.iter().enumerate() {
             sections[i] = SectionSpan {
                 section: *sec,
-                start_word: self.secs[i],
-                words: self.secs[i + 1] - self.secs[i],
-                checksum: self.words.get(H_SECTION_SUMS + i),
+                start_word: self.secs[i] / 2,
+                words: (self.secs[i + 1] - self.secs[i]) / 2,
+                checksum: self.fields.word(H_SECTION_SUMS + i),
             };
         }
         SnapshotManifest {
-            total_words: self.words.len(),
-            header_checksum: self.words.get(H_HEADER_SUM),
+            total_words: self.fields.len() / 2,
+            header_checksum: self.fields.word(H_HEADER_SUM),
             sections,
         }
     }
@@ -1040,7 +1076,7 @@ pub struct SectionSpan {
     pub section: Section,
     /// Absolute start, in words from the buffer start.
     pub start_word: usize,
-    /// Length in words.
+    /// Length in words, the pad field included.
     pub words: usize,
     /// The checksum the header stores for this section.
     pub checksum: u64,
@@ -1072,7 +1108,7 @@ impl SnapshotManifest {
 /// Walks one table record, checking that it fits inside the table pool;
 /// returns where it ends.
 fn validate_table_record(
-    words: Words<'_>,
+    fields: Fields<'_>,
     pool_base: usize,
     pool_len: usize,
     rel: usize,
@@ -1080,11 +1116,11 @@ fn validate_table_record(
     let err = WireError::Corrupt {
         what: "table record overruns the table pool",
     };
-    let end = rel.checked_add(TABLE_FIXED_WORDS).ok_or(err)?;
+    let end = rel.checked_add(TABLE_FIXED_FIELDS).ok_or(err)?;
     if end > pool_len {
         return Err(err);
     }
-    if words.get(pool_base + rel + 7) == NULL {
+    if fields.get(pool_base + rel + 8) == NULL {
         return Ok(end);
     }
     // Global-heavy tail: portal, portal-label DFS time, exception count…
@@ -1093,7 +1129,7 @@ fn validate_table_record(
         return Err(err);
     }
     // …then that many (x, x') pairs.
-    let exc = words.get(pool_base + end + 2) as usize;
+    let exc = fields.get(pool_base + end + 2) as usize;
     let end = count_end
         .checked_add(exc.checked_mul(2).ok_or(err)?)
         .ok_or(err)?;
@@ -1106,7 +1142,7 @@ fn validate_table_record(
 /// Walks one label record, checking that it fits inside the label pool;
 /// returns where it ends.
 fn validate_label_record(
-    words: Words<'_>,
+    fields: Fields<'_>,
     pool_base: usize,
     pool_len: usize,
     rel: usize,
@@ -1116,17 +1152,17 @@ fn validate_label_record(
     };
     let check = |at: usize| if at > pool_len { Err(err) } else { Ok(at) };
     let mut at = check(rel.checked_add(5).ok_or(err)?)?;
-    let local_exc = words.get(pool_base + rel + 4) as usize;
+    let local_exc = fields.get(pool_base + rel + 4) as usize;
     at = check(
         at.checked_add(local_exc.checked_mul(2).ok_or(err)?)
             .ok_or(err)?,
     )?;
     check(at + 1)?;
-    let gexc = words.get(pool_base + at) as usize;
+    let gexc = fields.get(pool_base + at) as usize;
     at += 1;
     for _ in 0..gexc {
         check(at.checked_add(5).ok_or(err)?)?;
-        let exc = words.get(pool_base + at + 4) as usize;
+        let exc = fields.get(pool_base + at + 4) as usize;
         at = check(
             at.checked_add(5)
                 .and_then(|x| x.checked_add(exc.checked_mul(2)?))
@@ -1155,15 +1191,15 @@ mod tests {
         serialize(&built().1)
     }
 
-    fn word_at(bytes: &[u8], w: usize) -> u64 {
-        u64::from_le_bytes(bytes[w * 8..w * 8 + 8].try_into().unwrap())
+    fn field_at(bytes: &[u8], f: usize) -> u32 {
+        u32::from_le_bytes(bytes[f * 4..f * 4 + 4].try_into().unwrap())
     }
 
-    /// A copy of `bytes` with each `(word, value)` edit applied.
-    fn poke(bytes: &[u8], edits: &[(usize, u64)]) -> Vec<u8> {
+    /// A copy of `bytes` with each `(field, value)` edit applied.
+    fn poke(bytes: &[u8], edits: &[(usize, u32)]) -> Vec<u8> {
         let mut out = bytes.to_vec();
-        for &(w, value) in edits {
-            out[w * 8..w * 8 + 8].copy_from_slice(&value.to_le_bytes());
+        for &(f, value) in edits {
+            out[f * 4..f * 4 + 4].copy_from_slice(&value.to_le_bytes());
         }
         out
     }
@@ -1171,27 +1207,28 @@ mod tests {
     /// [`poke`], then the checksums re-sealed, so the forged buffer passes
     /// the integrity layer and only the structural validation can reject
     /// it.
-    fn forge(bytes: &[u8], edits: &[(usize, u64)]) -> Vec<u8> {
+    fn forge(bytes: &[u8], edits: &[(usize, u32)]) -> Vec<u8> {
         let mut out = poke(bytes, edits);
         crate::snapshot::seal(&mut out);
         out
     }
 
+    /// The first field of section `s`.
     fn start(m: &SnapshotManifest, s: Section) -> usize {
-        m.sections[s as usize].start_word
+        2 * m.sections[s as usize].start_word
     }
 
-    /// Asserts `from_bytes` refuses the poisoned words twice over: as plain
+    /// Asserts `from_bytes` refuses the poisoned fields twice over: as plain
     /// corruption by the section checksum, and — with the checksums
     /// re-sealed around them — by the structural proof, naming `what`.
     #[track_caller]
-    fn assert_rejected(bytes: &[u8], edits: &[(usize, u64)], what: &'static str) {
+    fn assert_rejected(bytes: &[u8], edits: &[(usize, u32)], what: &'static str) {
         assert!(
             matches!(
                 FlatScheme::from_bytes(&poke(bytes, edits)),
                 Err(WireError::ChecksumMismatch { .. })
             ),
-            "the section checksum must catch the poisoned word"
+            "the section checksum must catch the poisoned field"
         );
         assert_eq!(
             FlatScheme::from_bytes(&forge(bytes, edits)).unwrap_err(),
@@ -1200,7 +1237,7 @@ mod tests {
         );
     }
 
-    // The `try_<accessor>_reports_*` drills each poison a word that
+    // The `try_<accessor>_reports_*` drills each poison a field that
     // `<accessor>` reads without a bounds check. `from_bytes` is the only
     // gate before those reads, so it must refuse every one of them.
 
@@ -1210,11 +1247,11 @@ mod tests {
         let flat = FlatScheme::from_bytes(&bytes).unwrap();
         let ci = start(&flat.manifest(), Section::CenterIndex);
         let center = (0..flat.n())
-            .find(|&v| word_at(&bytes, ci + v) != NULL)
+            .find(|&v| field_at(&bytes, ci + v) != NULL)
             .expect("some vertex is a centre");
         assert_rejected(
             &bytes,
-            &[(ci + center, flat.num_clusters() as u64 + 7)],
+            &[(ci + center, flat.num_clusters() as u32 + 7)],
             "centre index points past the cluster table",
         );
     }
@@ -1227,7 +1264,7 @@ mod tests {
         let cl = start(&m, Section::Clusters);
         assert_rejected(
             &bytes,
-            &[(cl + 3, 1 << 40)],
+            &[(cl + 3, 1 << 30)],
             "cluster members overrun the member column",
         );
     }
@@ -1240,7 +1277,7 @@ mod tests {
             start(&flat.manifest(), Section::MemberTableOffs) + flat.cluster(0).members_start;
         assert_rejected(
             &bytes,
-            &[(table_off, u64::MAX)],
+            &[(table_off, u32::MAX)],
             "table record overruns the table pool",
         );
     }
@@ -1254,12 +1291,12 @@ mod tests {
         // whole record, in the pool, that is not the one this member owns.
         assert_rejected(
             &bytes,
-            &[(offs + 1, word_at(&bytes, offs + 2))],
+            &[(offs + 1, field_at(&bytes, offs + 2))],
             "table records do not tile the table pool in member order",
         );
     }
 
-    /// The word of the first node-label entry of a vertex other than
+    /// The field of the first node-label entry of a vertex other than
     /// vertex 0 that names a label record, and that vertex.
     fn later_label_entry(flat: &FlatScheme<'_>) -> (usize, NodeId) {
         let m = flat.manifest();
@@ -1267,8 +1304,8 @@ mod tests {
             .find_map(|v| {
                 let (first, count) = flat.label_entry_range(v);
                 (first..first + count)
-                    .map(|e| start(&m, Section::LabelEntries) + e * LABEL_ENTRY_WORDS + 3)
-                    .find(|&at| flat.words.get(at) != NULL)
+                    .map(|e| start(&m, Section::LabelEntries) + e * LABEL_ENTRY_FIELDS + 4)
+                    .find(|&at| flat.fields.get(at) != NULL)
                     .map(|at| (at, v))
             })
             .expect("some vertex past 0 carries a tree label")
@@ -1281,7 +1318,7 @@ mod tests {
         let (at, v) = later_label_entry(&flat);
         // The pool's first record is vertex 0's, from its first entry.
         let pool = start(&flat.manifest(), Section::LabelPool);
-        assert_eq!(word_at(&bytes, pool), 0);
+        assert_eq!(field_at(&bytes, pool), 0);
         assert_ne!(v, 0);
         assert_rejected(&bytes, &[(at, 0)], "label record names another vertex");
     }
@@ -1291,12 +1328,45 @@ mod tests {
         let bytes = snapshot();
         let flat = FlatScheme::from_bytes(&bytes).unwrap();
         let (at, _) = later_label_entry(&flat);
-        // Word 1 of the pool is inside vertex 0's record.
+        // Field 1 of the pool is inside vertex 0's record.
         assert_rejected(
             &bytes,
             &[(at, 1)],
             "label offset does not start a label record",
         );
+    }
+
+    #[test]
+    fn label_entry_distances_keep_both_halves() {
+        let (_, scheme) = built();
+        let bytes = serialize(&scheme);
+        let flat = FlatScheme::from_bytes(&bytes).unwrap();
+        let mut entries = 0;
+        for v in 0..scheme.n() {
+            let expect: Vec<_> = scheme
+                .label(v)
+                .entries
+                .iter()
+                .map(|e| (e.level, e.pivot, e.dist))
+                .collect();
+            let got: Vec<_> = flat
+                .label_entries_of(v)
+                .map(|e| (e.level, e.pivot, e.dist))
+                .collect();
+            assert_eq!(got, expect, "vertex {v}");
+            entries += got.len();
+        }
+        assert!(entries > 0);
+        // A distance past 32 bits reads back whole: forge one entry's high
+        // half (distances are not validated, so the forgery opens).
+        let (at, v) = later_label_entry(&flat);
+        let forged = forge(&bytes, &[(at - 1, 7)]);
+        let forged = FlatScheme::from_bytes(&forged).unwrap();
+        let e = forged
+            .label_entries_of(v)
+            .find(|e| e.tree_label.is_some())
+            .unwrap();
+        assert_eq!(e.dist >> 32, 7);
     }
 
     #[test]
@@ -1330,7 +1400,7 @@ mod tests {
         assert_eq!(tables, 0, "the snapshot holds every table");
     }
 
-    /// The ports are only a shortcut: with every port half of a re-sealed
+    /// The ports are only a shortcut: with every port field of a re-sealed
     /// snapshot pointing at the wrong neighbour, past the adjacency list,
     /// or nowhere, each hop is weighed by the adjacency scan instead and
     /// every outcome is the pristine snapshot's.
@@ -1343,19 +1413,19 @@ mod tests {
         for cluster in flat.clusters() {
             for slot in 0..cluster.len() {
                 let t = cluster.table_at(slot).unwrap();
-                let (Some(parent), Some(port)) = (t.parent(), t.parent_port()) else {
+                let Some(port) = t.parent_port() else {
                     continue;
                 };
                 let degree = g.degree(t.vertex()) as u32;
                 let scrambled = match edits.len() % 3 {
                     0 if degree > 1 => (port + 1) % degree,
                     1 => degree,
-                    _ => NO_PORT,
+                    _ => NULL,
                 };
-                edits.push((t.off + 1, parent as u64 | u64::from(scrambled) << 32));
+                edits.push((t.off + 2, scrambled));
             }
         }
-        assert!(edits.len() > 100, "the drill rewrites many parent words");
+        assert!(edits.len() > 100, "the drill rewrites many parent ports");
         let forged = forge(&bytes, &edits);
         let scrambled = FlatScheme::from_bytes(&forged).expect("ports are not validated");
         let pristine = QueryEngine::new(flat, &g).unwrap();
@@ -1379,7 +1449,7 @@ mod tests {
         let vo = start(&m, Section::VtreesOff);
         assert_rejected(
             &bytes,
-            &[(vo + 1, u64::MAX)],
+            &[(vo + 1, u32::MAX)],
             "CSR offsets not monotone within bounds",
         );
     }
@@ -1391,18 +1461,89 @@ mod tests {
         let m = flat.manifest();
         let oo = start(&m, Section::OwnOff);
         let v = (0..flat.n())
-            .find(|&v| word_at(&bytes, oo + v + 1) > word_at(&bytes, oo + v))
+            .find(|&v| field_at(&bytes, oo + v + 1) > field_at(&bytes, oo + v))
             .expect("some centre stores own-cluster labels (4k-5 refinement)");
-        let entry =
-            start(&m, Section::OwnEntries) + word_at(&bytes, oo + v) as usize * OWN_ENTRY_WORDS;
-        // Sanity: the pristine lookup resolves.
-        let member = word_at(&bytes, entry) as NodeId;
+        let entry = start(&m, Section::OwnEntries) + field_at(&bytes, oo + v) as usize;
+        // Sanity: the pristine lookup resolves, at the member in slot 0.
+        let member = flat.cluster_of_center(v).unwrap().members().get(0) as NodeId;
         assert!(flat.own_label(v, member).is_some());
         assert_rejected(
             &bytes,
-            &[(entry + 1, u64::MAX)],
+            &[(entry, u32::MAX)],
             "label record overruns the label pool",
         );
+    }
+
+    /// Moving the boundary between two own-label runs hands one run a field
+    /// of its neighbour's (or loses one), so some run stops matching its
+    /// cluster's member column.
+    #[test]
+    fn forged_own_run_boundary_is_rejected() {
+        let bytes = snapshot();
+        let flat = FlatScheme::from_bytes(&bytes).unwrap();
+        let oo = start(&flat.manifest(), Section::OwnOff);
+        // A boundary strictly inside OWN_ENTRIES with a run on each side.
+        let v = (1..flat.n())
+            .find(|&v| {
+                let (lo, at, hi) = (
+                    field_at(&bytes, oo + v - 1),
+                    field_at(&bytes, oo + v),
+                    field_at(&bytes, oo + flat.n()),
+                );
+                lo < at && at < hi && flat.own_label_count(v) > 0
+            })
+            .expect("two adjacent vertices with own-label runs");
+        let at = field_at(&bytes, oo + v);
+        for moved in [at - 1, at + 1] {
+            assert_rejected(
+                &bytes,
+                &[(oo + v, moved)],
+                "own-label run is not its level-0 cluster's member column",
+            );
+        }
+    }
+
+    #[test]
+    fn own_run_naming_another_members_record_is_rejected() {
+        let bytes = snapshot();
+        let flat = FlatScheme::from_bytes(&bytes).unwrap();
+        let m = flat.manifest();
+        let c = flat
+            .clusters()
+            .find(|c| c.level == 0 && c.len() >= 2)
+            .expect("a level-0 cluster with two members");
+        let run = start(&m, Section::OwnEntries)
+            + field_at(&bytes, start(&m, Section::OwnOff) + c.center) as usize;
+        // Swap the first two members' label offsets: both are records that
+        // exist, each at the other member's slot.
+        let (a, b) = (field_at(&bytes, run), field_at(&bytes, run + 1));
+        let what = FlatScheme::from_bytes(&forge(&bytes, &[(run, b), (run + 1, a)])).unwrap_err();
+        assert!(
+            matches!(
+                what,
+                WireError::Corrupt {
+                    what: "label record names another vertex"
+                        | "label offset does not start a label record"
+                }
+            ),
+            "{what:?}"
+        );
+    }
+
+    #[test]
+    fn nonzero_pad_field_is_rejected() {
+        let bytes = snapshot();
+        let flat = FlatScheme::from_bytes(&bytes).unwrap();
+        let m = flat.manifest();
+        // OWN_OFF holds n + 1 fields, so an even n leaves it one pad field.
+        assert_eq!(flat.n() % 2, 0);
+        let pad = start(&m, Section::OwnOff) + flat.n() + 1;
+        assert_eq!(
+            pad,
+            2 * m.sections[Section::OwnOff as usize + 1].start_word - 1
+        );
+        assert_eq!(field_at(&bytes, pad), 0);
+        assert_rejected(&bytes, &[(pad, 1)], "section pad field is not zero");
     }
 
     #[test]
@@ -1412,26 +1553,26 @@ mod tests {
         let m = flat.manifest();
         let lo = start(&m, Section::LabelEntriesOff);
         let v = (0..flat.n())
-            .find(|&v| word_at(&bytes, lo + v + 1) > word_at(&bytes, lo + v))
+            .find(|&v| field_at(&bytes, lo + v + 1) > field_at(&bytes, lo + v))
             .expect("some vertex has label entries");
-        let entry =
-            start(&m, Section::LabelEntries) + word_at(&bytes, lo + v) as usize * LABEL_ENTRY_WORDS;
+        let entry = start(&m, Section::LabelEntries)
+            + field_at(&bytes, lo + v) as usize * LABEL_ENTRY_FIELDS;
         // Level past k.
         assert_rejected(
             &bytes,
-            &[(entry, flat.k() as u64 + 100)],
+            &[(entry, flat.k() as u32 + 100)],
             "label entry level or pivot out of range",
         );
         // Pivot past n.
         assert_rejected(
             &bytes,
-            &[(entry + 1, flat.n() as u64 + 100)],
+            &[(entry + 1, flat.n() as u32 + 100)],
             "label entry level or pivot out of range",
         );
         // Label-pool offset past the pool.
         assert_rejected(
             &bytes,
-            &[(entry + 3, u64::MAX - 1)],
+            &[(entry + 4, u32::MAX - 1)],
             "label record overruns the label pool",
         );
     }
@@ -1444,7 +1585,7 @@ mod tests {
         let flat = FlatScheme::from_bytes(&bytes).unwrap();
         assert!(flat.cluster(0).len() >= 2, "cluster 0 needs two members");
         let mi = start(&flat.manifest(), Section::MemberIds) + flat.cluster(0).members_start;
-        let (a, b) = (word_at(&bytes, mi), word_at(&bytes, mi + 1));
+        let (a, b) = (field_at(&bytes, mi), field_at(&bytes, mi + 1));
         assert_rejected(
             &bytes,
             &[(mi, b), (mi + 1, a)],
@@ -1465,39 +1606,39 @@ mod tests {
             })
             .find(|&(_, _, c)| flat.cluster_of_center(c).unwrap().len() >= 2)
             .expect("some cluster has at least two members");
-        let slot_word = start(&m, Section::MemberSlots)
+        let slot_field = start(&m, Section::MemberSlots)
             + (flat.trees_of(v).start - start(&m, Section::VtreesVals))
             + i;
-        let good = word_at(&bytes, slot_word);
-        let len = flat.cluster_of_center(c).unwrap().len() as u64;
+        let good = field_at(&bytes, slot_field);
+        let len = flat.cluster_of_center(c).unwrap().len() as u32;
         // A slot naming a *different* member: in range, so only the
         // member-column agreement check can catch it.
         assert_rejected(
             &bytes,
-            &[(slot_word, (good + 1) % len)],
+            &[(slot_field, (good + 1) % len)],
             "member-slot index disagrees with the member column",
         );
         // A slot far past every column.
         assert_rejected(
             &bytes,
-            &[(slot_word, u64::MAX)],
+            &[(slot_field, u32::MAX)],
             "member-slot index disagrees with the member column",
         );
     }
 
     #[test]
     fn forged_member_count_overflow_is_rejected_not_wrapped() {
-        // A descriptor past the first has `members_start > 0`, so adding a
-        // member count of u64::MAX to the running total overflows: it must
-        // be reported, not panic (overflow checks) or wrap (release).
+        // A descriptor past the first has `members_start > 0`, so a member
+        // count of u32::MAX runs the running total past the member column:
+        // it must be reported, not panic (overflow checks) or wrap.
         let bytes = snapshot();
         let flat = FlatScheme::from_bytes(&bytes).unwrap();
         let id = (0..flat.num_clusters())
             .find(|&id| flat.cluster(id).members_start > 0)
             .expect("a second cluster starts past the first");
-        let count = start(&flat.manifest(), Section::Clusters) + id * CLUSTER_RECORD_WORDS + 3;
+        let count = start(&flat.manifest(), Section::Clusters) + id * CLUSTER_RECORD_FIELDS + 3;
         assert_eq!(
-            FlatScheme::from_bytes(&forge(&bytes, &[(count, u64::MAX)])).unwrap_err(),
+            FlatScheme::from_bytes(&forge(&bytes, &[(count, u32::MAX)])).unwrap_err(),
             WireError::Corrupt {
                 what: "cluster members overrun the member column"
             }
@@ -1538,7 +1679,7 @@ mod tests {
             // Non-members miss on both paths (a cluster may span all of V,
             // in which case there is no outsider to probe).
             if let Some(outsider) =
-                (0..flat.n()).find(|&v| cluster.members().binary_search(v as u64).is_err())
+                (0..flat.n()).find(|&v| cluster.members().binary_search(v as u32).is_err())
             {
                 assert!(cluster.table_of(outsider).is_none());
                 assert!(cluster.table_of_by_search(outsider).is_none());

@@ -1,14 +1,16 @@
 //! The on-the-wire layout shared by the serializer and the zero-copy reader.
 //!
-//! A snapshot is a single relocatable little-endian byte buffer made of
-//! 8-byte words; every column starts at a word boundary, so the whole buffer
-//! is 8-byte aligned internally and can be memory-mapped or embedded at any
-//! aligned offset. Layout, in word offsets:
+//! A snapshot is a single relocatable little-endian byte buffer: a header of
+//! 8-byte words, then sections made of 4-byte (`u32`) fields. Every section
+//! starts at a word boundary — a section with an odd number of fields ends
+//! in one zero pad field — so the whole buffer is 8-byte aligned internally
+//! and can be memory-mapped or embedded at any aligned offset, and section
+//! offsets, spans and checksums all count 8-byte words. Layout:
 //!
 //! ```text
-//! header (HEADER_WORDS words)
+//! header (HEADER_WORDS u64 words)
 //!   0  magic "ENWIRE01"
-//!   1  format version (5)
+//!   1  format version (6)
 //!   2  n                      (host vertices)
 //!   3  k                      (levels)
 //!   4  number of clusters
@@ -21,54 +23,61 @@
 //!   11..=23  the 13 section offsets below, in words from buffer start
 //!            (together with word 5 this is the byte-budget manifest:
 //!            every section's word span is pinned by the header before a
-//!            single section word is trusted)
+//!            single section field is trusted)
 //!   24..=36  per-section checksums: the 16-lane word-wise FNV-1a over
-//!            each section's words — word i of a section feeds lane
-//!            i mod 16, and the lane digests are folded by one more
-//!            word-wise FNV-1a (see the `checksum` module)
+//!            each section's words, pad included — word i of a section
+//!            feeds lane i mod 16, and the lane digests are folded by one
+//!            more word-wise FNV-1a (see the `checksum` module)
 //!   37..=46  reserved (0)
 //!   47 header checksum: single-chain word-wise FNV-1a over header words
 //!      0..=46 — the last header word, so every other header bit is
 //!      covered
-//! sections, contiguous and in this order
-//!   CENTER_INDEX        n words: vertex -> cluster id, NULL if not a centre
-//!   CLUSTERS            4 words per cluster: centre, level, members start,
+//! sections (u32 fields), contiguous and in this order
+//!   CENTER_INDEX        n fields: vertex -> cluster id, NULL if not a centre
+//!   CLUSTERS            4 fields per cluster: centre, level, members start,
 //!                       member count (members start indexes MEMBER_IDS)
 //!   MEMBER_IDS          member vertex ids, ascending within each cluster
-//!   MEMBER_TABLE_OFFS   per member: word offset of its table record,
+//!   MEMBER_TABLE_OFFS   per member: field offset of its table record,
 //!                       relative to TABLE_POOL
 //!   TABLE_POOL          variable-length table records (layout below)
 //!   VTREES_OFF          n+1 CSR offsets into VTREES_VALS
 //!   VTREES_VALS         per vertex: ascending centre ids of its trees
 //!   MEMBER_SLOTS        aligned with VTREES_VALS: for the vertex's i-th
 //!                       tree, its rank (slot) in that cluster's member
-//!                       column — the v3 rank index that turns the hot-path
-//!                       member binary search into one word read
-//!   OWN_OFF             n+1 CSR offsets into OWN_ENTRIES (in entries)
-//!   OWN_ENTRIES         2 words per entry: member vertex (ascending per
-//!                       centre), label record offset into LABEL_POOL
+//!                       column — the rank index that turns the hot-path
+//!                       member binary search into one field read
+//!   OWN_OFF             n+1 CSR offsets into OWN_ENTRIES: a level-0
+//!                       centre's run is as long as its cluster, every
+//!                       other vertex's run is empty
+//!   OWN_ENTRIES         per level-0 centre, aligned slot for slot with its
+//!                       cluster's member column: that member's label
+//!                       record offset into LABEL_POOL
 //!   LABEL_ENTRIES_OFF   n+1 CSR offsets into LABEL_ENTRIES (in entries)
-//!   LABEL_ENTRIES       4 words per entry: level, pivot, distance,
-//!                       label record offset into LABEL_POOL or NULL
+//!   LABEL_ENTRIES       5 fields per entry: level, pivot, distance (low
+//!                       half, then high half), label record offset into
+//!                       LABEL_POOL or NULL
 //!   LABEL_POOL          variable-length tree-label records (layout below)
 //! ```
 //!
 //! **Table record** (vertex and tree root are implicit — the member column
-//! and the cluster centre): subtree root, parent word, heavy child or
-//! NULL, `a_local`, `b_local`, `a_global`, `b_global`, global-heavy child
-//! subtree or NULL; when present, the global-heavy entry continues with
-//! portal, portal-label DFS time, exception count, and that many `(x, x')`
-//! word pairs. The parent word is NULL at the tree root and otherwise
-//! `parent | port << 32`: the parent's id in the low half and, in the high
-//! half, the port of the parent edge in the vertex's adjacency list, or
-//! [`NO_PORT`] when the parent is not adjacent. Vertex ids therefore fit
-//! 32 bits: a snapshot holds fewer than `u32::MAX` vertices ([`MAX_N`]),
-//! so no parent word but the root's is NULL.
+//! and the cluster centre): subtree root, parent or NULL, parent port or
+//! NULL, heavy child or NULL, `a_local`, `b_local`, `a_global`, `b_global`,
+//! global-heavy child subtree or NULL; when present, the global-heavy entry
+//! continues with portal, portal-label DFS time, exception count, and that
+//! many `(x, x')` field pairs. The parent port is the position of the
+//! parent edge in the vertex's adjacency list; it is NULL at the tree root
+//! and when the parent is not adjacent.
 //!
 //! **Label record**: vertex, subtree root, `a_global`, local DFS time, local
 //! exception count, the `(x, x')` pairs, global exception count, then per
 //! global exception: parent subtree, child subtree, portal, portal-label DFS
 //! time, portal exception count, and its `(x, x')` pairs.
+//!
+//! **Field widths.** A snapshot holds at most [`MAX_N`] vertices, so every
+//! vertex id stays below [`NULL`], and DFS times, levels and counts are at
+//! most `n`. The serializer keeps every section below `NULL` fields, so
+//! every in-section offset fits a field and none reads as `NULL`. Only the
+//! label-entry distances need 64 bits, and they are stored as two fields.
 //!
 //! Each tree label is written to LABEL_POOL once, at its first reference,
 //! and every later reference shares that record by offset. Few records are
@@ -85,27 +94,28 @@ pub const MAGIC: u64 = u64::from_le_bytes(*b"ENWIRE01");
 /// checksums and the trailing header checksum (readers reject version-1
 /// snapshots, which carried no checksums at all). Version 3 added the
 /// [`Section::MemberSlots`] rank index (vertex → local member slot per
-/// tree), growing the header to 48 words. Version 4 keeps the v3 layout
-/// and size but computes each section checksum with the 16-lane
+/// tree), growing the header to 48 words. Version 4 kept the v3 layout
+/// and size but computed each section checksum with the 16-lane
 /// [`fnv1a_lanes_bytes`](crate::checksum::fnv1a_lanes_bytes) instead of
-/// the single chain; the header checksum is unchanged. Version 5 keeps the
-/// v4 layout, size and checksums but packs the port of the parent edge
-/// into the high half of each table record's parent word (see the module
-/// docs), which caps `n` below `u32::MAX`. v2, v3 and v4 snapshots are
-/// rejected with a structured unsupported-version error, never a checksum
-/// mismatch.
-pub const VERSION: u64 = 5;
+/// the single chain; the header checksum is unchanged. Version 5 packed
+/// the port of the parent edge into the high half of each table record's
+/// parent word, which capped `n` below `u32::MAX`. Version 6 keeps the
+/// 48-word header, the 13 sections in their order and the checksums, but
+/// stores every section as 32-bit fields (see the module docs): label-entry
+/// distances take two fields, the parent port takes a field of its own,
+/// and OWN_ENTRIES holds only label offsets, aligned with each level-0
+/// centre's member column instead of repeating its member ids. v2 to v5
+/// snapshots are rejected with a structured unsupported-version error,
+/// never a checksum mismatch.
+pub const VERSION: u64 = 6;
 
-/// Sentinel standing for "absent" (`None` parents, missing global-heavy
-/// entries, label entries whose vertex is outside the pivot's tree).
-pub const NULL: u64 = u64::MAX;
+/// Sentinel field standing for "absent" (`None` parents, ports and heavy
+/// children, missing global-heavy entries, label entries whose vertex is
+/// outside the pivot's tree, vertices that are not centres).
+pub const NULL: u32 = u32::MAX;
 
-/// The port half of a table record's parent word when the parent is not
-/// adjacent in the graph the scheme was assembled in.
-pub const NO_PORT: u32 = u32::MAX;
-
-/// The largest vertex count a snapshot holds: every vertex id, and so
-/// every parent in the low half of a parent word, stays below `u32::MAX`.
+/// The largest vertex count a snapshot holds: every vertex id stays below
+/// [`NULL`].
 pub const MAX_N: usize = u32::MAX as usize - 1;
 
 /// Number of header words before the first section (40 in v2, 48 since v3 —
@@ -147,7 +157,7 @@ pub const NUM_SECTIONS: usize = 13;
 pub enum Section {
     /// Vertex → cluster id (or [`NULL`]).
     CenterIndex = 0,
-    /// Fixed 4-word cluster descriptors.
+    /// Fixed 4-field cluster descriptors.
     Clusters = 1,
     /// Concatenated per-cluster member vertex ids.
     MemberIds = 2,
@@ -159,17 +169,18 @@ pub enum Section {
     VtreesOff = 5,
     /// Per-vertex ascending centre ids.
     VtreesVals = 6,
-    /// The v3 rank index, aligned word-for-word with
+    /// The rank index, aligned field for field with
     /// [`Section::VtreesVals`]: the vertex's slot in that cluster's member
     /// column.
     MemberSlots = 7,
-    /// CSR offsets of [`Section::OwnEntries`] (counted in entries).
+    /// CSR offsets of [`Section::OwnEntries`], one run per vertex.
     OwnOff = 8,
-    /// Own-cluster label entries (2 words each).
+    /// Own-cluster label offsets, aligned with each level-0 centre's member
+    /// column.
     OwnEntries = 9,
     /// CSR offsets of [`Section::LabelEntries`] (counted in entries).
     LabelEntriesOff = 10,
-    /// Node-label entries (4 words each).
+    /// Node-label entries (5 fields each).
     LabelEntries = 11,
     /// Variable-length tree-label records.
     LabelPool = 12,
@@ -193,7 +204,8 @@ impl Section {
         Section::LabelPool,
     ];
 
-    /// Stable lower-case name, for error messages and fault reports.
+    /// Stable lower-case name, for error messages, fault reports and the
+    /// per-section byte metrics.
     pub fn name(self) -> &'static str {
         match self {
             Section::CenterIndex => "center_index",
@@ -213,110 +225,135 @@ impl Section {
     }
 }
 
-/// Words per [`Section::Clusters`] record.
-pub const CLUSTER_RECORD_WORDS: usize = 4;
-/// Words per [`Section::OwnEntries`] record.
-pub const OWN_ENTRY_WORDS: usize = 2;
-/// Words per [`Section::LabelEntries`] record.
-pub const LABEL_ENTRY_WORDS: usize = 4;
-/// Fixed words of a table record before the optional global-heavy tail.
-pub const TABLE_FIXED_WORDS: usize = 8;
+/// Fields per [`Section::Clusters`] record.
+pub const CLUSTER_RECORD_FIELDS: usize = 4;
+/// Fields per [`Section::LabelEntries`] record.
+pub const LABEL_ENTRY_FIELDS: usize = 5;
+/// Fixed fields of a table record before the optional global-heavy tail.
+pub const TABLE_FIXED_FIELDS: usize = 9;
 
-/// A borrowed little-endian word array over a byte buffer.
+/// The words a section of `fields` fields spans, its pad field included.
+pub(crate) const fn section_words(fields: usize) -> usize {
+    fields.div_ceil(2)
+}
+
+/// A borrowed little-endian field array over a byte buffer.
 ///
-/// Every read decodes one `u64` with `from_le_bytes` — no allocation, no
-/// alignment requirement on the underlying bytes, and the compiler lowers it
-/// to a single unaligned load.
+/// Every read decodes with `from_le_bytes` — no allocation, no alignment
+/// requirement on the underlying bytes, and the compiler lowers it to a
+/// single unaligned load. Field `i` is bytes `4i..4i + 4`, so header word
+/// `w` is fields `2w` and `2w + 1` ([`Self::word`]).
 #[derive(Debug, Clone, Copy)]
-pub struct Words<'a> {
+pub(crate) struct Fields<'a> {
     bytes: &'a [u8],
 }
 
-impl<'a> Words<'a> {
-    /// Wraps a byte buffer. The length must be a multiple of 8 (checked by
-    /// the snapshot validator before any `Words` is handed out).
+impl<'a> Fields<'a> {
+    /// Wraps a byte buffer. The length must be a multiple of 4 (snapshot
+    /// buffers are checked to be whole words before any `Fields` is handed
+    /// out).
     pub(crate) fn new(bytes: &'a [u8]) -> Self {
-        debug_assert_eq!(bytes.len() % 8, 0);
-        Words { bytes }
+        debug_assert_eq!(bytes.len() % 4, 0);
+        Fields { bytes }
     }
 
-    /// Number of whole words.
+    /// Number of whole fields.
     #[inline]
-    pub fn len(&self) -> usize {
-        self.bytes.len() / 8
+    pub(crate) fn len(&self) -> usize {
+        self.bytes.len() / 4
     }
 
-    /// Whether the buffer holds no words.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
-
-    /// Reads word `i`.
+    /// Reads field `i`.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of bounds — the snapshot validator guarantees
     /// in-bounds access for every offset it accepted.
     #[inline]
-    pub fn get(&self, i: usize) -> u64 {
-        let b = &self.bytes[i * 8..i * 8 + 8];
+    pub(crate) fn get(&self, i: usize) -> u32 {
+        let b = &self.bytes[i * 4..i * 4 + 4];
+        u32::from_le_bytes(b.try_into().expect("4-byte slice"))
+    }
+
+    /// Reads the `u64` stored in fields `i` (low half) and `i + 1` (high
+    /// half).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i + 1` is out of bounds.
+    #[inline]
+    pub(crate) fn get_u64(&self, i: usize) -> u64 {
+        let b = &self.bytes[i * 4..i * 4 + 8];
         u64::from_le_bytes(b.try_into().expect("8-byte slice"))
+    }
+
+    /// Reads 8-byte word `w` (a header word).
+    #[inline]
+    pub(crate) fn word(&self, w: usize) -> u64 {
+        self.get_u64(2 * w)
     }
 
     /// The raw underlying bytes.
     #[inline]
-    pub fn bytes(&self) -> &'a [u8] {
+    pub(crate) fn bytes(&self) -> &'a [u8] {
         self.bytes
     }
 }
 
-/// The writing side of [`Words`]: little-endian words into a byte buffer
+/// The writing side of [`Fields`]: little-endian fields into a byte buffer
 /// sized up front, appended front to back ([`Self::push`]) or placed at a
-/// word index ([`Self::set`]).
+/// field index ([`Self::set`]).
 #[derive(Debug)]
-pub(crate) struct WordsMut<'a> {
+pub(crate) struct FieldsMut<'a> {
     bytes: &'a mut [u8],
     pushed: usize,
 }
 
-impl<'a> WordsMut<'a> {
-    /// Wraps a byte buffer whose length is a multiple of 8.
+impl<'a> FieldsMut<'a> {
+    /// Wraps a byte buffer whose length is a multiple of 4.
     pub(crate) fn new(bytes: &'a mut [u8]) -> Self {
-        debug_assert_eq!(bytes.len() % 8, 0);
-        WordsMut { bytes, pushed: 0 }
+        debug_assert_eq!(bytes.len() % 4, 0);
+        FieldsMut { bytes, pushed: 0 }
     }
 
-    /// Writes word `i`.
+    /// Writes field `i`.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of bounds.
     #[inline]
-    pub(crate) fn set(&mut self, i: usize, w: u64) {
-        self.bytes[i * 8..i * 8 + 8].copy_from_slice(&w.to_le_bytes());
+    pub(crate) fn set(&mut self, i: usize, f: u32) {
+        self.bytes[i * 4..i * 4 + 4].copy_from_slice(&f.to_le_bytes());
     }
 
-    /// Writes the word after the last pushed one.
+    /// Writes the field after the last pushed one.
     ///
     /// # Panics
     ///
-    /// Panics if every word has been pushed already.
+    /// Panics if every field has been pushed already.
     #[inline]
-    pub(crate) fn push(&mut self, w: u64) {
-        self.set(self.pushed, w);
+    pub(crate) fn push(&mut self, f: u32) {
+        self.set(self.pushed, f);
         self.pushed += 1;
     }
 
-    /// [`Self::push`] for each word of `ws`, in order.
+    /// Pushes `x` as two fields, low half first — the layout
+    /// [`Fields::get_u64`] and [`Fields::word`] read.
     #[inline]
-    pub(crate) fn extend(&mut self, ws: &[u64]) {
-        for &w in ws {
-            self.push(w);
+    pub(crate) fn push_u64(&mut self, x: u64) {
+        self.push(x as u32);
+        self.push((x >> 32) as u32);
+    }
+
+    /// [`Self::push`] for each field of `fs`, in order.
+    #[inline]
+    pub(crate) fn extend(&mut self, fs: &[u32]) {
+        for &f in fs {
+            self.push(f);
         }
     }
 
-    /// Number of words [`Self::push`] has written.
+    /// Number of fields [`Self::push`] has written.
     #[inline]
     pub(crate) fn pushed(&self) -> usize {
         self.pushed
@@ -324,7 +361,7 @@ impl<'a> WordsMut<'a> {
 
     /// Whether [`Self::push`] has filled the whole buffer.
     pub(crate) fn is_full(&self) -> bool {
-        self.pushed * 8 == self.bytes.len()
+        self.pushed * 4 == self.bytes.len()
     }
 }
 
@@ -334,18 +371,25 @@ mod tests {
 
     #[test]
     fn words_roundtrip() {
-        let mut buf = vec![0u8; 5 * 8];
-        let mut out = WordsMut::new(&mut buf);
-        out.extend(&[0, 1, MAGIC, NULL]);
+        let mut buf = vec![0u8; 8 * 4];
+        let mut out = FieldsMut::new(&mut buf);
+        out.extend(&[0, 1, NULL]);
+        out.push_u64(MAGIC);
         assert!(!out.is_full());
-        out.push(0x0123_4567_89AB_CDEF);
+        out.push_u64(0x0123_4567_89AB_CDEF);
+        out.push(7);
+        assert_eq!(out.pushed(), 8);
         assert!(out.is_full());
-        let words = Words::new(&buf);
-        assert_eq!(words.len(), 5);
-        assert!(!words.is_empty());
-        assert_eq!(words.get(2), MAGIC);
-        assert_eq!(words.get(3), NULL);
-        assert_eq!(words.get(4), 0x0123_4567_89AB_CDEF);
+        out.set(0, 9);
+        let fields = Fields::new(&buf);
+        assert_eq!(fields.len(), 8);
+        assert_eq!(fields.get(0), 9);
+        assert_eq!(fields.get(2), NULL);
+        assert_eq!(fields.get_u64(3), MAGIC);
+        assert_eq!(fields.get(5), 0x89AB_CDEF, "the low half comes first");
+        assert_eq!(fields.get(6), 0x0123_4567);
+        assert_eq!(fields.word(0), 9 | 1 << 32, "word 0 is fields 0 and 1");
+        assert_eq!(fields.word(3), 0x0123_4567 | 7 << 32);
     }
 
     #[test]

@@ -10,15 +10,16 @@
 //!   [`RoutingScheme`](en_routing::scheme::RoutingScheme) — per-vertex
 //!   tables (each tree table with the port of its parent edge), node
 //!   labels, pivots, and the `4k−5` own-cluster labels — into
-//!   one relocatable little-endian buffer of CSR-style columns with pooled
-//!   variable-length records (shared tree labels are written once), plus a
-//!   versioned header carrying `n`, `k`, and the Table-1 word-size stats.
+//!   one relocatable little-endian buffer of 32-bit CSR-style columns with
+//!   pooled variable-length records (shared tree labels are written once),
+//!   plus a versioned header carrying `n`, `k`, and the Table-1 word-size
+//!   stats.
 //! * [`FlatScheme::from_bytes`] — the only way to open a snapshot —
 //!   validates that buffer **once**, checksums and a structural proof of
 //!   every offset alike, and then serves every access zero-copy through
 //!   one accessor set: the views it hands out are `Copy`
 //!   slice-plus-offset handles, no per-label or per-table allocation. Since
-//!   format v3 the snapshot also carries a member-slot rank index (one word
+//!   format v3 the snapshot also carries a member-slot rank index (one field
 //!   per tree incidence, checksummed like every section), so resolving a
 //!   vertex's table inside a cluster is a single indexed read instead of a
 //!   binary search over the member column. A full cluster (all `n`
@@ -110,7 +111,7 @@ pub mod workload;
 pub use engine::{BatchOutcome, BatchStats, QueryEngine, ShardStats};
 pub use error::WireError;
 pub use flat::{
-    FlatCluster, FlatLabelEntry, FlatScheme, FlatTreeLabel, FlatTreeTable, FlatU64s, SectionSpan,
+    FlatCluster, FlatLabelEntry, FlatScheme, FlatTreeLabel, FlatTreeTable, FlatU32s, SectionSpan,
     SnapshotManifest,
 };
 pub use mmap::MappedSnapshot;

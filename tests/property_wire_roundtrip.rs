@@ -23,10 +23,13 @@
 //!   single-bit flip anywhere in the buffer — including the v3 member-slot
 //!   rank index — so the accepted set is exactly the pristine snapshot
 //!   (which routes bit-identically by the round-trip properties).
-//! * **Version negotiation**: v2, v3 and v4 bytes presented to the v5
-//!   reader fail with a structured `UnsupportedVersion`, not a checksum
-//!   mismatch — also when the file arrives through the mapped open and the
-//!   epoch store.
+//! * **Version negotiation**: v2 to v5 bytes presented to the v6 reader
+//!   fail with a structured `UnsupportedVersion`, not a checksum mismatch —
+//!   also when the file arrives through the mapped open and the epoch
+//!   store.
+//! * **Byte manifest**: the sections keep the names the benchmark of record
+//!   reports their bytes under, and the header plus the section spans is
+//!   the whole snapshot.
 
 use proptest::prelude::*;
 
@@ -38,6 +41,7 @@ use en_routing::exact::exact_cluster_family;
 use en_routing::scheme::RoutingScheme;
 use en_routing::{Hierarchy, SchemeParams};
 use en_tree_routing::LabelView;
+use en_wire::format::{Section, HEADER_WORDS};
 use en_wire::{serialize, FlatScheme, MappedSnapshot, QueryEngine, SchemeStore, WireError};
 
 fn arb_graph() -> impl Strategy<Value = (WeightedGraph, u64)> {
@@ -185,6 +189,55 @@ fn v4_snapshot_file_is_refused_by_the_mapped_open_and_the_store() {
     assert_retired_file_is_refused(4);
 }
 
+/// v5 stores every section field in 64 bits: read as v6's 32-bit fields,
+/// every offset would be misread.
+#[test]
+fn v5_snapshot_file_is_refused_by_the_mapped_open_and_the_store() {
+    assert_retired_file_is_refused(5);
+}
+
+/// The names of the benchmark of record's `per_layer` metrics that report
+/// one section's bytes each, in `BENCHMARK.json` order.
+fn benchmarked_section_names() -> Vec<String> {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCHMARK.json");
+    let text = std::fs::read_to_string(path).expect("BENCHMARK.json at the repository root");
+    let json = en_obs::parse_json(&text).expect("BENCHMARK.json parses");
+    let per_layer = json.as_object().and_then(|o| o.get("per_layer"));
+    per_layer
+        .and_then(|p| p.as_array())
+        .expect("BENCHMARK.json lists per_layer metrics")
+        .iter()
+        .filter_map(|m| m.as_object()?.get("name")?.as_str())
+        .filter_map(|name| name.strip_prefix("snapshot.section_bytes."))
+        .map(str::to_owned)
+        .collect()
+}
+
+/// The benchmark reports one `snapshot.section_bytes.<name>` metric per
+/// manifest section, as `SectionSpan::words × 8`: the format's sections
+/// must keep exactly the benchmarked names, in order, and those spans plus
+/// the header must add up to the whole snapshot.
+#[test]
+fn section_names_and_spans_match_the_benchmarked_section_bytes() {
+    let names: Vec<&str> = Section::ALL.iter().map(|s| s.name()).collect();
+    assert_eq!(names, benchmarked_section_names());
+
+    let g = erdos_renyi_connected(&GeneratorConfig::new(60, 8).with_weights(1, 20), 0.1);
+    let scheme = build_routing_scheme(&g, &ConstructionConfig::new(3, 8))
+        .unwrap()
+        .scheme;
+    let bytes = serialize(&scheme);
+    let flat = FlatScheme::from_bytes(&bytes).unwrap();
+    assert_eq!(u64::from_le_bytes(bytes[8..16].try_into().unwrap()), 6);
+    let manifest = flat.manifest();
+    let spanned: usize = manifest.sections.iter().map(|s| s.words * 8).sum();
+    assert_eq!(HEADER_WORDS * 8 + spanned, flat.snapshot_bytes());
+    assert_eq!(flat.snapshot_bytes(), bytes.len());
+    for (span, section) in manifest.sections.iter().zip(Section::ALL) {
+        assert_eq!(span.section, section);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, .. ProptestConfig::default() })]
 
@@ -291,11 +344,12 @@ proptest! {
         ));
 
         // Version negotiation: a buffer declaring a retired format (v2, v3
-        // with its single-chain section checksums, or v4 without ports in
-        // its parent words) is refused with the structured version error —
-        // the version word is examined before any checksum, so the caller
-        // learns "old format", never a misleading checksum mismatch.
-        for old in [2u64, 3, 4] {
+        // with its single-chain section checksums, v4 without ports in its
+        // parent words, or v5 with 64-bit fields) is refused with the
+        // structured version error — the version word is examined before
+        // any checksum, so the caller learns "old format", never a
+        // misleading checksum mismatch.
+        for old in [2u64, 3, 4, 5] {
             let stamped = stamp_version(&bytes, old);
             prop_assert_eq!(
                 FlatScheme::from_bytes(&stamped).unwrap_err(),
