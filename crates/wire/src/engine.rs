@@ -453,7 +453,7 @@ mod tests {
         let bytes = serialize(&built.scheme);
         let pristine = QueryEngine::new(FlatScheme::from_bytes(&bytes).unwrap(), &g).unwrap();
         // Offset 6 ends vertex 5's tree row and starts vertex 6's.
-        let vo = 2 * pristine.flat().manifest().sections[Section::VtreesOff as usize].start_word;
+        let vo = pristine.flat().manifest().sections[Section::VtreesOff as usize].start_field();
         let mut bad = bytes.clone();
         bad[(vo + 6) * 4..(vo + 7) * 4].copy_from_slice(&(1u32 << 30).to_le_bytes());
         assert!(

@@ -49,13 +49,6 @@ pub enum FaultKind {
         /// Bit index within the byte (0..8).
         bit: u8,
     },
-    /// Overwrite one 8-byte word with an arbitrary value.
-    WordWrite {
-        /// Word offset (in 8-byte words from the buffer start).
-        word: usize,
-        /// The value written.
-        value: u64,
-    },
     /// Overwrite one 4-byte section field with an arbitrary value.
     FieldWrite {
         /// Field offset (in 4-byte fields from the buffer start).
@@ -86,24 +79,15 @@ impl FaultCase {
                 }
                 out
             }
-            FaultKind::WordWrite { word, value } => {
-                overwrite(bytes, word * 8, &value.to_le_bytes())
-            }
             FaultKind::FieldWrite { field, value } => {
-                overwrite(bytes, field * 4, &value.to_le_bytes())
+                let mut out = bytes.to_vec();
+                if let Some(dst) = out.get_mut(field * 4..field * 4 + 4) {
+                    dst.copy_from_slice(&value.to_le_bytes());
+                }
+                out
             }
         }
     }
-}
-
-/// A copy of `bytes` with `value` written at byte `at`, or an unchanged
-/// copy when it would not fit.
-fn overwrite(bytes: &[u8], at: usize, value: &[u8]) -> Vec<u8> {
-    let mut out = bytes.to_vec();
-    if let Some(dst) = out.get_mut(at..at + value.len()) {
-        dst.copy_from_slice(value);
-    }
-    out
 }
 
 /// Truncations at every section boundary, one word before each boundary,
@@ -207,10 +191,10 @@ pub fn offset_scramble_plan(
         if span.words == 0 {
             continue;
         }
-        let field = 2 * span.start_word + rng.gen_range(0..2 * span.words);
+        let field = span.start_field() + rng.gen_range(0..span.fields());
         let value = match rng.gen_range(0..3u32) {
             0 => u32::MAX,
-            1 => u32::try_from(2 * manifest.total_words)
+            1 => u32::try_from(manifest.total_fields())
                 .unwrap_or(u32::MAX)
                 .saturating_add(rng.gen_range(1..1_000_000u32)),
             _ => rng.gen_range(0..u32::MAX / 2) | (1 << 30),
@@ -309,17 +293,17 @@ pub fn drill_forged(
     pairs: &[(NodeId, NodeId)],
     plan: &[FaultCase],
 ) -> FaultReport {
-    FlatScheme::from_bytes(bytes).expect("drill_forged needs a valid snapshot");
+    let manifest = FlatScheme::from_bytes(bytes)
+        .expect("drill_forged needs a valid snapshot")
+        .manifest();
     let header_bytes = HEADER_WORDS * 8;
+    let section_fields = manifest.sections[0].start_field()..manifest.total_fields();
     let mut report = FaultReport::default();
     for case in plan {
         let in_sections = match case.kind {
             FaultKind::Truncate { .. } => false,
             FaultKind::BitFlip { byte, .. } => (header_bytes..bytes.len()).contains(&byte),
-            FaultKind::WordWrite { word, .. } => (HEADER_WORDS..bytes.len() / 8).contains(&word),
-            FaultKind::FieldWrite { field, .. } => {
-                (2 * HEADER_WORDS..bytes.len() / 4).contains(&field)
-            }
+            FaultKind::FieldWrite { field, .. } => section_fields.contains(&field),
         };
         if !in_sections {
             continue;
@@ -404,14 +388,6 @@ mod tests {
         let flipped = f.apply(&bytes);
         assert_eq!(flipped[3], 4);
         assert_eq!(f.apply(&flipped), bytes, "a bit flip is an involution");
-        let w = FaultCase {
-            name: "w".into(),
-            kind: FaultKind::WordWrite { word: 1, value: 42 },
-        };
-        assert_eq!(
-            u64::from_le_bytes(w.apply(&bytes)[8..16].try_into().unwrap()),
-            42
-        );
         let f = FaultCase {
             name: "f32".into(),
             kind: FaultKind::FieldWrite {
@@ -429,14 +405,6 @@ mod tests {
         // Out-of-range damage degrades to a no-op instead of panicking.
         let oob = FaultCase {
             name: "oob".into(),
-            kind: FaultKind::WordWrite {
-                word: 100,
-                value: 1,
-            },
-        };
-        assert_eq!(oob.apply(&bytes), bytes);
-        let oob = FaultCase {
-            name: "oob32".into(),
             kind: FaultKind::FieldWrite {
                 field: 16,
                 value: 1,

@@ -28,10 +28,10 @@ use en_tree_routing::{LabelView, LocalLabelView, TableView};
 use crate::checksum::{fnv1a_bytes, fnv1a_lanes_bytes};
 use crate::error::WireError;
 use crate::format::{
-    section_words, Fields, Section, CLUSTER_RECORD_FIELDS, HEADER_WORDS, H_HEADER_SUM, H_K,
-    H_MAX_LABEL_WORDS, H_MAX_TABLE_WORDS, H_N, H_NUM_CLUSTERS, H_SECTIONS, H_SECTION_SUMS,
-    H_TOTAL_LABEL_WORDS, H_TOTAL_MEMBERS, H_TOTAL_TABLE_WORDS, H_TOTAL_WORDS, LABEL_ENTRY_FIELDS,
-    MAGIC, MAX_N, NULL, NUM_SECTIONS, TABLE_FIXED_FIELDS, VERSION,
+    section_words, Fields, Section, CLUSTER_RECORD_FIELDS, FIELDS_PER_WORD, HEADER_WORDS,
+    H_HEADER_SUM, H_K, H_MAX_LABEL_WORDS, H_MAX_TABLE_WORDS, H_N, H_NUM_CLUSTERS, H_SECTIONS,
+    H_SECTION_SUMS, H_TOTAL_LABEL_WORDS, H_TOTAL_MEMBERS, H_TOTAL_TABLE_WORDS, H_TOTAL_WORDS,
+    LABEL_ENTRY_FIELDS, MAGIC, MAX_N, NULL, NUM_SECTIONS, TABLE_FIXED_FIELDS, VERSION,
 };
 
 /// A complete routing scheme served directly from a snapshot buffer.
@@ -475,7 +475,7 @@ impl<'a> FlatScheme<'a> {
             let dur_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             en_obs::histogram_record("wire.validate_ns", dur_ns);
             en_obs::counter_add("wire.validate.runs", 1);
-            let section_words = (flat.secs[NUM_SECTIONS] - flat.secs[0]) / 2;
+            let section_words = (flat.secs[NUM_SECTIONS] - flat.secs[0]) / FIELDS_PER_WORD;
             en_obs::counter_add("wire.validate.words_total", section_words as u64);
         }
         Ok(flat)
@@ -592,8 +592,7 @@ impl<'a> FlatScheme<'a> {
             n,
             k,
             num_clusters,
-            // Words to fields.
-            secs: secs.map(|w| 2 * w),
+            secs: secs.map(|w| FIELDS_PER_WORD * w),
         })
     }
 
@@ -623,7 +622,7 @@ impl<'a> FlatScheme<'a> {
     /// Whether section `s` holds exactly `len` fields: its span is `len`
     /// rounded up to whole words, and the pad field, if any, is zero.
     fn holds(&self, s: Section, len: usize) -> bool {
-        self.span(s) == 2 * section_words(len)
+        self.span(s) == FIELDS_PER_WORD * section_words(len)
             && (len % 2 == 0 || self.fields.get(self.secs[s as usize] + len) == 0)
     }
 
@@ -730,16 +729,20 @@ impl<'a> FlatScheme<'a> {
     fn validate_csrs(&self) -> Result<(), WireError> {
         let fields = self.fields;
         // The rank index is column-aligned with the tree column, and both
-        // are as long as the member column (the shape pass checked all
-        // three). Checked per incidence below, every slot points back at
-        // its vertex in the named cluster's member column, so the incidence
-        // map is a *bijection* (slots are injective per cluster): every
-        // member entry is reachable through the index and the indexed
-        // lookup is provably equivalent to the member binary search it
-        // replaced.
+        // are as long as the member column (the shape pass fixed their
+        // spans, and the tree CSR must end exactly at the member count).
+        // Checked per incidence below, every slot points back at its vertex
+        // in the named cluster's member column, so the incidence map is a
+        // *bijection* (slots are injective per cluster): every member entry
+        // is reachable through the index and the indexed lookup is provably
+        // equivalent to the member binary search it replaced.
         let vv = Section::VtreesVals as usize;
         let ms = Section::MemberSlots as usize;
-        let check_csr = |s: Section, unit: usize, vals: Section| -> Result<(), WireError> {
+        let not_covered = WireError::Corrupt {
+            what: "CSR does not cover its value column",
+        };
+        // Walks one CSR and returns where it ends, in values.
+        let check_csr = |s: Section, unit: usize, vals: Section| -> Result<usize, WireError> {
             let base = self.secs[s as usize];
             let vals_len = self.span(vals) / unit;
             let mut prev = 0u32;
@@ -753,13 +756,15 @@ impl<'a> FlatScheme<'a> {
                 prev = o;
             }
             if !self.holds(vals, prev as usize * unit) {
-                return Err(WireError::Corrupt {
-                    what: "CSR does not cover its value column",
-                });
+                return Err(not_covered);
             }
-            Ok(())
+            Ok(prev as usize)
         };
-        check_csr(Section::VtreesOff, 1, Section::VtreesVals)?;
+        // A padded span also holds one field less than it was sized for, so
+        // the tree column's end is pinned to the member count itself.
+        if check_csr(Section::VtreesOff, 1, Section::VtreesVals)? != self.total_members() {
+            return Err(not_covered);
+        }
         check_csr(Section::OwnOff, 1, Section::OwnEntries)?;
         check_csr(
             Section::LabelEntriesOff,
@@ -1056,13 +1061,13 @@ impl<'a> FlatScheme<'a> {
         for (i, sec) in Section::ALL.iter().enumerate() {
             sections[i] = SectionSpan {
                 section: *sec,
-                start_word: self.secs[i] / 2,
-                words: (self.secs[i + 1] - self.secs[i]) / 2,
+                start_word: self.secs[i] / FIELDS_PER_WORD,
+                words: (self.secs[i + 1] - self.secs[i]) / FIELDS_PER_WORD,
                 checksum: self.fields.word(H_SECTION_SUMS + i),
             };
         }
         SnapshotManifest {
-            total_words: self.fields.len() / 2,
+            total_words: self.fields.len() / FIELDS_PER_WORD,
             header_checksum: self.fields.word(H_HEADER_SUM),
             sections,
         }
@@ -1082,6 +1087,18 @@ pub struct SectionSpan {
     pub checksum: u64,
 }
 
+impl SectionSpan {
+    /// Absolute start, in 4-byte fields from the buffer start.
+    pub fn start_field(&self) -> usize {
+        self.start_word * FIELDS_PER_WORD
+    }
+
+    /// Length in 4-byte fields, the pad field included.
+    pub fn fields(&self) -> usize {
+        self.words * FIELDS_PER_WORD
+    }
+}
+
 /// The header's byte-budget manifest: every section span plus the stored
 /// checksums (see [`FlatScheme::manifest`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1095,6 +1112,11 @@ pub struct SnapshotManifest {
 }
 
 impl SnapshotManifest {
+    /// Total buffer size in 4-byte fields.
+    pub fn total_fields(&self) -> usize {
+        self.total_words * FIELDS_PER_WORD
+    }
+
     /// The word offsets of every section boundary, ascending: the start of
     /// each section plus the end of the buffer — the exact places where a
     /// torn transfer truncates cleanly.
@@ -1182,8 +1204,12 @@ mod tests {
     use en_routing::scheme::RoutingScheme;
 
     fn built() -> (WeightedGraph, RoutingScheme) {
-        let g = erdos_renyi_connected(&GeneratorConfig::new(64, 9).with_weights(1, 15), 0.12);
-        let built = build_routing_scheme(&g, &ConstructionConfig::new(2, 9)).unwrap();
+        built_seeded(9)
+    }
+
+    fn built_seeded(seed: u64) -> (WeightedGraph, RoutingScheme) {
+        let g = erdos_renyi_connected(&GeneratorConfig::new(64, seed).with_weights(1, 15), 0.12);
+        let built = build_routing_scheme(&g, &ConstructionConfig::new(2, seed)).unwrap();
         (g, built.scheme)
     }
 
@@ -1215,7 +1241,7 @@ mod tests {
 
     /// The first field of section `s`.
     fn start(m: &SnapshotManifest, s: Section) -> usize {
-        2 * m.sections[s as usize].start_word
+        m.sections[s as usize].start_field()
     }
 
     /// Asserts `from_bytes` refuses the poisoned fields twice over: as plain
@@ -1538,12 +1564,46 @@ mod tests {
         // OWN_OFF holds n + 1 fields, so an even n leaves it one pad field.
         assert_eq!(flat.n() % 2, 0);
         let pad = start(&m, Section::OwnOff) + flat.n() + 1;
-        assert_eq!(
-            pad,
-            2 * m.sections[Section::OwnOff as usize + 1].start_word - 1
-        );
+        assert_eq!(pad, start(&m, Section::OwnEntries) - 1);
         assert_eq!(field_at(&bytes, pad), 0);
         assert_rejected(&bytes, &[(pad, 1)], "section pad field is not zero");
+    }
+
+    /// A padded span also fits one field less than it was sized for. Ending
+    /// the tree CSR one incidence early, with the freed field zeroed as if
+    /// it were the pad, would drop the last vertex's last tree from the
+    /// rank index's bijection, so the CSR must end at the member count.
+    #[test]
+    fn tree_csr_ending_short_of_the_member_count_is_rejected() {
+        // This build's member count is even, which leaves VTREES_VALS no
+        // pad field, so one field less spans the same words.
+        let bytes = serialize(&built_seeded(2).1);
+        let flat = FlatScheme::from_bytes(&bytes).unwrap();
+        let m = flat.manifest();
+        let total = flat.total_members();
+        assert_eq!(total % 2, 0);
+        let end = start(&m, Section::VtreesOff) + flat.n();
+        assert_eq!(field_at(&bytes, end) as usize, total);
+        assert!(!flat.trees_of(flat.n() - 1).is_empty());
+        let last = start(&m, Section::VtreesVals) + total - 1;
+        assert_rejected(
+            &bytes,
+            &[(end, total as u32 - 1), (last, 0)],
+            "CSR does not cover its value column",
+        );
+    }
+
+    #[test]
+    fn cluster_level_past_the_top_is_rejected() {
+        let bytes = snapshot();
+        let flat = FlatScheme::from_bytes(&bytes).unwrap();
+        // Cluster 0's descriptor: [center, level, members_start, members_len].
+        let level = start(&flat.manifest(), Section::Clusters) + 1;
+        assert_rejected(
+            &bytes,
+            &[(level, flat.k() as u32)],
+            "cluster descriptor inconsistent",
+        );
     }
 
     #[test]

@@ -232,9 +232,13 @@ pub const LABEL_ENTRY_FIELDS: usize = 5;
 /// Fixed fields of a table record before the optional global-heavy tail.
 pub const TABLE_FIXED_FIELDS: usize = 9;
 
+/// Fields per 8-byte word: the one place the format fixes the ratio
+/// between the header's and the sections' units.
+pub(crate) const FIELDS_PER_WORD: usize = 2;
+
 /// The words a section of `fields` fields spans, its pad field included.
 pub(crate) const fn section_words(fields: usize) -> usize {
-    fields.div_ceil(2)
+    fields.div_ceil(FIELDS_PER_WORD)
 }
 
 /// A borrowed little-endian field array over a byte buffer.
@@ -290,7 +294,7 @@ impl<'a> Fields<'a> {
     /// Reads 8-byte word `w` (a header word).
     #[inline]
     pub(crate) fn word(&self, w: usize) -> u64 {
-        self.get_u64(2 * w)
+        self.get_u64(FIELDS_PER_WORD * w)
     }
 
     /// The raw underlying bytes.
