@@ -5,6 +5,7 @@
 
 use en_bench::Workload;
 use en_graph::bfs::hop_diameter_estimate;
+use en_graph::BuildOptions;
 use en_hopset::verify::verify_hopset_with_beta;
 use en_hopset::{build_hopset, HopsetConfig};
 use en_routing::hierarchy::Hierarchy;
@@ -26,7 +27,8 @@ fn main() {
         let params = SchemeParams::new(k, n, seed);
         let hierarchy = Hierarchy::sample(&params);
         let d = hop_diameter_estimate(&g);
-        let Some(pre) = Preprocessing::run(&g, &hierarchy, &params, d) else {
+        let opts = BuildOptions::sequential();
+        let Some((pre, _)) = Preprocessing::run(&g, &hierarchy, &params, d, &opts) else {
             println!("{k:>3}  (V' empty; no large scales)");
             continue;
         };
@@ -45,15 +47,12 @@ fn main() {
         );
         assert!(report.satisfies(pre.beta, params.epsilon()));
     }
-    println!(
-        "\n(also exercised directly on raw graphs by `cargo bench -p en_bench --bench hopset`)"
-    );
     // A standalone check on a raw (non-virtual) graph, for reference.
     let g = Workload::Geometric.generate(n.min(256), seed);
     let h = build_hopset(&g, &HopsetConfig::new(0.4, 0.1, seed));
     let report = verify_hopset_with_beta(&g, &h, h.beta());
     println!(
-        "raw geometric graph: |F| = {}, beta = {}, max ratio = {:.4}, violations = {}",
+        "\nraw geometric graph: |F| = {}, beta = {}, max ratio = {:.4}, violations = {}",
         h.len(),
         h.beta(),
         report.max_ratio,

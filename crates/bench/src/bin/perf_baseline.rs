@@ -84,13 +84,11 @@ use en_wire::{generate_pairs, FlatScheme, MappedSnapshot, PairWorkload, QueryEng
 use en_bench::warn_if_round_limit_hit;
 use en_congest_algos::theorem1::{multi_source_hop_bounded, multi_source_hop_bounded_reference};
 use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
-use en_graph::{BuildOptions, CsrGraph, WeightedGraph};
-use en_routing::construction::{
-    build_routing_scheme, build_routing_scheme_with, ConstructionConfig,
-};
+use en_graph::{BuildOptions, ClusterForestBuilder, CsrGraph, WeightedGraph};
+use en_routing::construction::{build_routing_scheme, ConstructionConfig};
 use en_routing::exact::{
-    exact_cluster_family, exact_pivots_csr, grow_exact_cluster_csr,
-    grow_exact_clusters_batched_with_pivots, membership_thresholds,
+    exact_cluster_family, exact_pivots, grow_exact_cluster_csr, grow_exact_clusters,
+    membership_thresholds,
 };
 use en_routing::scheme::RoutingScheme;
 use en_routing::{Hierarchy, SchemeParams};
@@ -147,8 +145,9 @@ fn main() {
     );
     let ksources: Vec<usize> = (0..32).map(|i| i * 31 % kn).collect();
     let kernel_runs = if smoke { 3 } else { 9 };
+    let seq = BuildOptions::sequential();
     let (kernel_batched_ms, _) = best_of(kernel_runs, || {
-        multi_source_hop_bounded(&kg, &ksources, 16, 0.25, 10)
+        multi_source_hop_bounded(&kg, &ksources, 16, 0.25, 10, &seq)
     });
     let (kernel_naive_ms, _) = best_of(kernel_runs, || {
         multi_source_hop_bounded_reference(&kg, &ksources, 16)
@@ -167,7 +166,7 @@ fn main() {
     let cparams = SchemeParams::new(2, kn, 42);
     let chierarchy = Hierarchy::sample(&cparams);
     let ccsr = CsrGraph::from_graph(&kg);
-    let cpivots = exact_pivots_csr(&ccsr, &chierarchy);
+    let cpivots = exact_pivots(&ccsr, &chierarchy);
     let per_level: Vec<(usize, Vec<usize>, Vec<u64>)> = (0..chierarchy.k())
         .map(|i| {
             (
@@ -178,13 +177,24 @@ fn main() {
         })
         .collect();
     let num_centers: usize = per_level.iter().map(|(_, c, _)| c.len()).sum();
+    // One level's batched growth into a fresh forest.
+    let grow = |centers: &[usize], level: usize, threshold: &[u64]| {
+        let mut builder = ClusterForestBuilder::new(kn);
+        grow_exact_clusters(
+            &ccsr,
+            centers,
+            level,
+            threshold,
+            &cpivots,
+            &mut builder,
+            &seq,
+        );
+        builder.finish().num_clusters()
+    };
     let (clusters_batched_ms, _) = best_of(kernel_runs, || {
         per_level
             .iter()
-            .map(|(i, centers, threshold)| {
-                grow_exact_clusters_batched_with_pivots(&ccsr, centers, *i, threshold, &cpivots)
-                    .num_clusters()
-            })
+            .map(|(i, centers, threshold)| grow(centers, *i, threshold))
             .sum::<usize>()
     });
     let (clusters_per_centre_ms, _) = best_of(kernel_runs, || {
@@ -200,16 +210,8 @@ fn main() {
     });
     let clusters_speedup = clusters_per_centre_ms / clusters_batched_ms;
     let (top_level, top_centers, top_threshold) = per_level.last().expect("k >= 1");
-    let (spanning_batched_ms, _) = best_of(kernel_runs, || {
-        grow_exact_clusters_batched_with_pivots(
-            &ccsr,
-            top_centers,
-            *top_level,
-            top_threshold,
-            &cpivots,
-        )
-        .num_clusters()
-    });
+    let (spanning_batched_ms, _) =
+        best_of(kernel_runs, || grow(top_centers, *top_level, top_threshold));
     let (spanning_per_centre_ms, _) = best_of(kernel_runs, || {
         top_centers
             .iter()
@@ -240,7 +242,7 @@ fn main() {
             let hierarchy = Hierarchy::sample(&params);
             let family = exact_cluster_family(&g, &hierarchy);
             let family_bytes = family.cluster_bytes();
-            let (assemble_ms, _) = best_of(runs, || RoutingScheme::assemble(&family, &g, 42));
+            let (assemble_ms, _) = best_of(runs, || RoutingScheme::assemble(&family, &g, 42, &seq));
             println!(
                 "assemble n={n} k={k}: {assemble_ms:.3} ms, {} clusters, \
                  total members {}, family footprint {:.2} MB",
@@ -451,7 +453,7 @@ fn main() {
             let (gen_ms, g) = best_of(runs, || workload(n));
             let sources: Vec<usize> = (0..32).map(|i| i * 31 % n).collect();
             let (kernel_ms, _) = best_of(runs, || {
-                multi_source_hop_bounded(&g, &sources, 16, 0.25, 10)
+                multi_source_hop_bounded(&g, &sources, 16, 0.25, 10, &seq)
             });
             // The construction threads axis: the sequential oracle vs the
             // host's full parallelism. The outputs are bit-identical (the
@@ -459,20 +461,11 @@ fn main() {
             // the per-thread work accounting may differ — and the totals of
             // the accounting must not.
             let (build_ms, built) = best_of(runs, || {
-                build_routing_scheme_with(
-                    &g,
-                    &ConstructionConfig::new(k, 42),
-                    &BuildOptions::sequential(),
-                )
-                .unwrap()
+                build_routing_scheme(&g, &ConstructionConfig::new(k, 42).with_threads(1)).unwrap()
             });
             let (build_mt_ms, built_mt) = best_of(runs, || {
-                build_routing_scheme_with(
-                    &g,
-                    &ConstructionConfig::new(k, 42),
-                    &BuildOptions::new(host_cpus),
-                )
-                .unwrap()
+                let config = ConstructionConfig::new(k, 42).with_threads(host_cpus);
+                build_routing_scheme(&g, &config).unwrap()
             });
             assert_eq!(
                 built.build_stats.total_sources(),

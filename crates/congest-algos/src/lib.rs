@@ -33,6 +33,5 @@ pub mod theorem1;
 pub use cluster_explore::{distributed_cluster_exploration, ClusterExplorationResult};
 pub use explore::{distributed_exploration, ExplorationResult};
 pub use theorem1::{
-    multi_source_hop_bounded, multi_source_hop_bounded_opts, multi_source_hop_bounded_reference,
-    MultiSourceHopBounded,
+    multi_source_hop_bounded, multi_source_hop_bounded_reference, MultiSourceHopBounded,
 };

@@ -14,12 +14,11 @@
 //! ```
 //!
 //! The original distributed algorithm runs in `Õ(|V'| + B + D)/ε` rounds.
-//! Reproduction note (see DESIGN.md): we compute the values source-parallel at
-//! graph level — which yields the *exact* `B`-hop distances, trivially
-//! satisfying (2) — and charge the paper's round bound on a
-//! [`RoundLedger`]. The exactness also makes (3) hold
-//! with the hop-bounded parent (proof: `d^{(B)}(u,v) = w(u,p) + d^{(B-1)}(p,v)
-//! ≥ w(u,p) + d^{(B)}(p,v)`).
+//! Reproduction note: we compute the values source-parallel at graph level —
+//! which yields the *exact* `B`-hop distances, trivially satisfying (2) — and
+//! charge the paper's round bound on a [`RoundLedger`]. The exactness also
+//! makes (3) hold with the hop-bounded parent (proof:
+//! `d^{(B)}(u,v) = w(u,p) + d^{(B-1)}(p,v) ≥ w(u,p) + d^{(B)}(p,v)`).
 //!
 //! # Implementation
 //!
@@ -127,39 +126,17 @@ impl MultiSourceHopBounded {
 /// approximation parameter `eps`, on a graph of hop-diameter `hop_diameter`
 /// (used only for the round charge).
 ///
+/// The source sequence is sharded into 64-aligned contiguous spans, each
+/// swept by its own scoped worker (up to `opts.threads`) into its own
+/// disjoint slice of the flat source-major output — same chunk composition,
+/// same writes, so the result is bit-identical to the sequential run for
+/// every thread count. Also returns per-thread work accounting (sources
+/// swept; finite distance cells produced).
+///
 /// # Panics
 ///
 /// Panics if a source is out of range, `B == 0`, or `eps` is not in `(0, 1)`.
 pub fn multi_source_hop_bounded(
-    g: &WeightedGraph,
-    sources: &[NodeId],
-    hop_bound: usize,
-    eps: f64,
-    hop_diameter: usize,
-) -> MultiSourceHopBounded {
-    multi_source_hop_bounded_opts(
-        g,
-        sources,
-        hop_bound,
-        eps,
-        hop_diameter,
-        &BuildOptions::sequential(),
-    )
-    .0
-}
-
-/// [`multi_source_hop_bounded`] with a thread-count knob: the source
-/// sequence is sharded into 64-aligned contiguous spans, each swept by its
-/// own scoped worker into its own disjoint slice of the flat source-major
-/// output — same chunk composition, same writes, so the result is
-/// bit-identical to the sequential run for every thread count. Also returns
-/// per-thread work accounting (sources swept; finite distance cells
-/// produced).
-///
-/// # Panics
-///
-/// Panics if a source is out of range, `B == 0`, or `eps` is not in `(0, 1)`.
-pub fn multi_source_hop_bounded_opts(
     g: &WeightedGraph,
     sources: &[NodeId],
     hop_bound: usize,
@@ -484,7 +461,8 @@ mod tests {
     fn setup() -> (WeightedGraph, Vec<NodeId>, MultiSourceHopBounded) {
         let g = erdos_renyi_connected(&GeneratorConfig::new(60, 41).with_weights(1, 30), 0.07);
         let sources = vec![0, 7, 23, 42];
-        let res = multi_source_hop_bounded(&g, &sources, 6, 0.25, 10);
+        let opts = BuildOptions::sequential();
+        let (res, _) = multi_source_hop_bounded(&g, &sources, 6, 0.25, 10, &opts);
         (g, sources, res)
     }
 
@@ -570,13 +548,13 @@ mod tests {
     #[should_panic(expected = "hop bound")]
     fn rejects_zero_hop_bound() {
         let g = erdos_renyi_connected(&GeneratorConfig::new(10, 1), 0.3);
-        let _ = multi_source_hop_bounded(&g, &[0], 0, 0.1, 3);
+        let _ = multi_source_hop_bounded(&g, &[0], 0, 0.1, 3, &BuildOptions::sequential());
     }
 
     #[test]
     #[should_panic(expected = "epsilon")]
     fn rejects_bad_epsilon() {
         let g = erdos_renyi_connected(&GeneratorConfig::new(10, 1), 0.3);
-        let _ = multi_source_hop_bounded(&g, &[0], 2, 1.5, 3);
+        let _ = multi_source_hop_bounded(&g, &[0], 2, 1.5, 3, &BuildOptions::sequential());
     }
 }

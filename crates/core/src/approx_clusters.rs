@@ -24,14 +24,14 @@ use std::collections::HashMap;
 
 use en_congest::broadcast::lemma1_rounds;
 use en_congest::RoundLedger;
-use en_congest_algos::theorem1::multi_source_hop_bounded_opts;
-use en_graph::forest::{ClusterForest, ClusterForestBuilder, ForestMember};
-use en_graph::restricted::restricted_multi_source_csr_opts;
+use en_congest_algos::theorem1::multi_source_hop_bounded;
+use en_graph::forest::{ClusterForestBuilder, ForestMember};
+use en_graph::restricted::restricted_multi_source_csr;
 use en_graph::{
     is_finite, BuildOptions, BuildStats, Dist, NodeId, NodeMap, Weight, WeightedGraph, INFINITY,
 };
 
-use crate::exact::{grow_exact_clusters_batched_with_pivots_into_opts, membership_thresholds};
+use crate::exact::{grow_exact_clusters, membership_thresholds};
 use crate::hierarchy::Hierarchy;
 use crate::params::SchemeParams;
 use crate::preprocess::Preprocessing;
@@ -39,8 +39,10 @@ use crate::preprocess::Preprocessing;
 /// Diagnostics of the approximate-cluster construction.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterDiagnostics {
-    /// Number of members whose recorded parent was not itself a member and had
-    /// to be repaired (a low-probability event; see DESIGN.md).
+    /// Number of members whose recorded parent was missing or not itself a
+    /// member, a low-probability event. The private tree assembly
+    /// `assemble_cluster_tree_into` repairs each one: it attaches the member
+    /// through its best neighbour already in the tree, or drops it.
     pub parent_fixups: usize,
     /// Number of cluster trees built per level.
     pub clusters_per_level: HashMap<usize, usize>,
@@ -50,67 +52,16 @@ pub struct ClusterDiagnostics {
     pub round_limit_hits: usize,
 }
 
-/// Output of the approximate-cluster construction for a set of levels.
-#[derive(Debug, Clone)]
-pub struct ApproxClusters {
-    /// The clusters, one per centre of the covered levels, in the compact
-    /// arena representation (construction absorbs the per-phase forests into
-    /// the family's shared arena).
-    pub forest: ClusterForest,
-    /// Round charges.
-    pub ledger: RoundLedger,
-    /// Diagnostics.
-    pub diagnostics: ClusterDiagnostics,
-}
-
 /// Builds the small-scale clusters (levels `i < ⌈k/2⌉`, excluding the odd-`k`
-/// middle level, which has its own routine): every level is grown by one
-/// batched restricted multi-source pass over a shared CSR view (all centres
-/// of the level share the threshold vector `d̂_{i+1}(·)`), replacing the old
-/// one-heap-Dijkstra-per-centre loop.
+/// middle level, which has its own routine) into a caller-owned builder, so
+/// the end-to-end construction pays for the membership CSR once at the
+/// family's final `finish()` instead of once per phase. Every level is grown
+/// by one batched restricted multi-source pass over a shared CSR view (all
+/// centres of the level share the threshold vector `d̂_{i+1}(·)`); the sweep
+/// and the forest pushes run sharded over up to `opts.threads` workers,
+/// bit-identically to the sequential path, and per-thread work accounting
+/// is absorbed into `stats`.
 pub fn small_scale_clusters(
-    g: &WeightedGraph,
-    hierarchy: &Hierarchy,
-    params: &SchemeParams,
-    pivots: &[Vec<Option<(NodeId, Dist)>>],
-) -> ApproxClusters {
-    let mut builder = ClusterForestBuilder::new(g.num_nodes());
-    let (ledger, diagnostics) =
-        small_scale_clusters_into(g, hierarchy, params, pivots, &mut builder);
-    ApproxClusters {
-        forest: builder.finish(),
-        ledger,
-        diagnostics,
-    }
-}
-
-/// [`small_scale_clusters`] appending into a caller-owned builder, so the
-/// end-to-end construction pays for the membership CSR once at the family's
-/// final `finish()` instead of once per phase.
-pub fn small_scale_clusters_into(
-    g: &WeightedGraph,
-    hierarchy: &Hierarchy,
-    params: &SchemeParams,
-    pivots: &[Vec<Option<(NodeId, Dist)>>],
-    builder: &mut ClusterForestBuilder,
-) -> (RoundLedger, ClusterDiagnostics) {
-    let mut stats = BuildStats::default();
-    small_scale_clusters_into_opts(
-        g,
-        hierarchy,
-        params,
-        pivots,
-        builder,
-        &BuildOptions::sequential(),
-        &mut stats,
-    )
-}
-
-/// [`small_scale_clusters_into`] with a thread-count knob: every level's
-/// batched restricted sweep and forest pushes run sharded (bit-identically
-/// to the sequential path); per-thread work accounting is absorbed into
-/// `stats`.
-pub fn small_scale_clusters_into_opts(
     g: &WeightedGraph,
     hierarchy: &Hierarchy,
     params: &SchemeParams,
@@ -133,9 +84,8 @@ pub fn small_scale_clusters_into_opts(
             continue;
         }
         let threshold = membership_thresholds(pivots, i);
-        let (pushed, level_stats) = grow_exact_clusters_batched_with_pivots_into_opts(
-            &csr, &centers, i, &threshold, pivots, builder, opts,
-        );
+        let (pushed, level_stats) =
+            grow_exact_clusters(&csr, &centers, i, &threshold, pivots, builder, opts);
         stats.absorb(&level_stats);
         let mut level_overlap = vec![0usize; g.num_nodes()];
         for id in pushed {
@@ -158,51 +108,12 @@ pub fn small_scale_clusters_into_opts(
     (ledger, diagnostics)
 }
 
-/// Builds the odd-`k` middle-level clusters via Theorem 1 (§3.2, "The middle level").
-pub fn middle_level_clusters(
-    g: &WeightedGraph,
-    hierarchy: &Hierarchy,
-    params: &SchemeParams,
-    pivots: &[Vec<Option<(NodeId, Dist)>>],
-    hop_diameter: usize,
-) -> ApproxClusters {
-    let mut builder = ClusterForestBuilder::new(g.num_nodes());
-    let (ledger, diagnostics) =
-        middle_level_clusters_into(g, hierarchy, params, pivots, hop_diameter, &mut builder);
-    ApproxClusters {
-        forest: builder.finish(),
-        ledger,
-        diagnostics,
-    }
-}
-
-/// [`middle_level_clusters`] appending into a caller-owned builder.
-pub fn middle_level_clusters_into(
-    g: &WeightedGraph,
-    hierarchy: &Hierarchy,
-    params: &SchemeParams,
-    pivots: &[Vec<Option<(NodeId, Dist)>>],
-    hop_diameter: usize,
-    builder: &mut ClusterForestBuilder,
-) -> (RoundLedger, ClusterDiagnostics) {
-    let mut stats = BuildStats::default();
-    middle_level_clusters_into_opts(
-        g,
-        hierarchy,
-        params,
-        pivots,
-        hop_diameter,
-        builder,
-        &BuildOptions::sequential(),
-        &mut stats,
-    )
-}
-
-/// [`middle_level_clusters_into`] with a thread-count knob: the Theorem-1
-/// sweep from the middle-level centres runs sharded; per-thread work
-/// accounting is absorbed into `stats`.
+/// Builds the odd-`k` middle-level clusters via Theorem 1 (§3.2, "The
+/// middle level") into a caller-owned builder. The Theorem-1 sweep from the
+/// middle-level centres runs sharded over up to `opts.threads` workers;
+/// per-thread work accounting is absorbed into `stats`.
 #[allow(clippy::too_many_arguments)]
-pub fn middle_level_clusters_into_opts(
+pub fn middle_level_clusters(
     g: &WeightedGraph,
     hierarchy: &Hierarchy,
     params: &SchemeParams,
@@ -224,7 +135,7 @@ pub fn middle_level_clusters_into_opts(
     let b = params.exploration_depth(i + 1);
     let eps = params.epsilon();
     let (t1, t1_stats) =
-        multi_source_hop_bounded_opts(g, &centers, b, eps.max(1e-9), hop_diameter, opts);
+        multi_source_hop_bounded(g, &centers, b, eps.max(1e-9), hop_diameter, opts);
     stats.absorb(&t1_stats);
     ledger.absorb(t1.ledger.clone());
     let threshold = membership_thresholds(pivots, i);
@@ -254,64 +165,13 @@ pub fn middle_level_clusters_into_opts(
 }
 
 /// Builds the large-scale clusters (levels `i ≥ ⌈k/2⌉`) with the three-phase
-/// virtual-graph construction of §3.3.2.
+/// virtual-graph construction of §3.3.2, into a caller-owned builder. Each
+/// level's Phase-1 depth-bounded exploration on `G''` runs sharded over the
+/// level's centres on up to `opts.threads` workers (the per-centre Phase 1.5
+/// / Phase 2 passes stay sequential — they are reads of the batched
+/// results); per-thread work accounting is absorbed into `stats`.
+#[allow(clippy::too_many_arguments)]
 pub fn large_scale_clusters(
-    g: &WeightedGraph,
-    hierarchy: &Hierarchy,
-    params: &SchemeParams,
-    pivots: &[Vec<Option<(NodeId, Dist)>>],
-    pre: &Preprocessing,
-    hop_diameter: usize,
-) -> ApproxClusters {
-    let mut builder = ClusterForestBuilder::new(g.num_nodes());
-    let (ledger, diagnostics) = large_scale_clusters_into(
-        g,
-        hierarchy,
-        params,
-        pivots,
-        pre,
-        hop_diameter,
-        &mut builder,
-    );
-    ApproxClusters {
-        forest: builder.finish(),
-        ledger,
-        diagnostics,
-    }
-}
-
-/// [`large_scale_clusters`] appending into a caller-owned builder.
-#[allow(clippy::too_many_arguments)]
-pub fn large_scale_clusters_into(
-    g: &WeightedGraph,
-    hierarchy: &Hierarchy,
-    params: &SchemeParams,
-    pivots: &[Vec<Option<(NodeId, Dist)>>],
-    pre: &Preprocessing,
-    hop_diameter: usize,
-    builder: &mut ClusterForestBuilder,
-) -> (RoundLedger, ClusterDiagnostics) {
-    let mut stats = BuildStats::default();
-    large_scale_clusters_into_opts(
-        g,
-        hierarchy,
-        params,
-        pivots,
-        pre,
-        hop_diameter,
-        builder,
-        &BuildOptions::sequential(),
-        &mut stats,
-    )
-}
-
-/// [`large_scale_clusters_into`] with a thread-count knob: each level's
-/// Phase-1 depth-bounded exploration on `G''` runs sharded over the level's
-/// centres (the per-centre Phase 1.5 / Phase 2 passes stay sequential —
-/// they are reads of the batched results); per-thread work accounting is
-/// absorbed into `stats`.
-#[allow(clippy::too_many_arguments)]
-pub fn large_scale_clusters_into_opts(
     g: &WeightedGraph,
     hierarchy: &Hierarchy,
     params: &SchemeParams,
@@ -383,7 +243,7 @@ pub fn large_scale_clusters_into_opts(
             })
             .collect();
         let (phase1, phase1_stats) =
-            restricted_multi_source_csr_opts(&aug_csr, &cus, &vthreshold, Some(pre.beta), opts);
+            restricted_multi_source_csr(&aug_csr, &cus, &vthreshold, Some(pre.beta), opts);
         stats.absorb(&phase1_stats);
         for (s, &center) in centers.iter().enumerate() {
             let cu = cus[s];
@@ -416,24 +276,10 @@ pub fn large_scale_clusters_into_opts(
                 let forward = nodes.first() == Some(&x);
                 let len = nodes.len();
                 for (pos_raw, &z) in nodes.iter().enumerate() {
-                    let (pos_from_x, neighbor_towards_x) = if forward {
-                        (
-                            pos_raw,
-                            if pos_raw > 0 {
-                                Some(nodes[pos_raw - 1])
-                            } else {
-                                None
-                            },
-                        )
+                    let neighbor_towards_x = if forward {
+                        pos_raw.checked_sub(1).map(|p| nodes[p])
                     } else {
-                        (
-                            len - 1 - pos_raw,
-                            if pos_raw + 1 < len {
-                                Some(nodes[pos_raw + 1])
-                            } else {
-                                None
-                            },
-                        )
+                        nodes.get(pos_raw + 1).copied()
                     };
                     if z == x {
                         continue;
@@ -443,10 +289,6 @@ pub fn large_scale_clusters_into_opts(
                     } else {
                         prefix[len - 1] - prefix[pos_raw]
                     };
-                    debug_assert_eq!(d_xz, {
-                        let _ = pos_from_x;
-                        d_xz
-                    });
                     let cand = vdist[x].saturating_add(d_xz).min(INFINITY);
                     // Paper uses "at least" (>=) so that even the endpoint y
                     // re-parents onto a G' edge along the path.
@@ -654,6 +496,7 @@ mod tests {
     use crate::exact::exact_cluster_family;
     use crate::pivots::compute_pivots;
     use en_graph::dijkstra::dijkstra;
+    use en_graph::forest::ClusterForest;
     use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
 
     struct Setup {
@@ -668,7 +511,8 @@ mod tests {
         let g = erdos_renyi_connected(&GeneratorConfig::new(n, seed).with_weights(1, 25), 0.1);
         let params = SchemeParams::new(k, n, seed);
         let hierarchy = Hierarchy::sample(&params);
-        let pre = Preprocessing::run(&g, &hierarchy, &params, 6);
+        let opts = BuildOptions::sequential();
+        let pre = Preprocessing::run(&g, &hierarchy, &params, 6, &opts).map(|(pre, _)| pre);
         let table = compute_pivots(&g, &hierarchy, &params, pre.as_ref(), 6);
         Setup {
             g,
@@ -679,7 +523,36 @@ mod tests {
         }
     }
 
-    fn check_contained_in_exact(s: &Setup, built: &ApproxClusters) {
+    /// What one construction phase built, run on one thread into a fresh
+    /// builder.
+    struct Built {
+        forest: ClusterForest,
+        ledger: RoundLedger,
+        diagnostics: ClusterDiagnostics,
+    }
+
+    fn build(
+        n: usize,
+        phase: impl FnOnce(
+            &mut ClusterForestBuilder,
+            &BuildOptions,
+            &mut BuildStats,
+        ) -> (RoundLedger, ClusterDiagnostics),
+    ) -> Built {
+        let mut builder = ClusterForestBuilder::new(n);
+        let (ledger, diagnostics) = phase(
+            &mut builder,
+            &BuildOptions::sequential(),
+            &mut BuildStats::default(),
+        );
+        Built {
+            forest: builder.finish(),
+            ledger,
+            diagnostics,
+        }
+    }
+
+    fn check_contained_in_exact(s: &Setup, built: &Built) {
         let exact = exact_cluster_family(&s.g, &s.hierarchy);
         for cluster in built.forest.clusters() {
             let center = cluster.center();
@@ -693,7 +566,7 @@ mod tests {
         }
     }
 
-    fn check_root_estimates(s: &Setup, built: &ApproxClusters, slack: f64) {
+    fn check_root_estimates(s: &Setup, built: &Built, slack: f64) {
         for cluster in built.forest.clusters() {
             let sp = dijkstra(&s.g, cluster.center());
             for (v, &est) in cluster.members().zip(cluster.root_dists()) {
@@ -711,7 +584,9 @@ mod tests {
     #[test]
     fn small_scale_clusters_are_exact_clusters() {
         let s = setup(60, 4, 1);
-        let built = small_scale_clusters(&s.g, &s.hierarchy, &s.params, &s.pivots);
+        let built = build(s.g.num_nodes(), |b, opts, stats| {
+            small_scale_clusters(&s.g, &s.hierarchy, &s.params, &s.pivots, b, opts, stats)
+        });
         check_contained_in_exact(&s, &built);
         check_root_estimates(&s, &built, 1.0);
         assert!(built.ledger.total_rounds() > 0);
@@ -723,7 +598,9 @@ mod tests {
     #[test]
     fn middle_level_clusters_for_odd_k() {
         let s = setup(60, 3, 2);
-        let built = middle_level_clusters(&s.g, &s.hierarchy, &s.params, &s.pivots, 6);
+        let built = build(s.g.num_nodes(), |b, opts, stats| {
+            middle_level_clusters(&s.g, &s.hierarchy, &s.params, &s.pivots, 6, b, opts, stats)
+        });
         // Middle level of k = 3 is level 1.
         assert!(built.forest.clusters().all(|c| c.level() == 1));
         check_contained_in_exact(&s, &built);
@@ -736,7 +613,9 @@ mod tests {
     #[test]
     fn middle_level_empty_for_even_k() {
         let s = setup(40, 4, 3);
-        let built = middle_level_clusters(&s.g, &s.hierarchy, &s.params, &s.pivots, 6);
+        let built = build(s.g.num_nodes(), |b, opts, stats| {
+            middle_level_clusters(&s.g, &s.hierarchy, &s.params, &s.pivots, 6, b, opts, stats)
+        });
         assert!(built.forest.is_empty());
     }
 
@@ -746,7 +625,19 @@ mod tests {
         let Some(pre) = &s.pre else {
             return;
         };
-        let built = large_scale_clusters(&s.g, &s.hierarchy, &s.params, &s.pivots, pre, 6);
+        let built = build(s.g.num_nodes(), |b, opts, stats| {
+            large_scale_clusters(
+                &s.g,
+                &s.hierarchy,
+                &s.params,
+                &s.pivots,
+                pre,
+                6,
+                b,
+                opts,
+                stats,
+            )
+        });
         let eps = s.params.epsilon();
         for c in built.forest.clusters() {
             assert!(c.tree().is_subgraph_of(&s.g), "centre {}", c.center());
@@ -763,7 +654,19 @@ mod tests {
         let Some(pre) = &s.pre else {
             return;
         };
-        let built = large_scale_clusters(&s.g, &s.hierarchy, &s.params, &s.pivots, pre, 6);
+        let built = build(s.g.num_nodes(), |b, opts, stats| {
+            large_scale_clusters(
+                &s.g,
+                &s.hierarchy,
+                &s.params,
+                &s.pivots,
+                pre,
+                6,
+                b,
+                opts,
+                stats,
+            )
+        });
         // For k = 2 the only large level is 1 = k-1, whose threshold is ∞, so
         // every cluster contains every vertex (this is what guarantees that
         // Find-tree always terminates).
@@ -779,7 +682,19 @@ mod tests {
         let Some(pre) = &s.pre else {
             return;
         };
-        let built = large_scale_clusters(&s.g, &s.hierarchy, &s.params, &s.pivots, pre, 6);
+        let built = build(s.g.num_nodes(), |b, opts, stats| {
+            large_scale_clusters(
+                &s.g,
+                &s.hierarchy,
+                &s.params,
+                &s.pivots,
+                pre,
+                6,
+                b,
+                opts,
+                stats,
+            )
+        });
         let eps = s.params.epsilon();
         for cluster in built.forest.clusters() {
             let center = cluster.center();
@@ -812,8 +727,6 @@ mod tests {
     /// and re-parent its endpoint onto a `G'` edge.
     #[test]
     fn phase_1_5_pulls_hopset_paths_into_the_tree() {
-        use en_congest::RoundLedger;
-        use en_congest_algos::theorem1::multi_source_hop_bounded;
         use en_graph::Path;
         use en_hopset::{AugmentedGraph, Hopset, HopsetEdge};
         use std::collections::HashMap as Map;
@@ -841,7 +754,8 @@ mod tests {
             0.0,
         );
         let augmented = AugmentedGraph::new(&gprime, &hopset);
-        let theorem1 = multi_source_hop_bounded(&g, &vprime, 6, 0.01, 5);
+        let opts = BuildOptions::sequential();
+        let (theorem1, _) = multi_source_hop_bounded(&g, &vprime, 6, 0.01, 5, &opts);
         let pre = Preprocessing {
             index_of: vprime
                 .iter()
@@ -859,7 +773,10 @@ mod tests {
             ledger: RoundLedger::new(),
         };
 
-        let built = large_scale_clusters(&g, &hierarchy, &params, &pivot_table.pivots, &pre, 5);
+        let pivots = &pivot_table.pivots;
+        let built = build(6, |b, opts, stats| {
+            large_scale_clusters(&g, &hierarchy, &params, pivots, &pre, 5, b, opts, stats)
+        });
         // Level 1 is the top level (k = 2), so every centre's cluster spans V.
         for &center in &[0usize, 2, 5] {
             let cluster = built.forest.cluster_by_center(center).unwrap();

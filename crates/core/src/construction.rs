@@ -22,8 +22,7 @@ use en_graph::{BuildOptions, BuildStats, WeightedGraph};
 use en_tree_routing::remark3_rounds;
 
 use crate::approx_clusters::{
-    large_scale_clusters_into_opts, middle_level_clusters_into_opts,
-    small_scale_clusters_into_opts, ClusterDiagnostics,
+    large_scale_clusters, middle_level_clusters, small_scale_clusters, ClusterDiagnostics,
 };
 use crate::distance_estimation::DistanceEstimation;
 use crate::error::RoutingError;
@@ -45,21 +44,33 @@ pub struct ConstructionConfig {
     /// double BFS sweep (the estimate only affects round *charges*, never
     /// correctness).
     pub hop_diameter: Option<usize>,
+    /// Maximum worker threads per parallel phase; `1` runs the exact
+    /// sequential pipeline. The thread count never changes the produced
+    /// scheme (see [`en_graph::parallel`]).
+    pub threads: usize,
 }
 
 impl ConstructionConfig {
-    /// A configuration with the given `k` and seed.
+    /// A configuration with the given `k` and seed, using the host's
+    /// available parallelism ([`BuildOptions::default`]).
     pub fn new(k: usize, seed: u64) -> Self {
         ConstructionConfig {
             k,
             seed,
             hop_diameter: None,
+            threads: BuildOptions::default().threads,
         }
     }
 
     /// Overrides the hop-diameter used for round charges.
     pub fn with_hop_diameter(mut self, d: usize) -> Self {
         self.hop_diameter = Some(d);
+        self
+    }
+
+    /// Overrides the worker-thread count.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads;
         self
     }
 }
@@ -100,10 +111,11 @@ impl BuiltScheme {
 
 /// Runs the full distributed construction on `g`.
 ///
-/// Uses the host's available parallelism ([`BuildOptions::default`]); the
-/// parallel build is bit-identical to the sequential one, so the thread
-/// count never changes the produced scheme (see
-/// [`en_graph::parallel`] and `tests/property_parallel_build.rs`).
+/// Each parallel phase runs on up to `config.threads` workers. The parallel
+/// build is bit-identical to the sequential one, so the thread count never
+/// changes the produced scheme (see [`en_graph::parallel`] and
+/// `tests/property_parallel_build.rs`); `threads = 1` is the oracle the
+/// determinism suite compares every other thread count against.
 ///
 /// # Errors
 ///
@@ -112,23 +124,6 @@ impl BuiltScheme {
 pub fn build_routing_scheme(
     g: &WeightedGraph,
     config: &ConstructionConfig,
-) -> Result<BuiltScheme, RoutingError> {
-    build_routing_scheme_with(g, config, &BuildOptions::default())
-}
-
-/// [`build_routing_scheme`] with an explicit thread-count knob.
-///
-/// `opts.threads = 1` runs the exact sequential pipeline — the oracle the
-/// determinism suite compares every other thread count against.
-///
-/// # Errors
-///
-/// Returns an error if `k == 0`, the graph is empty, or the graph is not
-/// connected.
-pub fn build_routing_scheme_with(
-    g: &WeightedGraph,
-    config: &ConstructionConfig,
-    opts: &BuildOptions,
 ) -> Result<BuiltScheme, RoutingError> {
     if config.k == 0 {
         return Err(RoutingError::InvalidK { k: config.k });
@@ -143,6 +138,7 @@ pub fn build_routing_scheme_with(
     let hop_diameter = config
         .hop_diameter
         .unwrap_or_else(|| hop_diameter_estimate(g));
+    let opts = &BuildOptions::new(config.threads);
     let mut ledger = RoundLedger::new();
     let mut build_stats = BuildStats::default();
     let _build_span = en_obs::span("build");
@@ -156,12 +152,10 @@ pub fn build_routing_scheme_with(
     // 2. Preprocessing for the large scales.
     let pre = {
         let _s = en_obs::span("preprocess");
-        Preprocessing::run_with(g, &hierarchy, &params, hop_diameter, opts).map(
-            |(pre, pre_stats)| {
-                build_stats.absorb(&pre_stats);
-                pre
-            },
-        )
+        Preprocessing::run(g, &hierarchy, &params, hop_diameter, opts).map(|(pre, pre_stats)| {
+            build_stats.absorb(&pre_stats);
+            pre
+        })
     };
     let hopset_beta = pre.as_ref().map(|p| p.beta);
     if let Some(pre) = &pre {
@@ -183,7 +177,7 @@ pub fn build_routing_scheme_with(
     let mut builder = en_graph::forest::ClusterForestBuilder::new(g.num_nodes());
     {
         let _s = en_obs::span("clusters_small");
-        let (small_ledger, small_diag) = small_scale_clusters_into_opts(
+        let (small_ledger, small_diag) = small_scale_clusters(
             g,
             &hierarchy,
             &params,
@@ -197,7 +191,7 @@ pub fn build_routing_scheme_with(
     }
     {
         let _s = en_obs::span("clusters_middle");
-        let (middle_ledger, middle_diag) = middle_level_clusters_into_opts(
+        let (middle_ledger, middle_diag) = middle_level_clusters(
             g,
             &hierarchy,
             &params,
@@ -212,7 +206,7 @@ pub fn build_routing_scheme_with(
     }
     if let Some(pre) = &pre {
         let _s = en_obs::span("clusters_large");
-        let (large_ledger, large_diag) = large_scale_clusters_into_opts(
+        let (large_ledger, large_diag) = large_scale_clusters(
             g,
             &hierarchy,
             &params,
@@ -244,7 +238,7 @@ pub fn build_routing_scheme_with(
     );
     let (scheme, assemble_stats) = {
         let _s = en_obs::span("assemble");
-        RoutingScheme::assemble_opts(&family, g, config.seed ^ 0x7EE5_0FF1CE, opts)
+        RoutingScheme::assemble(&family, g, config.seed ^ 0x7EE5_0FF1CE, opts)
     };
     build_stats.absorb(&assemble_stats);
 

@@ -21,20 +21,18 @@
 //! vector `d_G(·, A_{i+1})`, so one vertex-major batched pass grows every
 //! cluster of the level at once over a single shared [`CsrGraph`] — and the
 //! kernel's compact member records are appended *directly* to the family's
-//! [`ClusterForest`] arena, with no intermediate per-cluster
-//! host-sized tree. The per-centre restricted Dijkstra
-//! ([`grow_exact_cluster_csr`]) is retained as the oracle the property tests
-//! validate the batched kernel against; it still materialises the dense
-//! [`Cluster`] representation the comparisons need.
+//! [`ClusterForest`](en_graph::forest::ClusterForest) arena, with no
+//! intermediate per-cluster host-sized tree. The per-centre restricted
+//! Dijkstra ([`grow_exact_cluster_csr`]) is retained as the oracle the
+//! property tests validate the batched kernel against; it still materialises
+//! the dense [`Cluster`] representation the comparisons need.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use en_graph::dijkstra::multi_source_dijkstra_csr;
-use en_graph::forest::{ClusterForest, ClusterForestBuilder, ClusterId, ForestMember};
-use en_graph::restricted::{
-    restricted_multi_source_csr, restricted_multi_source_csr_grouped_opts, RestrictedMultiSource,
-};
+use en_graph::forest::{ClusterForestBuilder, ClusterId, ForestMember};
+use en_graph::restricted::{restricted_multi_source_csr_grouped, RestrictedMultiSource};
 use en_graph::tree::RootedTree;
 use en_graph::{
     dist_add, is_finite, shard_spans, BuildOptions, BuildStats, CsrGraph, Dist, NodeId, NodeMap,
@@ -45,19 +43,12 @@ use crate::family::{Cluster, ClusterFamily};
 use crate::hierarchy::Hierarchy;
 
 /// Computes the exact pivots `z_i(v)` and distances `d_G(v, A_i)` for every
-/// vertex and every level `0 ≤ i < k`.
+/// vertex and every level `0 ≤ i < k`, over a prebuilt [`CsrGraph`] view of
+/// the graph ([`exact_cluster_family`] threads one shared view through the
+/// pivot and cluster computations).
 ///
 /// `pivots[v][i]` is `None` when `A_i` is empty or unreachable from `v`.
-///
-/// Convenience wrapper over [`exact_pivots_csr`] for callers without a
-/// prebuilt CSR view; [`exact_cluster_family`] threads one shared
-/// [`CsrGraph`] through the pivot and cluster computations instead.
-pub fn exact_pivots(g: &WeightedGraph, hierarchy: &Hierarchy) -> Vec<Vec<Option<(NodeId, Dist)>>> {
-    exact_pivots_csr(&CsrGraph::from_graph(g), hierarchy)
-}
-
-/// [`exact_pivots`] over a prebuilt [`CsrGraph`] view of the graph.
-pub fn exact_pivots_csr(csr: &CsrGraph, hierarchy: &Hierarchy) -> Vec<Vec<Option<(NodeId, Dist)>>> {
+pub fn exact_pivots(csr: &CsrGraph, hierarchy: &Hierarchy) -> Vec<Vec<Option<(NodeId, Dist)>>> {
     let n = csr.num_nodes();
     let k = hierarchy.k();
     let mut pivots = vec![vec![None; k]; n];
@@ -100,7 +91,7 @@ pub fn membership_thresholds(pivots: &[Vec<Option<(NodeId, Dist)>>], level: usiz
 /// the search this way still yields exact distances for every member.
 ///
 /// This is the retained per-centre oracle for the batched kernel
-/// ([`grow_exact_clusters_batched`]): the property suite asserts the two
+/// ([`grow_exact_clusters`]): the property suite asserts the two
 /// produce identical member sets, distances and valid trees. The relaxed arc
 /// weight is recorded alongside each parent during the search, so the tree is
 /// assembled without any adjacency re-lookup (and without the possibility of
@@ -159,89 +150,21 @@ pub fn grow_exact_cluster_csr(
 }
 
 /// Grows the exact clusters of *every* centre of one level in a single
-/// batched restricted multi-source pass — the tentpole kernel. All centres
-/// share the level's threshold vector `d_G(·, A_{i+1})`, so the per-centre
-/// heap searches collapse into chunked vertex-major relaxation sweeps
-/// (see [`en_graph::restricted`]). Returns a forest holding the clusters in
-/// `centers` order.
-pub fn grow_exact_clusters_batched(
-    csr: &CsrGraph,
-    centers: &[NodeId],
-    level: usize,
-    threshold: &[Dist],
-) -> ClusterForest {
-    let mut builder = ClusterForestBuilder::new(csr.num_nodes());
-    grow_exact_clusters_batched_into(csr, centers, level, threshold, &mut builder);
-    builder.finish()
-}
-
-/// [`grow_exact_clusters_batched`] appending into a caller-owned builder
-/// (whole-family construction pushes every level into one shared arena).
-/// Returns the range of [`ClusterId`]s pushed.
-pub fn grow_exact_clusters_batched_into(
-    csr: &CsrGraph,
-    centers: &[NodeId],
-    level: usize,
-    threshold: &[Dist],
-    builder: &mut ClusterForestBuilder,
-) -> std::ops::Range<ClusterId> {
-    let res = restricted_multi_source_csr(csr, centers, threshold, None);
-    push_restricted_clusters(builder, &res, level)
-}
-
-/// [`grow_exact_clusters_batched`] for callers that already hold the pivot
-/// table: each centre's level-`i+1` pivot is its Voronoi cell around
-/// `A_{i+1}` — exactly the locality grouping the kernel wants — so the
-/// kernel's own grouping Dijkstra is skipped.
-pub fn grow_exact_clusters_batched_with_pivots(
-    csr: &CsrGraph,
-    centers: &[NodeId],
-    level: usize,
-    threshold: &[Dist],
-    pivots: &[Vec<Option<(NodeId, Dist)>>],
-) -> ClusterForest {
-    let mut builder = ClusterForestBuilder::new(csr.num_nodes());
-    grow_exact_clusters_batched_with_pivots_into(
-        csr,
-        centers,
-        level,
-        threshold,
-        pivots,
-        &mut builder,
-    );
-    builder.finish()
-}
-
-/// [`grow_exact_clusters_batched_with_pivots`] appending into a caller-owned
-/// builder. Returns the range of [`ClusterId`]s pushed.
-pub fn grow_exact_clusters_batched_with_pivots_into(
-    csr: &CsrGraph,
-    centers: &[NodeId],
-    level: usize,
-    threshold: &[Dist],
-    pivots: &[Vec<Option<(NodeId, Dist)>>],
-    builder: &mut ClusterForestBuilder,
-) -> std::ops::Range<ClusterId> {
-    grow_exact_clusters_batched_with_pivots_into_opts(
-        csr,
-        centers,
-        level,
-        threshold,
-        pivots,
-        builder,
-        &BuildOptions::sequential(),
-    )
-    .0
-}
-
-/// [`grow_exact_clusters_batched_with_pivots_into`] with a thread-count
-/// knob: the restricted sweep shards its source chunks and the forest pushes
-/// shard the resulting clusters across scoped workers whose private builders
-/// are absorbed in shard order — the merged forest is bit-identical to the
+/// batched restricted multi-source pass and appends them, in `centers`
+/// order, to a caller-owned builder (whole-family construction pushes every
+/// level into one shared arena). All centres share the level's threshold
+/// vector `d_G(·, A_{i+1})`, so the per-centre heap searches collapse into
+/// chunked vertex-major relaxation sweeps (see [`en_graph::restricted`]).
+///
+/// Each centre's level-`i+1` pivot is its Voronoi cell around `A_{i+1}` —
+/// exactly the locality grouping the kernel wants — so the kernel's own
+/// grouping Dijkstra is skipped. The restricted sweep shards its source
+/// chunks over up to `opts.threads` workers, and the forest pushes shard the
+/// resulting clusters across scoped workers whose private builders are
+/// absorbed in shard order — the merged forest is bit-identical to the
 /// sequential one. Returns the pushed id range and the combined per-thread
 /// work accounting of both phases.
-#[allow(clippy::too_many_arguments)]
-pub fn grow_exact_clusters_batched_with_pivots_into_opts(
+pub fn grow_exact_clusters(
     csr: &CsrGraph,
     centers: &[NodeId],
     level: usize,
@@ -261,8 +184,8 @@ pub fn grow_exact_clusters_batched_with_pivots_into_opts(
         })
         .collect();
     let (res, mut stats) =
-        restricted_multi_source_csr_grouped_opts(csr, centers, threshold, None, &groups, opts);
-    let (range, push_stats) = push_restricted_clusters_opts(builder, &res, level, opts);
+        restricted_multi_source_csr_grouped(csr, centers, threshold, None, &groups, opts);
+    let (range, push_stats) = push_restricted_clusters(builder, &res, level, opts);
     stats.absorb(&push_stats);
     (range, stats)
 }
@@ -271,24 +194,16 @@ pub fn grow_exact_clusters_batched_with_pivots_into_opts(
 /// result to `builder`, straight off the kernel's compact member records:
 /// ascending member ids, recorded parents, relaxed arc weights, and exact
 /// distances map one-to-one onto the forest arena's columns — no
-/// intermediate host-sized tree, no per-centre hash map. Returns the range
-/// of [`ClusterId`]s pushed (one per source, in source order).
-pub fn push_restricted_clusters(
-    builder: &mut ClusterForestBuilder,
-    res: &RestrictedMultiSource,
-    level: usize,
-) -> std::ops::Range<ClusterId> {
-    push_restricted_clusters_opts(builder, res, level, &BuildOptions::sequential()).0
-}
-
-/// [`push_restricted_clusters`] with a thread-count knob: the sources are
-/// sharded into contiguous spans, each span's clusters are pushed into a
-/// private per-worker [`ClusterForestBuilder`], and the workers' builders
-/// are absorbed into `builder` **in shard order** — cluster ids come out
-/// exactly as the sequential loop assigns them (see
-/// [`ClusterForestBuilder::absorb`] for why the order matters). Also returns
+/// intermediate host-sized tree, no per-centre hash map.
+///
+/// The sources are sharded into contiguous spans, each span's clusters are
+/// pushed into a private per-worker [`ClusterForestBuilder`], and the
+/// workers' builders are absorbed into `builder` **in shard order** —
+/// cluster ids come out exactly as the sequential loop assigns them (see
+/// [`ClusterForestBuilder::absorb`] for why the order matters). Returns the
+/// range of [`ClusterId`]s pushed (one per source, in source order) and
 /// per-thread work accounting (clusters pushed; forest members appended).
-pub fn push_restricted_clusters_opts(
+fn push_restricted_clusters(
     builder: &mut ClusterForestBuilder,
     res: &RestrictedMultiSource,
     level: usize,
@@ -362,19 +277,13 @@ fn push_one_restricted_cluster(
 /// arena.
 pub fn exact_cluster_family(g: &WeightedGraph, hierarchy: &Hierarchy) -> ClusterFamily {
     let csr = CsrGraph::from_graph(g);
-    let pivots = exact_pivots_csr(&csr, hierarchy);
+    let pivots = exact_pivots(&csr, hierarchy);
     let mut builder = ClusterForestBuilder::new(g.num_nodes());
+    let opts = BuildOptions::sequential();
     for i in 0..hierarchy.k() {
         let threshold = membership_thresholds(&pivots, i);
         let centers = hierarchy.centers_at(i);
-        grow_exact_clusters_batched_with_pivots_into(
-            &csr,
-            &centers,
-            i,
-            &threshold,
-            &pivots,
-            &mut builder,
-        );
+        grow_exact_clusters(&csr, &centers, i, &threshold, &pivots, &mut builder, &opts);
     }
     ClusterFamily::new(hierarchy.clone(), builder.finish(), pivots)
 }
@@ -542,7 +451,10 @@ mod tests {
         // Breaking the tie by one admits vertex 1 in both implementations.
         let relaxed = vec![4, 3, 0];
         let oracle = grow_exact_cluster_csr(&csr, 0, 0, &relaxed);
-        let forest = grow_exact_clusters_batched(&csr, &[0], 0, &relaxed);
+        let mut builder = ClusterForestBuilder::new(3);
+        let opts = BuildOptions::sequential();
+        grow_exact_clusters(&csr, &[0], 0, &relaxed, &family.pivots, &mut builder, &opts);
+        let forest = builder.finish();
         let batched = forest.cluster(0);
         assert_eq!(oracle.members(), vec![0, 1]);
         assert_eq!(batched.members().collect::<Vec<_>>(), vec![0, 1]);

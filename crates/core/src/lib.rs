@@ -39,7 +39,8 @@
 //! * [`baselines`] — the comparison rows of Table 1: centralized
 //!   Thorup–Zwick, and a Lenzen–Patt-Shamir-style landmark scheme whose
 //!   routing tables are `Ω(√n)` regardless of `k`.
-//! * [`stretch`] — stretch measurement utilities used by tests and benches.
+//! * [`stretch`] — stretch measurement utilities used by tests and the harness
+//!   binaries.
 //!
 //! # Quickstart
 //!
@@ -73,9 +74,7 @@ pub mod preprocess;
 pub mod scheme;
 pub mod stretch;
 
-pub use construction::{
-    build_routing_scheme, build_routing_scheme_with, BuiltScheme, ConstructionConfig,
-};
+pub use construction::{build_routing_scheme, BuiltScheme, ConstructionConfig};
 pub use en_graph::{BuildOptions, BuildStats};
 pub use error::RoutingError;
 pub use family::{Cluster, ClusterFamily};

@@ -219,25 +219,35 @@ pub fn compute_pivots(
 mod tests {
     use super::*;
     use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
+    use en_graph::{BuildOptions, CsrGraph};
 
-    fn setup(n: usize, k: usize, seed: u64) -> (WeightedGraph, Hierarchy, SchemeParams, usize) {
+    type Setup = (
+        WeightedGraph,
+        Hierarchy,
+        SchemeParams,
+        usize,
+        Option<Preprocessing>,
+    );
+
+    fn setup(n: usize, k: usize, seed: u64) -> Setup {
         let g = erdos_renyi_connected(&GeneratorConfig::new(n, seed).with_weights(1, 25), 0.1);
         let params = SchemeParams::new(k, n, seed);
         let hierarchy = Hierarchy::sample(&params);
-        (g, hierarchy, params, 6)
+        let opts = BuildOptions::sequential();
+        let pre = Preprocessing::run(&g, &hierarchy, &params, 6, &opts).map(|(pre, _)| pre);
+        (g, hierarchy, params, 6, pre)
     }
 
     fn exact_reference(
         g: &WeightedGraph,
         hierarchy: &Hierarchy,
     ) -> Vec<Vec<Option<(NodeId, Dist)>>> {
-        crate::exact::exact_pivots(g, hierarchy)
+        crate::exact::exact_pivots(&CsrGraph::from_graph(g), hierarchy)
     }
 
     #[test]
     fn level_zero_pivot_is_self() {
-        let (g, hierarchy, params, d) = setup(40, 3, 1);
-        let pre = Preprocessing::run(&g, &hierarchy, &params, d);
+        let (g, hierarchy, params, d, pre) = setup(40, 3, 1);
         let table = compute_pivots(&g, &hierarchy, &params, pre.as_ref(), d);
         for v in g.nodes() {
             assert_eq!(table.pivots[v][0], Some((v, 0)));
@@ -246,8 +256,7 @@ mod tests {
 
     #[test]
     fn exact_levels_match_reference_distances() {
-        let (g, hierarchy, params, d) = setup(60, 4, 2);
-        let pre = Preprocessing::run(&g, &hierarchy, &params, d);
+        let (g, hierarchy, params, d, pre) = setup(60, 4, 2);
         let table = compute_pivots(&g, &hierarchy, &params, pre.as_ref(), d);
         let exact = exact_reference(&g, &hierarchy);
         let half = params.half_k();
@@ -266,8 +275,7 @@ mod tests {
 
     #[test]
     fn approximate_levels_satisfy_inequality_7() {
-        let (g, hierarchy, params, d) = setup(80, 4, 3);
-        let pre = Preprocessing::run(&g, &hierarchy, &params, d);
+        let (g, hierarchy, params, d, pre) = setup(80, 4, 3);
         let table = compute_pivots(&g, &hierarchy, &params, pre.as_ref(), d);
         let exact = exact_reference(&g, &hierarchy);
         let eps = params.epsilon();
@@ -294,8 +302,7 @@ mod tests {
     #[test]
     fn empty_levels_have_no_pivots() {
         // With n = 20 and k = 6, the deep levels are essentially always empty.
-        let (g, hierarchy, params, d) = setup(20, 6, 4);
-        let pre = Preprocessing::run(&g, &hierarchy, &params, d);
+        let (g, hierarchy, params, d, pre) = setup(20, 6, 4);
         let table = compute_pivots(&g, &hierarchy, &params, pre.as_ref(), d);
         for i in 1..6 {
             if hierarchy.level(i).is_empty() {
@@ -306,8 +313,7 @@ mod tests {
 
     #[test]
     fn ledger_has_a_charge_per_nonempty_level() {
-        let (g, hierarchy, params, d) = setup(60, 3, 5);
-        let pre = Preprocessing::run(&g, &hierarchy, &params, d);
+        let (g, hierarchy, params, d, pre) = setup(60, 3, 5);
         let table = compute_pivots(&g, &hierarchy, &params, pre.as_ref(), d);
         let nonempty = (1..3).filter(|&i| !hierarchy.level(i).is_empty()).count();
         assert!(table.ledger.len() >= nonempty);
@@ -316,8 +322,7 @@ mod tests {
 
     #[test]
     fn multi_source_on_augmented_with_no_sources() {
-        let (g, hierarchy, params, d) = setup(40, 2, 6);
-        if let Some(pre) = Preprocessing::run(&g, &hierarchy, &params, d) {
+        if let (.., Some(pre)) = setup(40, 2, 6) {
             let (dist, origin) = multi_source_on_augmented(&pre.augmented, &[], 5);
             assert!(dist.iter().all(|&x| x == INFINITY));
             assert!(origin.iter().all(Option::is_none));

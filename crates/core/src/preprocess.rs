@@ -20,7 +20,7 @@ use std::collections::HashMap;
 
 use en_congest::broadcast::lemma1_rounds;
 use en_congest::RoundLedger;
-use en_congest_algos::theorem1::{multi_source_hop_bounded_opts, MultiSourceHopBounded};
+use en_congest_algos::theorem1::{multi_source_hop_bounded, MultiSourceHopBounded};
 use en_graph::{is_finite, BuildOptions, BuildStats, Dist, NodeId, WeightedGraph};
 use en_hopset::{build_hopset, AugmentedGraph, Hopset, HopsetConfig};
 
@@ -55,26 +55,11 @@ impl Preprocessing {
     /// Runs the preprocessing. Returns `None` when `V' = A_{⌈k/2⌉}` is empty
     /// (then there are no large scales at all, e.g. for `k = 1` or when the
     /// sampling left the level empty).
+    ///
+    /// The Theorem-1 sweep from `V'` — the dominant cost of preprocessing —
+    /// runs sharded over up to `opts.threads` workers, bit-identically to the
+    /// sequential sweep; its per-thread work accounting is returned too.
     pub fn run(
-        g: &WeightedGraph,
-        hierarchy: &Hierarchy,
-        params: &SchemeParams,
-        hop_diameter: usize,
-    ) -> Option<Self> {
-        Self::run_with(
-            g,
-            hierarchy,
-            params,
-            hop_diameter,
-            &BuildOptions::sequential(),
-        )
-        .map(|(pre, _)| pre)
-    }
-
-    /// [`Self::run`] with a thread-count knob: the Theorem-1 sweep from `V'`
-    /// — the dominant cost of preprocessing — runs sharded, bit-identically
-    /// to the sequential sweep. Also returns its per-thread work accounting.
-    pub fn run_with(
         g: &WeightedGraph,
         hierarchy: &Hierarchy,
         params: &SchemeParams,
@@ -90,7 +75,7 @@ impl Preprocessing {
         let hop_bound = params.large_scale_hop_bound();
         let eps = params.epsilon();
         // Step 1: Theorem 1 with accuracy ε/2.
-        let (theorem1, stats) = multi_source_hop_bounded_opts(
+        let (theorem1, stats) = multi_source_hop_bounded(
             g,
             &vprime,
             hop_bound,
@@ -196,20 +181,31 @@ mod tests {
         (g, hierarchy, params)
     }
 
+    /// The preprocessing on one thread, without its work accounting.
+    fn run(
+        g: &WeightedGraph,
+        hierarchy: &Hierarchy,
+        params: &SchemeParams,
+        hop_diameter: usize,
+    ) -> Option<Preprocessing> {
+        let opts = BuildOptions::sequential();
+        Preprocessing::run(g, hierarchy, params, hop_diameter, &opts).map(|(pre, _)| pre)
+    }
+
     #[test]
     fn preprocessing_exists_iff_vprime_nonempty() {
         let (g, hierarchy, params) = setup(80, 3, 1);
-        let pre = Preprocessing::run(&g, &hierarchy, &params, 6);
+        let pre = run(&g, &hierarchy, &params, 6);
         assert_eq!(pre.is_some(), !hierarchy.level(params.half_k()).is_empty());
         // k = 1 never has large scales.
         let (g1, h1, p1) = setup(40, 1, 2);
-        assert!(Preprocessing::run(&g1, &h1, &p1, 6).is_none());
+        assert!(run(&g1, &h1, &p1, 6).is_none());
     }
 
     #[test]
     fn virtual_graph_weights_dominate_true_distances() {
         let (g, hierarchy, params) = setup(70, 2, 3);
-        if let Some(pre) = Preprocessing::run(&g, &hierarchy, &params, 6) {
+        if let Some(pre) = run(&g, &hierarchy, &params, 6) {
             let truth = all_pairs_dijkstra(&g);
             for e in pre.gprime.edges() {
                 let (a, b) = (pre.original(e.u), pre.original(e.v));
@@ -224,7 +220,7 @@ mod tests {
     #[test]
     fn beta_hop_distances_on_augmented_graph_respect_inequality_13() {
         let (g, hierarchy, params) = setup(60, 2, 5);
-        if let Some(pre) = Preprocessing::run(&g, &hierarchy, &params, 5) {
+        if let Some(pre) = run(&g, &hierarchy, &params, 5) {
             let truth = all_pairs_dijkstra(&g);
             let eps = params.epsilon();
             for i in 0..pre.m() {
@@ -252,7 +248,7 @@ mod tests {
     #[test]
     fn index_maps_are_inverse() {
         let (g, hierarchy, params) = setup(60, 3, 7);
-        if let Some(pre) = Preprocessing::run(&g, &hierarchy, &params, 5) {
+        if let Some(pre) = run(&g, &hierarchy, &params, 5) {
             for i in 0..pre.m() {
                 assert_eq!(pre.virtual_index(pre.original(i)), Some(i));
             }
@@ -263,7 +259,7 @@ mod tests {
     #[test]
     fn hopset_is_path_reporting_on_gprime() {
         let (g, hierarchy, params) = setup(90, 2, 9);
-        if let Some(pre) = Preprocessing::run(&g, &hierarchy, &params, 5) {
+        if let Some(pre) = run(&g, &hierarchy, &params, 5) {
             assert!(pre.hopset.is_path_reporting_in(&pre.gprime));
         }
     }

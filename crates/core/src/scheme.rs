@@ -173,28 +173,19 @@ impl RoutingScheme {
     /// loop per cluster. The tree labels, the \[TZ01\] `4k−5` refinement's
     /// included, stay in the tree schemes.
     ///
-    /// # Panics
-    ///
-    /// Panics if a cluster member is not a vertex of `g`.
-    pub fn assemble(family: &ClusterFamily, g: &WeightedGraph, tree_seed: u64) -> Self {
-        Self::assemble_opts(family, g, tree_seed, &BuildOptions::sequential()).0
-    }
-
-    /// [`Self::assemble`] with a thread-count knob, also returning the
-    /// per-thread work accounting.
-    ///
-    /// Two phases shard over `std::thread::scope` workers: the per-tree
-    /// scheme builds with their parent-port resolution (contiguous
-    /// cluster-id spans — each tree's portal sampling is seeded from its own
-    /// centre, so the processing order is immaterial) and the per-vertex
-    /// tree-list/label sweep (contiguous vertex spans). Per-worker outputs are
-    /// concatenated in span order, so the assembled scheme is bit-identical
-    /// to the sequential one for every thread count.
+    /// Two phases shard over up to `opts.threads` `std::thread::scope`
+    /// workers: the per-tree scheme builds with their parent-port resolution
+    /// (contiguous cluster-id spans — each tree's portal sampling is seeded
+    /// from its own centre, so the processing order is immaterial) and the
+    /// per-vertex tree-list/label sweep (contiguous vertex spans). Per-worker
+    /// outputs are concatenated in span order, so the assembled scheme is
+    /// bit-identical to the sequential one for every thread count. Also
+    /// returns the per-thread work accounting.
     ///
     /// # Panics
     ///
     /// Panics if a cluster member is not a vertex of `g`.
-    pub fn assemble_opts(
+    pub fn assemble(
         family: &ClusterFamily,
         g: &WeightedGraph,
         tree_seed: u64,
@@ -583,7 +574,7 @@ mod tests {
         let params = SchemeParams::new(k, n, seed);
         let hierarchy = Hierarchy::sample(&params);
         let family = exact_cluster_family(&g, &hierarchy);
-        let scheme = RoutingScheme::assemble(&family, &g, seed);
+        let (scheme, _) = RoutingScheme::assemble(&family, &g, seed, &BuildOptions::sequential());
         (g, scheme, params)
     }
 

@@ -79,8 +79,6 @@ pub use graph::{Edge, Neighbor, WeightedGraph};
 pub use parallel::{shard_spans, BuildOptions, BuildStats};
 pub use path::Path;
 pub use restricted::{
-    restricted_multi_source_csr, restricted_multi_source_csr_grouped,
-    restricted_multi_source_csr_grouped_opts, restricted_multi_source_csr_opts,
-    RestrictedMultiSource,
+    restricted_multi_source_csr, restricted_multi_source_csr_grouped, RestrictedMultiSource,
 };
 pub use types::{dist_add, is_finite, Dist, NodeId, NodeIdHasher, NodeMap, Weight, INFINITY};

@@ -53,8 +53,8 @@
 //! # Parallelism
 //!
 //! A source's output column depends only on the graph and the shared
-//! threshold vector — chunk-mates share sweeps, never values — so the
-//! `_opts` entry points shard the locality-ordered source sequence into
+//! threshold vector — chunk-mates share sweeps, never values — so both
+//! entry points shard the locality-ordered source sequence into
 //! chunk-aligned contiguous spans ([`shard_spans`]) and sweep each span on
 //! its own scoped worker thread. Chunk composition and all per-source
 //! outputs are exactly those of the sequential sweep, so the parallel run
@@ -206,34 +206,14 @@ impl RestrictedMultiSource {
 /// stops after `β` levelled sweeps (the depth-bounded Bellman–Ford semantics
 /// of Section 3.3.2, the seeding sweep included).
 ///
-/// # Panics
-///
-/// Panics if a source is out of range or `threshold.len() != csr.num_nodes()`.
-pub fn restricted_multi_source_csr(
-    csr: &CsrGraph,
-    sources: &[NodeId],
-    threshold: &[Dist],
-    max_sweeps: Option<usize>,
-) -> RestrictedMultiSource {
-    restricted_multi_source_csr_opts(
-        csr,
-        sources,
-        threshold,
-        max_sweeps,
-        &BuildOptions::sequential(),
-    )
-    .0
-}
-
-/// [`restricted_multi_source_csr`] with a thread-count knob: the
-/// locality-ordered sources are swept in chunk-aligned spans on up to
+/// The locality-ordered sources are swept in chunk-aligned spans on up to
 /// `opts.threads` scoped worker threads, bit-identically to the sequential
 /// run (see the module docs). Also returns the per-thread work accounting.
 ///
 /// # Panics
 ///
 /// Panics if a source is out of range or `threshold.len() != csr.num_nodes()`.
-pub fn restricted_multi_source_csr_opts(
+pub fn restricted_multi_source_csr(
     csr: &CsrGraph,
     sources: &[NodeId],
     threshold: &[Dist],
@@ -260,31 +240,6 @@ pub fn restricted_multi_source_csr_opts(
 /// Panics if a source is out of range, `threshold.len() != csr.num_nodes()`,
 /// or `groups.len() != sources.len()`.
 pub fn restricted_multi_source_csr_grouped(
-    csr: &CsrGraph,
-    sources: &[NodeId],
-    threshold: &[Dist],
-    max_sweeps: Option<usize>,
-    groups: &[(NodeId, Dist)],
-) -> RestrictedMultiSource {
-    restricted_multi_source_csr_grouped_opts(
-        csr,
-        sources,
-        threshold,
-        max_sweeps,
-        groups,
-        &BuildOptions::sequential(),
-    )
-    .0
-}
-
-/// [`restricted_multi_source_csr_grouped`] with a thread-count knob; see
-/// [`restricted_multi_source_csr_opts`].
-///
-/// # Panics
-///
-/// Panics if a source is out of range, `threshold.len() != csr.num_nodes()`,
-/// or `groups.len() != sources.len()`.
-pub fn restricted_multi_source_csr_grouped_opts(
     csr: &CsrGraph,
     sources: &[NodeId],
     threshold: &[Dist],
@@ -830,6 +785,17 @@ mod tests {
     use crate::generators::{erdos_renyi_connected, GeneratorConfig};
     use crate::graph::WeightedGraph;
 
+    /// The kernel on one thread, without its work accounting.
+    fn run(
+        csr: &CsrGraph,
+        sources: &[NodeId],
+        threshold: &[Dist],
+        max_sweeps: Option<usize>,
+    ) -> RestrictedMultiSource {
+        let opts = BuildOptions::sequential();
+        restricted_multi_source_csr(csr, sources, threshold, max_sweeps, &opts).0
+    }
+
     /// The unbatched reference: one restricted Dijkstra per source (the same
     /// algorithm as `grow_exact_cluster_csr` in `en_routing`).
     fn reference(
@@ -869,7 +835,7 @@ mod tests {
 
     fn check_against_reference(g: &WeightedGraph, sources: &[NodeId], threshold: &[Dist]) {
         let csr = CsrGraph::from_graph(g);
-        let res = restricted_multi_source_csr(&csr, sources, threshold, None);
+        let res = run(&csr, sources, threshold, None);
         for (s, &src) in sources.iter().enumerate() {
             let (dist, joined, _) = reference(&csr, src, threshold);
             let members: Vec<NodeId> = res.members_of(s).collect();
@@ -910,7 +876,7 @@ mod tests {
         let g = erdos_renyi_connected(&GeneratorConfig::new(40, 9).with_weights(1, 20), 0.12);
         let threshold = vec![INFINITY; 40];
         let csr = CsrGraph::from_graph(&g);
-        let res = restricted_multi_source_csr(&csr, &[0, 17], &threshold, None);
+        let res = run(&csr, &[0, 17], &threshold, None);
         for (s, &src) in [0usize, 17].iter().enumerate() {
             let sp = crate::dijkstra::dijkstra(&g, src);
             assert_eq!(res.dist_row(s), sp.dist.as_slice());
@@ -927,10 +893,10 @@ mod tests {
         let g = WeightedGraph::from_edges(3, [(0, 1, 2), (1, 2, 2)]).unwrap();
         let threshold = vec![4, 2, 0];
         let csr = CsrGraph::from_graph(&g);
-        let res = restricted_multi_source_csr(&csr, &[0], &threshold, None);
+        let res = run(&csr, &[0], &threshold, None);
         assert_eq!(res.members_of(0).collect::<Vec<_>>(), vec![0]);
         // Break the tie and vertex 1 joins (2 < 3), vertex 2 still not.
-        let res = restricted_multi_source_csr(&csr, &[0], &[4, 3, 0], None);
+        let res = run(&csr, &[0], &[4, 3, 0], None);
         assert_eq!(res.members_of(0).collect::<Vec<_>>(), vec![0, 1]);
         check_against_reference(&g, &[0], &threshold);
         check_against_reference(&g, &[0], &[4, 3, 0]);
@@ -942,7 +908,7 @@ mod tests {
     fn source_relays_despite_zero_threshold() {
         let g = WeightedGraph::from_edges(2, [(0, 1, 1)]).unwrap();
         let csr = CsrGraph::from_graph(&g);
-        let res = restricted_multi_source_csr(&csr, &[0], &[0, 5], None);
+        let res = run(&csr, &[0], &[0, 5], None);
         assert_eq!(res.members_of(0).collect::<Vec<_>>(), vec![0, 1]);
         assert_eq!(res.dist_row(0)[1], 1);
         assert_eq!(res.parent_of(0, 1), Some((0, 1)));
@@ -956,9 +922,9 @@ mod tests {
         let g = WeightedGraph::from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)]).unwrap();
         let csr = CsrGraph::from_graph(&g);
         let threshold = vec![INFINITY; 4];
-        let res = restricted_multi_source_csr(&csr, &[0], &threshold, Some(2));
+        let res = run(&csr, &[0], &threshold, Some(2));
         assert_eq!(res.dist_row(0), &[0, 1, 2, INFINITY]);
-        let res = restricted_multi_source_csr(&csr, &[0], &threshold, Some(0));
+        let res = run(&csr, &[0], &threshold, Some(0));
         assert_eq!(res.dist_row(0), &[0, INFINITY, INFINITY, INFINITY]);
         assert_eq!(res.members_of(0).collect::<Vec<_>>(), vec![0]);
     }
@@ -969,7 +935,7 @@ mod tests {
         let big = (i32::MAX / 4) as u64;
         let g = WeightedGraph::from_edges(3, [(0, 1, big), (1, 2, 1)]).unwrap();
         let csr = CsrGraph::from_graph(&g);
-        let res = restricted_multi_source_csr(&csr, &[0], &[INFINITY; 3], None);
+        let res = run(&csr, &[0], &[INFINITY; 3], None);
         assert_eq!(res.dist_row(0), &[0, big, big + 1]);
         check_against_reference(&g, &[0], &[INFINITY; 3]);
     }
@@ -978,7 +944,7 @@ mod tests {
     fn empty_source_set_is_a_no_op() {
         let g = WeightedGraph::from_edges(2, [(0, 1, 1)]).unwrap();
         let csr = CsrGraph::from_graph(&g);
-        let res = restricted_multi_source_csr(&csr, &[], &[INFINITY; 2], None);
+        let res = run(&csr, &[], &[INFINITY; 2], None);
         assert!(res.sources().is_empty());
         assert_eq!(res.num_vertices(), 2);
     }
@@ -987,13 +953,13 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn rejects_out_of_range_source() {
         let g = WeightedGraph::from_edges(2, [(0, 1, 1)]).unwrap();
-        let _ = restricted_multi_source_csr(&CsrGraph::from_graph(&g), &[5], &[0, 0], None);
+        let _ = run(&CsrGraph::from_graph(&g), &[5], &[0, 0], None);
     }
 
     #[test]
     #[should_panic(expected = "one entry per vertex")]
     fn rejects_short_threshold_vector() {
         let g = WeightedGraph::from_edges(2, [(0, 1, 1)]).unwrap();
-        let _ = restricted_multi_source_csr(&CsrGraph::from_graph(&g), &[0], &[0], None);
+        let _ = run(&CsrGraph::from_graph(&g), &[0], &[0], None);
     }
 }

@@ -13,8 +13,8 @@
 //! knows its position on it. Phase 1.5 of the large-scale cluster
 //! construction walks these paths to set real parents.
 //!
-//! Reproduction note (see DESIGN.md): the paper takes the hopset construction
-//! of \[EN16a\] (a separate FOCS'16 paper) as a black box with
+//! Reproduction note: the paper takes the hopset construction of \[EN16a\]
+//! (a separate FOCS'16 paper) as a black box with
 //! `β = (log m / (ε ρ))^{O(1/ρ)}`. We implement a simpler sampled-shortcut
 //! construction with the *same interface and guarantees*: sample a set `S` of
 //! pivots (each vertex independently with probability `m^{-ρ}`), and add a

@@ -4,8 +4,8 @@
 //! Run with: `cargo run --release -p en_bench --example quickstart`
 
 use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
-use en_routing::construction::{build_routing_scheme_with, ConstructionConfig};
-use en_routing::{BuildOptions, RoutingError};
+use en_routing::construction::{build_routing_scheme, ConstructionConfig};
+use en_routing::RoutingError;
 
 fn main() -> Result<(), RoutingError> {
     // A reproducible random network: 200 routers, average degree ~8,
@@ -26,8 +26,7 @@ fn main() -> Result<(), RoutingError> {
     // output — the parallel build is bit-identical to `threads = 1` — so
     // this example is reproducible on any machine.
     let config = ConstructionConfig::new(3, 42);
-    let opts = BuildOptions::default();
-    let built = build_routing_scheme_with(&graph, &config, &opts)?;
+    let built = build_routing_scheme(&graph, &config)?;
     println!(
         "construction charged {} CONGEST rounds over {} phases (hop-diameter ~{})",
         built.total_rounds(),
@@ -38,7 +37,7 @@ fn main() -> Result<(), RoutingError> {
         "parallel build: {} worker slots over {} requested threads swept {} sources \
          and produced {} members",
         built.build_stats.threads_used(),
-        opts.threads,
+        config.threads,
         built.build_stats.total_sources(),
         built.build_stats.total_members()
     );

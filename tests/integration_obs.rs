@@ -1,7 +1,8 @@
 //! Observability reconciliation: the `en_obs` metrics published by the
 //! instrumented layers must agree *exactly* with the accounting the layers
-//! already expose (`BuildStats`, `BatchStats`, the snapshot manifest) at
-//! every thread count, and instrumentation must never perturb outcomes.
+//! already expose (`BuildStats`, `BatchStats`, `StoreStats`, the snapshot
+//! manifest) at every thread count, and instrumentation must never perturb
+//! outcomes.
 //!
 //! The recorder seam is process-global, so every test that installs a
 //! registry serializes on [`OBS_LOCK`].
@@ -9,11 +10,11 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
-use en_graph::{BuildOptions, WeightedGraph};
+use en_graph::WeightedGraph;
 use en_obs::MetricsRegistry;
-use en_routing::construction::{build_routing_scheme_with, BuiltScheme, ConstructionConfig};
+use en_routing::construction::{build_routing_scheme, BuiltScheme, ConstructionConfig};
 use en_wire::checksum::fnv1a_words;
-use en_wire::{generate_pairs, BatchOutcome, FlatScheme, PairWorkload, QueryEngine};
+use en_wire::{generate_pairs, BatchOutcome, FlatScheme, PairWorkload, QueryEngine, SchemeStore};
 
 /// Serializes tests that install the process-global recorder.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
@@ -30,12 +31,8 @@ fn workload() -> WeightedGraph {
 }
 
 fn build_with(g: &WeightedGraph, threads: usize) -> BuiltScheme {
-    build_routing_scheme_with(
-        g,
-        &ConstructionConfig::new(2, 17),
-        &BuildOptions::new(threads),
-    )
-    .expect("construction on a connected workload succeeds")
+    build_routing_scheme(g, &ConstructionConfig::new(2, 17).with_threads(threads))
+        .expect("construction on a connected workload succeeds")
 }
 
 /// Folds a batch's observable outcome into one word for bit-identity checks.
@@ -193,6 +190,37 @@ fn validate_counters_reconcile_with_the_manifest() {
         "wire.validate.words_total vs the manifest's section words"
     );
     assert_eq!(registry.histogram("wire.validate_ns").count(), 1);
+}
+
+#[test]
+fn store_counters_reconcile_with_store_stats() {
+    let _serial = obs_lock();
+    let g = workload();
+    let bytes = en_wire::serialize(&build_with(&g, 1).scheme);
+    let registry = Arc::new(MetricsRegistry::new());
+    let stats = {
+        let _guard = en_obs::install(registry.clone());
+        let store = SchemeStore::new(bytes.clone()).expect("snapshot validates");
+        store
+            .publish(bytes.clone())
+            .expect("a valid snapshot publishes");
+        let truncated = bytes[..bytes.len() - 8].to_vec();
+        assert!(
+            store.publish(truncated).is_err(),
+            "a corrupt snapshot is rejected"
+        );
+        store.stats()
+    };
+    assert_eq!(
+        (stats.published, stats.rejected, stats.current_epoch),
+        (1, 1, 1)
+    );
+    assert_eq!(registry.counter_value("store.published"), stats.published);
+    assert_eq!(registry.counter_value("store.rejected"), stats.rejected);
+    assert_eq!(
+        registry.gauge_value("store.current_epoch"),
+        stats.current_epoch
+    );
 }
 
 #[test]

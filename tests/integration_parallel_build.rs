@@ -7,19 +7,13 @@
 //! explicitly.
 
 use en_graph::generators::{erdos_renyi_connected, random_geometric_connected, GeneratorConfig};
-use en_graph::{restricted_multi_source_csr_opts, BuildOptions, CsrGraph, NodeId, INFINITY};
-use en_routing::construction::{
-    build_routing_scheme, build_routing_scheme_with, BuiltScheme, ConstructionConfig,
-};
+use en_graph::{restricted_multi_source_csr, BuildOptions, CsrGraph, NodeId, INFINITY};
+use en_routing::construction::{build_routing_scheme, BuiltScheme, ConstructionConfig};
 use en_wire::serialize;
 
 fn build(g: &en_graph::WeightedGraph, k: usize, seed: u64, threads: usize) -> BuiltScheme {
-    build_routing_scheme_with(
-        g,
-        &ConstructionConfig::new(k, seed),
-        &BuildOptions::new(threads),
-    )
-    .expect("construction succeeds")
+    build_routing_scheme(g, &ConstructionConfig::new(k, seed).with_threads(threads))
+        .expect("construction succeeds")
 }
 
 /// Asserts every observable artefact of `b` equals the sequential oracle
@@ -88,7 +82,7 @@ fn full_build_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn default_build_matches_the_sequential_oracle() {
-    // `build_routing_scheme` defaults to the host's available parallelism;
+    // `ConstructionConfig::new` defaults to the host's available parallelism;
     // whatever that is, the output must be the sequential one.
     let g = random_geometric_connected(&GeneratorConfig::new(90, 31).with_weights(1, 9), 0.18);
     let defaulted = build_routing_scheme(&g, &ConstructionConfig::new(3, 31)).unwrap();
@@ -170,9 +164,9 @@ fn restricted_kernel_is_thread_invariant_on_disconnected_hosts() {
     let sources: Vec<NodeId> = (0..8).collect();
     let threshold = vec![INFINITY; 8];
     let (oracle, seq_stats) =
-        restricted_multi_source_csr_opts(&csr, &sources, &threshold, None, &BuildOptions::new(1));
+        restricted_multi_source_csr(&csr, &sources, &threshold, None, &BuildOptions::new(1));
     for threads in [2usize, 8, 32] {
-        let (sharded, stats) = restricted_multi_source_csr_opts(
+        let (sharded, stats) = restricted_multi_source_csr(
             &csr,
             &sources,
             &threshold,

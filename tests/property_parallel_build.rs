@@ -9,12 +9,12 @@
 
 use proptest::prelude::*;
 
-use en_congest_algos::multi_source_hop_bounded_opts;
+use en_congest_algos::multi_source_hop_bounded;
 use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
 use en_graph::{
-    restricted_multi_source_csr_opts, BuildOptions, CsrGraph, Dist, NodeId, WeightedGraph, INFINITY,
+    restricted_multi_source_csr, BuildOptions, CsrGraph, Dist, NodeId, WeightedGraph, INFINITY,
 };
-use en_routing::construction::{build_routing_scheme_with, ConstructionConfig};
+use en_routing::construction::{build_routing_scheme, ConstructionConfig};
 use en_wire::serialize;
 
 fn arb_connected_graph() -> impl Strategy<Value = WeightedGraph> {
@@ -38,10 +38,10 @@ proptest! {
     ) {
         let config = ConstructionConfig::new(k, seed);
         let sequential =
-            build_routing_scheme_with(&g, &config, &BuildOptions::new(1)).expect("builds");
+            build_routing_scheme(&g, &config.clone().with_threads(1)).expect("builds");
         let oracle_bytes = serialize(&sequential.scheme);
         for threads in [2usize, 8] {
-            let parallel = build_routing_scheme_with(&g, &config, &BuildOptions::new(threads))
+            let parallel = build_routing_scheme(&g, &config.clone().with_threads(threads))
                 .expect("builds");
             prop_assert_eq!(
                 &oracle_bytes,
@@ -90,8 +90,8 @@ proptest! {
         let sources: Vec<NodeId> = (0..n).filter(|v| v % sources_mod == 0).collect();
         let csr = CsrGraph::from_graph(&g);
         let (oracle, oracle_stats) =
-            restricted_multi_source_csr_opts(&csr, &sources, &threshold, None, &BuildOptions::new(1));
-        let (sharded, stats) = restricted_multi_source_csr_opts(
+            restricted_multi_source_csr(&csr, &sources, &threshold, None, &BuildOptions::new(1));
+        let (sharded, stats) = restricted_multi_source_csr(
             &csr,
             &sources,
             &threshold,
@@ -116,9 +116,9 @@ proptest! {
         let n = g.num_nodes();
         let sources: Vec<NodeId> = (0..n).filter(|v| v % sources_mod == 0).collect();
         let (oracle, oracle_stats) =
-            multi_source_hop_bounded_opts(&g, &sources, hop_bound, 0.01, 4, &BuildOptions::new(1));
+            multi_source_hop_bounded(&g, &sources, hop_bound, 0.01, 4, &BuildOptions::new(1));
         let (sharded, stats) =
-            multi_source_hop_bounded_opts(&g, &sources, hop_bound, 0.01, 4, &BuildOptions::new(threads));
+            multi_source_hop_bounded(&g, &sources, hop_bound, 0.01, 4, &BuildOptions::new(threads));
         for s in 0..sources.len() {
             prop_assert_eq!(oracle.dist_row(s), sharded.dist_row(s), "row {}", s);
             for u in 0..n {

@@ -12,10 +12,12 @@ use proptest::prelude::*;
 
 use en_graph::dijkstra::multi_source_dijkstra;
 use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
-use en_graph::{restricted_multi_source_csr, CsrGraph, Dist, NodeId, WeightedGraph, INFINITY};
+use en_graph::{
+    restricted_multi_source_csr, BuildOptions, ClusterForestBuilder, CsrGraph, Dist, NodeId,
+    WeightedGraph, INFINITY,
+};
 use en_routing::exact::{
-    exact_cluster_family, grow_exact_cluster_csr, grow_exact_clusters_batched,
-    membership_thresholds,
+    exact_cluster_family, grow_exact_cluster_csr, grow_exact_clusters, membership_thresholds,
 };
 use en_routing::{Hierarchy, SchemeParams};
 
@@ -75,14 +77,21 @@ proptest! {
     ) {
         let n = g.num_nodes();
         let level: Vec<NodeId> = (0..n).filter(|v| v % level_mod == level_shift % level_mod).collect();
-        let threshold = if level.is_empty() {
-            vec![INFINITY; n]
+        let (threshold, nearest) = if level.is_empty() {
+            (vec![INFINITY; n], vec![None; n])
         } else {
-            multi_source_dijkstra(&g, &level).0
+            multi_source_dijkstra(&g, &level)
         };
+        // Level-1 pivots: each vertex's nearest vertex of `A`.
+        let pivots: Vec<Vec<Option<(NodeId, Dist)>>> = (0..n)
+            .map(|v| vec![None, nearest[v].map(|z| (z, threshold[v]))])
+            .collect();
         let centers: Vec<NodeId> = (0..n).filter(|v| !level.contains(v)).collect();
         let csr = CsrGraph::from_graph(&g);
-        let forest = grow_exact_clusters_batched(&csr, &centers, 0, &threshold);
+        let mut builder = ClusterForestBuilder::new(n);
+        let opts = BuildOptions::sequential();
+        grow_exact_clusters(&csr, &centers, 0, &threshold, &pivots, &mut builder, &opts);
+        let forest = builder.finish();
         prop_assert_eq!(forest.num_clusters(), centers.len());
         for cluster in forest.clusters() {
             assert_cluster_matches_oracle(&g, &csr, cluster, &threshold);
@@ -111,7 +120,8 @@ proptest! {
             .collect();
         let sources: Vec<NodeId> = (0..n).filter(|v| v % sources_mod == 0).collect();
         let csr = CsrGraph::from_graph(&g);
-        let res = restricted_multi_source_csr(&csr, &sources, &threshold, None);
+        let opts = BuildOptions::sequential();
+        let (res, _) = restricted_multi_source_csr(&csr, &sources, &threshold, None, &opts);
         for (s, &src) in sources.iter().enumerate() {
             let oracle = grow_exact_cluster_csr(&csr, src, 0, &threshold);
             let members: Vec<NodeId> = res.members_of(s).collect();
