@@ -12,6 +12,10 @@
 //!    them as a forger would, so only `from_bytes`' structural proof can
 //!    reject them; every forged snapshot must be rejected, or be served at
 //!    1/2/8 threads with zero shard panics and identical outcomes.
+//!    A near-value drill then forges every section field of a small
+//!    snapshot to each value next to the ones the proof compares against
+//!    (`faultsim::near_value_plan`), with the same pass criterion; its
+//!    tally is printed on its own line.
 //! 3. **Hot-swap race** — a `SchemeStore` swaps between two valid epochs
 //!    while corrupt publishes are fired at it and reader threads route
 //!    batches off pinned epochs; every reader batch must be bit-identical
@@ -38,8 +42,8 @@ use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
 use en_routing::construction::{build_routing_scheme, ConstructionConfig};
 use en_wire::checksum::fnv1a_words;
 use en_wire::faultsim::{
-    drill_forged, drill_loads, header_flip_plan, offset_scramble_plan, section_flip_plan,
-    truncation_plan, FaultReport,
+    drill_forged, drill_loads, header_flip_plan, near_value_plan, offset_scramble_plan,
+    section_flip_plan, truncation_plan, FaultReport,
 };
 use en_wire::{
     generate_pairs, BatchOutcome, FlatScheme, MappedSnapshot, PairWorkload, QueryEngine,
@@ -252,6 +256,58 @@ fn main() {
         failures.push("forged drill injected nothing".into());
     }
     report.merge(forged);
+
+    // --- Phase 2b: near-value drill -------------------------------------------
+    // Every section field of a small snapshot rewritten to each value next
+    // to the ones the structural proof compares against (v±1, 0, 1, n−1,
+    // n, NULL, a neighbouring field's value), re-sealed and drilled like
+    // phase 2. Its tally is reported on its own line.
+    let near_sizes: &[(usize, usize)] = if smoke {
+        &[(24, 2)]
+    } else {
+        &[(24, 2), (40, 3)]
+    };
+    for &(near_n, near_k) in near_sizes {
+        let near_g = erdos_renyi_connected(
+            &GeneratorConfig::new(near_n, 24).with_weights(1, 50),
+            8.0 / near_n as f64,
+        );
+        let near_bytes = en_wire::serialize(
+            &build_routing_scheme(&near_g, &ConstructionConfig::new(near_k, 24))
+                .unwrap()
+                .scheme,
+        );
+        let near_pairs = generate_pairs(&near_g, &PairWorkload::Uniform, 200, 5);
+        let near = drill_forged(
+            &near_bytes,
+            &near_g,
+            &near_pairs,
+            &near_value_plan(&near_bytes),
+        );
+        println!(
+            "  near-value drill (n={near_n} k={near_k}, {} pairs): {}",
+            near_pairs.len(),
+            near.summary()
+        );
+        if en_obs::active() {
+            en_obs::event(
+                en_obs::Level::Info,
+                "drill.near_value",
+                &[
+                    ("n", (near_n as u64).into()),
+                    ("injected", (near.injected as u64).into()),
+                    ("rejected", (near.detected as u64).into()),
+                    ("served", ((near.degraded + near.survived) as u64).into()),
+                    ("undetected", (near.undetected.len() as u64).into()),
+                ],
+            );
+        }
+        for name in &near.undetected {
+            failures.push(format!(
+                "near-value forgery panicked a shard or varied: {name}"
+            ));
+        }
+    }
 
     // --- Phase 3: hot-swap race ----------------------------------------------
     let bytes_b = build_snapshot(n, k, 42, 43); // same graph, different scheme

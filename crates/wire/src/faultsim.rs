@@ -4,8 +4,9 @@
 //! corruption. This module makes that claim drillable: seeded, fully
 //! deterministic fault **plans** (truncations at every section boundary,
 //! single-bit flips over the header and each section, scrambled offset
-//! columns) plus two runners that apply each fault to a pristine buffer
-//! and classify what the stack did about it:
+//! columns, near-value rewrites of every section field) plus two runners
+//! that apply each fault to a pristine buffer and classify what the stack
+//! did about it:
 //!
 //! * [`drill_loads`] — plain corruption (bit rot, torn or tampered bytes):
 //!   every fault must be **detected**, i.e. [`FlatScheme::from_bytes`]
@@ -32,7 +33,7 @@ use en_graph::{NodeId, WeightedGraph};
 
 use crate::engine::QueryEngine;
 use crate::flat::{FlatScheme, SnapshotManifest};
-use crate::format::{Section, HEADER_WORDS};
+use crate::format::{Fields, Section, HEADER_WORDS, NULL};
 
 /// One way to damage a byte buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -207,6 +208,56 @@ pub fn offset_scramble_plan(
     plan
 }
 
+/// Near-value forgeries: every field of every section, pad fields
+/// included, rewritten to `v − 1`, `v + 1`, 0, 1, `n − 1`, `n`, NULL and the
+/// value of each neighbouring field in its section, one case per distinct
+/// value other than `v` (the field's own value; `n` is the vertex count).
+/// These are the values a structural check compares against, so a check
+/// that is off by one, or a column that can borrow its neighbour's value,
+/// shows up here rather than in random scrambles.
+///
+/// # Panics
+///
+/// Panics if `bytes` is not a valid snapshot.
+pub fn near_value_plan(bytes: &[u8]) -> Vec<FaultCase> {
+    let flat = FlatScheme::from_bytes(bytes).expect("near_value_plan needs a valid snapshot");
+    let n = flat.n() as u32;
+    let field = |f: usize| Fields::new(bytes).get(f);
+    let mut plan = Vec::new();
+    for span in &flat.manifest().sections {
+        let fields = span.start_field()..span.start_field() + span.fields();
+        for f in fields.clone() {
+            let v = field(f);
+            let neighbours = [f.wrapping_sub(1), f + 1]
+                .into_iter()
+                .filter(|g| fields.contains(g))
+                .map(field);
+            let mut values: Vec<u32> = Vec::with_capacity(9);
+            for x in [
+                v.wrapping_sub(1),
+                v.wrapping_add(1),
+                0,
+                1,
+                n.wrapping_sub(1),
+                n,
+                NULL,
+            ]
+            .into_iter()
+            .chain(neighbours)
+            {
+                if x != v && !values.contains(&x) {
+                    values.push(x);
+                }
+            }
+            plan.extend(values.into_iter().map(|value| FaultCase {
+                name: format!("near {} f{f}={value:#x}", span.section.name()),
+                kind: FaultKind::FieldWrite { field: f, value },
+            }));
+        }
+    }
+    plan
+}
+
 /// Aggregated drill results.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultReport {
@@ -344,14 +395,19 @@ pub fn drill_forged(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serialize;
+    use crate::{generate_pairs, serialize, PairWorkload};
     use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
     use en_routing::construction::{build_routing_scheme, ConstructionConfig};
 
-    fn snapshot() -> Vec<u8> {
-        let g = erdos_renyi_connected(&GeneratorConfig::new(36, 5).with_weights(1, 9), 0.15);
+    fn built(n: usize, p: f64) -> (WeightedGraph, Vec<u8>) {
+        let g = erdos_renyi_connected(&GeneratorConfig::new(n, 5).with_weights(1, 9), p);
         let built = build_routing_scheme(&g, &ConstructionConfig::new(2, 5)).unwrap();
-        serialize(&built.scheme)
+        let bytes = serialize(&built.scheme);
+        (g, bytes)
+    }
+
+    fn snapshot() -> Vec<u8> {
+        built(36, 0.15).1
     }
 
     #[test]
@@ -426,5 +482,57 @@ mod tests {
         assert!(report.all_handled(), "undetected: {:?}", report.undetected);
         assert_eq!(report.detected, report.injected, "all load faults detect");
         assert!(report.injected > 30);
+    }
+
+    #[test]
+    fn near_value_plan_rewrites_every_section_field() {
+        let bytes = snapshot();
+        let flat = FlatScheme::from_bytes(&bytes).unwrap();
+        let (m, n) = (flat.manifest(), flat.n() as u32);
+        let plan = near_value_plan(&bytes);
+        assert_eq!(plan, near_value_plan(&bytes));
+        let sections = m.sections[0].start_field()..m.total_fields();
+        let mut values = vec![Vec::new(); m.total_fields()];
+        for case in &plan {
+            let FaultKind::FieldWrite { field, value } = case.kind else {
+                panic!("{}: not a field write", case.name);
+            };
+            assert!(sections.contains(&field), "{}", case.name);
+            values[field].push(value);
+        }
+        for f in sections {
+            let v = Fields::new(&bytes).get(f);
+            let got = &values[f];
+            assert!(!got.contains(&v), "field {f} is rewritten to its own value");
+            let mut distinct = got.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(distinct.len(), got.len(), "field {f} repeats a value");
+            for want in [v.wrapping_add(1), 0, n, NULL] {
+                assert!(want == v || got.contains(&want), "field {f} misses {want}");
+            }
+        }
+    }
+
+    #[test]
+    fn sampled_near_value_forgeries_are_rejected_or_served_panic_free() {
+        let (g, bytes) = built(24, 0.3);
+        let mut rng = StdRng::seed_from_u64(0x4E56);
+        let sample: Vec<_> = near_value_plan(&bytes)
+            .into_iter()
+            .filter(|_| rng.gen_range(0..16u32) == 0)
+            .collect();
+        let pairs = generate_pairs(&g, &PairWorkload::Uniform, 60, 3);
+        let report = drill_forged(&bytes, &g, &pairs, &sample);
+        assert!(report.undetected.is_empty(), "{:?}", report.undetected);
+        assert!(report.all_handled());
+        // Both outcomes occur: the pools' values are not proven, only
+        // their offsets.
+        assert!(report.injected > 1_000, "{}", report.summary());
+        assert!(
+            report.detected > 0 && report.survived > 0,
+            "{}",
+            report.summary()
+        );
     }
 }

@@ -1,8 +1,9 @@
 //! The zero-copy snapshot reader: validate once, then borrow.
 //!
 //! [`FlatScheme::from_bytes`] is the only way to obtain a [`FlatScheme`]
-//! outside this crate. It walks the whole buffer a single time — header and
-//! section checksums, section bounds, then a structural proof: centre index
+//! outside this crate. It checks the header and section bounds, verifies
+//! every section checksum in one pass, then proves the structure in one
+//! walk that reads each section's columns front to back: centre index
 //! and cluster descriptors agree, member columns are strictly ascending
 //! ids below `n` that tile their section, CSR offsets are monotone inside
 //! their value columns, the table and label records tile their pools in
@@ -451,10 +452,10 @@ impl<'a> FlatScheme<'a> {
     /// checksum, every per-section checksum, section bounds, and the
     /// structural proof of the module docs, which holds even for bytes
     /// whose checksums were recomputed after tampering — so the accessors
-    /// never have to re-check and simply borrow. The checksums
-    /// are verified here, once per load, in one single-threaded pass over
-    /// the sections: integrity costs one linear pass at publish/load time
-    /// and nothing on the per-query hot path.
+    /// never have to re-check and simply borrow. It runs here, once per
+    /// load, single-threaded: one checksum pass over the sections, then one
+    /// structural walk. Integrity costs those two linear passes at
+    /// publish/load time and nothing on the per-query hot path.
     ///
     /// # Errors
     ///
@@ -469,8 +470,7 @@ impl<'a> FlatScheme<'a> {
         let t0 = en_obs::active().then(std::time::Instant::now);
         let flat = Self::parse_header(bytes, true)?;
         flat.verify_section_checksums()?;
-        flat.validate_clusters()?;
-        flat.validate_csrs()?;
+        flat.prove_structure()?;
         if let Some(t0) = t0 {
             let dur_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             en_obs::histogram_record("wire.validate_ns", dur_ns);
@@ -626,248 +626,202 @@ impl<'a> FlatScheme<'a> {
             && (len % 2 == 0 || self.fields.get(self.secs[s as usize] + len) == 0)
     }
 
-    fn validate_clusters(&self) -> Result<(), WireError> {
-        let fields = self.fields;
-        let total_members = self.total_members();
+    /// The structural proof of the module docs, in one walk: each section
+    /// is sliced once and its columns are read front to back, side by side
+    /// where they are aligned (a cluster's member ids with its table
+    /// offsets, a vertex's tree row with its rank-index row). Checks run in
+    /// the order the columns are read, so the first inconsistency is the one
+    /// reported.
+    fn prove_structure(&self) -> Result<(), WireError> {
+        let (n, k, total_members) = (self.n, self.k, self.total_members());
+        let corrupt = |what| WireError::Corrupt { what };
         // The header fixed these spans; what is left is their pad fields.
-        for (s, len, _) in fixed_sections(self.n, self.num_clusters, total_members) {
+        for (s, len, _) in fixed_sections(n, self.num_clusters, total_members) {
             if !self.holds(s, len) {
-                return Err(WireError::Corrupt {
-                    what: "section pad field is not zero",
-                });
+                return Err(corrupt("section pad field is not zero"));
             }
         }
+        let column = |s: Section| {
+            self.fields
+                .slice(self.secs[s as usize], self.secs[s as usize + 1])
+        };
+        let centres = column(Section::CenterIndex);
+        let clusters = column(Section::Clusters);
+        let members = column(Section::MemberIds);
+
         // Centre index entries point at clusters whose centre points back.
-        let ci = self.secs[Section::CenterIndex as usize];
-        for v in 0..self.n {
-            let c = fields.get(ci + v);
-            if c == NULL {
+        for (v, id) in centres.iter().take(n).enumerate() {
+            if id == NULL {
                 continue;
             }
-            if c as usize >= self.num_clusters {
-                return Err(WireError::Corrupt {
-                    what: "centre index points past the cluster table",
-                });
+            if id as usize >= self.num_clusters {
+                return Err(corrupt("centre index points past the cluster table"));
             }
-            if self.cluster(c as usize).center != v {
-                return Err(WireError::Corrupt {
-                    what: "centre index disagrees with the cluster table",
-                });
+            if clusters.record::<CLUSTER_RECORD_FIELDS>(id as usize)[0] as usize != v {
+                return Err(corrupt("centre index disagrees with the cluster table"));
             }
         }
-        let table_pool_len = self.span(Section::TablePool);
-        let not_tiled = WireError::Corrupt {
-            what: "table records do not tile the table pool in member order",
-        };
-        // Member order is the serializer's write order: each member's
-        // record starts where the previous one ends.
-        let mut table_end = 0usize;
-        let mut covered = 0usize;
-        for id in 0..self.num_clusters {
-            let c = self.cluster(id);
-            if c.center >= self.n
-                || fields.get(ci + c.center) as usize != id
-                || c.level >= self.k
-                || c.members_start != covered
-                || c.members_len == 0
+
+        // Descriptors cover the member column in id order; each member
+        // column ascends below n and holds its centre. Member order is the
+        // serializer's write order: each member's table record starts where
+        // the previous one ends.
+        let table_offs = column(Section::MemberTableOffs);
+        let table_pool = column(Section::TablePool);
+        let overruns = corrupt("table record overruns the table pool");
+        let not_tiled = corrupt("table records do not tile the table pool in member order");
+        let (mut covered, mut table_end) = (0usize, 0usize);
+        for (id, [center, level, start, len]) in clusters.records().enumerate() {
+            let (center, start) = (center as usize, start as usize);
+            if center >= n
+                || centres.get(center) as usize != id
+                || level as usize >= k
+                || start != covered
+                || len == 0
             {
-                return Err(WireError::Corrupt {
-                    what: "cluster descriptor inconsistent",
-                });
+                return Err(corrupt("cluster descriptor inconsistent"));
             }
-            covered = match covered.checked_add(c.members_len) {
+            covered = match covered.checked_add(len as usize) {
                 Some(end) if end <= total_members => end,
-                _ => {
-                    return Err(WireError::Corrupt {
-                        what: "cluster members overrun the member column",
-                    })
-                }
+                _ => return Err(corrupt("cluster members overrun the member column")),
             };
-            let members = c.members();
-            let mut prev: Option<u32> = None;
-            let mut has_center = false;
-            for i in 0..members.len() {
-                let v = members.get(i);
-                if v as usize >= self.n || prev.is_some_and(|p| p >= v) {
-                    return Err(WireError::Corrupt {
-                        what: "cluster members not ascending vertex ids",
-                    });
+            let (mut least, mut has_center) = (0, false);
+            for i in start..covered {
+                let (v, rel) = (members.get(i), table_offs.get(i));
+                if v < least || v as usize >= n {
+                    return Err(corrupt("cluster members not ascending vertex ids"));
                 }
-                has_center |= v as usize == c.center;
-                prev = Some(v);
-                let rel = fields
-                    .get(self.secs[Section::MemberTableOffs as usize] + c.members_start + i)
-                    as usize;
-                let end = validate_table_record(
-                    fields,
-                    self.secs[Section::TablePool as usize],
-                    table_pool_len,
-                    rel,
-                )?;
+                least = v + 1;
+                has_center |= v as usize == center;
+                // Nine fixed fields; a global-heavy child (field 8) adds its
+                // portal, portal DFS time and exception count, then the
+                // pairs. No branch depends on the child: without one, the
+                // count read is field 8 itself and no pairs are added.
+                let rel = rel as usize;
+                let fixed = rel
+                    .checked_add(TABLE_FIXED_FIELDS)
+                    .filter(|&end| end <= table_pool.len())
+                    .ok_or(overruns)?;
+                let heavy = usize::from(table_pool.get(rel + 8) != NULL);
+                let count_end = fixed + 3 * heavy;
+                if count_end > table_pool.len() {
+                    return Err(overruns);
+                }
+                let pairs = 2 * heavy as u64 * u64::from(table_pool.get(count_end - 1));
+                let end = count_end as u64 + pairs;
+                if end > table_pool.len() as u64 {
+                    return Err(overruns);
+                }
                 if rel != table_end {
                     return Err(not_tiled);
                 }
-                table_end = end;
+                table_end = end as usize;
             }
             if !has_center {
-                return Err(WireError::Corrupt {
-                    what: "cluster centre is not a member",
-                });
+                return Err(corrupt("cluster centre is not a member"));
             }
         }
         if covered != total_members {
-            return Err(WireError::Corrupt {
-                what: "member column not fully covered by clusters",
-            });
+            return Err(corrupt("member column not fully covered by clusters"));
         }
         if !self.holds(Section::TablePool, table_end) {
             return Err(not_tiled);
         }
-        Ok(())
-    }
 
-    fn validate_csrs(&self) -> Result<(), WireError> {
-        let fields = self.fields;
-        // The rank index is column-aligned with the tree column, and both
-        // are as long as the member column (the shape pass fixed their
-        // spans, and the tree CSR must end exactly at the member count).
-        // Checked per incidence below, every slot points back at its vertex
-        // in the named cluster's member column, so the incidence map is a
-        // *bijection* (slots are injective per cluster): every member entry
-        // is reachable through the index and the indexed lookup is provably
-        // equivalent to the member binary search it replaced.
-        let vv = Section::VtreesVals as usize;
-        let ms = Section::MemberSlots as usize;
-        let not_covered = WireError::Corrupt {
-            what: "CSR does not cover its value column",
-        };
-        // Walks one CSR and returns where it ends, in values.
-        let check_csr = |s: Section, unit: usize, vals: Section| -> Result<usize, WireError> {
-            let base = self.secs[s as usize];
-            let vals_len = self.span(vals) / unit;
+        // Each CSR starts at 0 and ascends within its value column, and
+        // covers that column whole. A padded span also holds one field less
+        // than it was sized for, so the tree CSR's end is pinned to the
+        // member count itself.
+        let not_covered = corrupt("CSR does not cover its value column");
+        let csr = |s: Section, unit: usize, vals: Section| {
+            let (offsets, vals_len) = (column(s), self.span(vals) / unit);
             let mut prev = 0u32;
-            for v in 0..=self.n {
-                let o = fields.get(base + v);
+            for (v, o) in offsets.iter().take(n + 1).enumerate() {
                 if (v == 0 && o != 0) || o < prev || o as usize > vals_len {
-                    return Err(WireError::Corrupt {
-                        what: "CSR offsets not monotone within bounds",
-                    });
+                    return Err(corrupt("CSR offsets not monotone within bounds"));
                 }
                 prev = o;
             }
             if !self.holds(vals, prev as usize * unit) {
                 return Err(not_covered);
             }
-            Ok(prev as usize)
+            Ok(offsets)
         };
-        // A padded span also holds one field less than it was sized for, so
-        // the tree column's end is pinned to the member count itself.
-        if check_csr(Section::VtreesOff, 1, Section::VtreesVals)? != self.total_members() {
+        let tree_offs = csr(Section::VtreesOff, 1, Section::VtreesVals)?;
+        if tree_offs.get(n) as usize != total_members {
             return Err(not_covered);
         }
-        check_csr(Section::OwnOff, 1, Section::OwnEntries)?;
-        check_csr(
+        let own_offs = csr(Section::OwnOff, 1, Section::OwnEntries)?;
+        let entry_offs = csr(
             Section::LabelEntriesOff,
             LABEL_ENTRY_FIELDS,
             Section::LabelEntries,
         )?;
 
-        // Label records tile LABEL_POOL in first-reference order — every
-        // node-label entry by vertex, then every own-cluster entry — which
-        // is the order the serializer interns them in. A first reference
-        // points at the end of the records walked so far and walks its
-        // record once; a repeated one must name a record start seen before.
-        // Either way the record's first field must be the vertex the entry
-        // is for.
-        let label_pool_base = self.secs[Section::LabelPool as usize];
-        let label_pool_len = self.span(Section::LabelPool);
-        let mut label_end = 0usize;
-        let mut starts = vec![0u64; label_pool_len.div_ceil(64)];
-        let mut label_ref = |off: usize, vertex: u32| -> Result<(), WireError> {
-            if off == label_end {
-                label_end = validate_label_record(fields, label_pool_base, label_pool_len, off)?;
-                starts[off / 64] |= 1 << (off % 64);
-            } else if off >= label_pool_len {
-                return Err(WireError::Corrupt {
-                    what: "label record overruns the label pool",
-                });
-            } else if off > label_end || starts[off / 64] & (1 << (off % 64)) == 0 {
-                return Err(WireError::Corrupt {
-                    what: "label offset does not start a label record",
-                });
-            }
-            if fields.get(label_pool_base + off) != vertex {
-                return Err(WireError::Corrupt {
-                    what: "label record names another vertex",
-                });
-            }
-            Ok(())
-        };
-        for v in 0..self.n {
+        let mut labels = LabelRecords::new(column(Section::LabelPool));
+        let tree_vals = column(Section::VtreesVals);
+        let slots = column(Section::MemberSlots);
+        let entries = column(Section::LabelEntries);
+        for v in 0..n {
             // Tree memberships: ascending centre ids, each with a rank-index
             // slot that resolves back to `v` in that cluster's member column.
-            let trees = self.trees_of(v);
-            let slots_at = self.secs[ms] + (trees.start - self.secs[vv]);
-            for i in 0..trees.len() {
-                let c = trees.get(i);
-                if c as usize >= self.n || (i > 0 && trees.get(i - 1) >= c) {
-                    return Err(WireError::Corrupt {
-                        what: "vertex tree list not ascending centre ids",
-                    });
+            let (lo, hi) = (tree_offs.get(v) as usize, tree_offs.get(v + 1) as usize);
+            let mut least = 0;
+            for i in lo..hi {
+                let (c, slot) = (tree_vals.get(i), slots.get(i));
+                if c < least || c as usize >= n {
+                    return Err(corrupt("vertex tree list not ascending centre ids"));
                 }
-                let Some(cluster) = self.cluster_of_center(c as NodeId) else {
-                    return Err(WireError::Corrupt {
-                        what: "vertex tree list names a centre without a cluster",
-                    });
-                };
-                let slot = fields.get(slots_at + i) as usize;
-                if slot >= cluster.len() || cluster.members().get(slot) as usize != v {
-                    return Err(WireError::Corrupt {
-                        what: "member-slot index disagrees with the member column",
-                    });
+                least = c + 1;
+                let id = centres.get(c as usize);
+                if id == NULL {
+                    return Err(corrupt("vertex tree list names a centre without a cluster"));
+                }
+                let [_, _, start, len] = clusters.record(id as usize);
+                if slot >= len || members.get(start as usize + slot as usize) as usize != v {
+                    return Err(corrupt(
+                        "member-slot index disagrees with the member column",
+                    ));
                 }
             }
             // Node-label entries: levels within range, `v`'s label records.
-            let (start, count) = self.label_entry_range(v);
-            let base = self.secs[Section::LabelEntries as usize];
-            for e in 0..count {
-                let at = base + (start + e) * LABEL_ENTRY_FIELDS;
-                if fields.get(at) as usize >= self.k || fields.get(at + 1) as usize >= self.n {
-                    return Err(WireError::Corrupt {
-                        what: "label entry level or pivot out of range",
-                    });
+            let (lo, hi) = (entry_offs.get(v) as usize, entry_offs.get(v + 1) as usize);
+            let records = entries.slice(LABEL_ENTRY_FIELDS * lo, LABEL_ENTRY_FIELDS * hi);
+            for [level, pivot, _, _, off] in records.records() {
+                if level as usize >= k || pivot as usize >= n {
+                    return Err(corrupt("label entry level or pivot out of range"));
                 }
-                let off = fields.get(at + 4);
                 if off != NULL {
-                    label_ref(off as usize, v as u32)?;
+                    labels.reference(off, v as u32)?;
                 }
             }
         }
-        for v in 0..self.n {
-            // Own-cluster runs: a level-0 centre's run is exactly as long as
-            // its member column and names each member's record at that
-            // member's slot; every other vertex's run is empty. The runs
-            // tile OWN_ENTRIES, so a moved boundary breaks some run's
-            // length.
-            let (start, count) = self.own_range(v);
-            let own = self.cluster_of_center(v).filter(|c| c.level == 0);
-            if count != own.map_or(0, |c| c.len()) {
-                return Err(WireError::Corrupt {
-                    what: "own-label run is not its level-0 cluster's member column",
-                });
+
+        // Own-cluster runs: a level-0 centre's run is exactly as long as its
+        // member column and names each member's record at that member's
+        // slot; every other vertex's run is empty. The runs tile
+        // OWN_ENTRIES, so a moved boundary breaks some run's length.
+        let own_entries = column(Section::OwnEntries);
+        for v in 0..n {
+            let (start, len) = match centres.get(v) {
+                NULL => (0, 0),
+                id => match clusters.record(id as usize) {
+                    [_, 0, start, len] => (start as usize, len as usize),
+                    _ => (0, 0),
+                },
+            };
+            let (lo, hi) = (own_offs.get(v) as usize, own_offs.get(v + 1) as usize);
+            if hi - lo != len {
+                return Err(corrupt(
+                    "own-label run is not its level-0 cluster's member column",
+                ));
             }
-            if let Some(own) = own {
-                let members = own.members();
-                let base = self.secs[Section::OwnEntries as usize] + start;
-                for slot in 0..count {
-                    label_ref(fields.get(base + slot) as usize, members.get(slot))?;
-                }
+            for slot in 0..len {
+                labels.reference(own_entries.get(lo + slot), members.get(start + slot))?;
             }
         }
-        if !self.holds(Section::LabelPool, label_end) {
-            return Err(WireError::Corrupt {
-                what: "label records do not tile the label pool",
-            });
+        if !self.holds(Section::LabelPool, labels.end) {
+            return Err(corrupt("label records do not tile the label pool"));
         }
         Ok(())
     }
@@ -1074,6 +1028,92 @@ impl<'a> FlatScheme<'a> {
     }
 }
 
+/// The label-pool side of [`FlatScheme::prove_structure`]. Label records
+/// tile LABEL_POOL in first-reference order — every node-label entry by
+/// vertex, then every own-cluster entry — which is the order the
+/// serializer interns them in. A first reference points at the end of the
+/// records walked so far and walks its record once; a repeated one must
+/// name a record start seen before. Either way the record's first field
+/// must be the vertex the entry is for.
+struct LabelRecords<'a> {
+    pool: Fields<'a>,
+    /// Where the records walked so far end.
+    end: usize,
+    /// One bit per pool field: whether a walked record starts there.
+    starts: Vec<u64>,
+}
+
+impl<'a> LabelRecords<'a> {
+    fn new(pool: Fields<'a>) -> Self {
+        let starts = vec![0; pool.len().div_ceil(64)];
+        LabelRecords {
+            pool,
+            end: 0,
+            starts,
+        }
+    }
+
+    /// Checks one reference to the record at `off` for `vertex`.
+    #[inline]
+    fn reference(&mut self, off: u32, vertex: u32) -> Result<(), WireError> {
+        let off = off as usize;
+        if off == self.end {
+            self.end = self.walk(off)?;
+            self.starts[off / 64] |= 1 << (off % 64);
+        } else if off >= self.pool.len() {
+            return Err(WireError::Corrupt {
+                what: "label record overruns the label pool",
+            });
+        } else if off > self.end || self.starts[off / 64] & (1 << (off % 64)) == 0 {
+            return Err(WireError::Corrupt {
+                what: "label offset does not start a label record",
+            });
+        }
+        if self.pool.get(off) != vertex {
+            return Err(WireError::Corrupt {
+                what: "label record names another vertex",
+            });
+        }
+        Ok(())
+    }
+
+    /// Walks the record at `off` and returns where it ends: vertex, subtree
+    /// root, `a_global`, local DFS time, the local exception count and
+    /// pairs, the global exception count, then per global exception four
+    /// fields, a count and the pairs.
+    #[inline]
+    fn walk(&self, off: usize) -> Result<usize, WireError> {
+        let len = self.pool.len() as u64;
+        // Where the fields that `count_at` counts end: past the count and its
+        // pairs.
+        let pairs_end =
+            |count_at: u64| count_at + 1 + 2 * u64::from(self.pool.get(count_at as usize));
+        let overruns = Err(WireError::Corrupt {
+            what: "label record overruns the label pool",
+        });
+        let mut at = off as u64 + 5;
+        if at > len {
+            return overruns;
+        }
+        at = pairs_end(at - 1);
+        if at + 1 > len {
+            return overruns;
+        }
+        let global = self.pool.get(at as usize);
+        at += 1;
+        for _ in 0..global {
+            if at + 5 > len {
+                return overruns;
+            }
+            at = pairs_end(at + 4);
+            if at > len {
+                return overruns;
+            }
+        }
+        Ok(at as usize)
+    }
+}
+
 /// One section's span inside a snapshot, as declared by the header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SectionSpan {
@@ -1125,73 +1165,6 @@ impl SnapshotManifest {
         b.push(self.total_words);
         b
     }
-}
-
-/// Walks one table record, checking that it fits inside the table pool;
-/// returns where it ends.
-fn validate_table_record(
-    fields: Fields<'_>,
-    pool_base: usize,
-    pool_len: usize,
-    rel: usize,
-) -> Result<usize, WireError> {
-    let err = WireError::Corrupt {
-        what: "table record overruns the table pool",
-    };
-    let end = rel.checked_add(TABLE_FIXED_FIELDS).ok_or(err)?;
-    if end > pool_len {
-        return Err(err);
-    }
-    if fields.get(pool_base + rel + 8) == NULL {
-        return Ok(end);
-    }
-    // Global-heavy tail: portal, portal-label DFS time, exception count…
-    let count_end = end.checked_add(3).ok_or(err)?;
-    if count_end > pool_len {
-        return Err(err);
-    }
-    // …then that many (x, x') pairs.
-    let exc = fields.get(pool_base + end + 2) as usize;
-    let end = count_end
-        .checked_add(exc.checked_mul(2).ok_or(err)?)
-        .ok_or(err)?;
-    if end > pool_len {
-        return Err(err);
-    }
-    Ok(end)
-}
-
-/// Walks one label record, checking that it fits inside the label pool;
-/// returns where it ends.
-fn validate_label_record(
-    fields: Fields<'_>,
-    pool_base: usize,
-    pool_len: usize,
-    rel: usize,
-) -> Result<usize, WireError> {
-    let err = WireError::Corrupt {
-        what: "label record overruns the label pool",
-    };
-    let check = |at: usize| if at > pool_len { Err(err) } else { Ok(at) };
-    let mut at = check(rel.checked_add(5).ok_or(err)?)?;
-    let local_exc = fields.get(pool_base + rel + 4) as usize;
-    at = check(
-        at.checked_add(local_exc.checked_mul(2).ok_or(err)?)
-            .ok_or(err)?,
-    )?;
-    check(at + 1)?;
-    let gexc = fields.get(pool_base + at) as usize;
-    at += 1;
-    for _ in 0..gexc {
-        check(at.checked_add(5).ok_or(err)?)?;
-        let exc = fields.get(pool_base + at + 4) as usize;
-        at = check(
-            at.checked_add(5)
-                .and_then(|x| x.checked_add(exc.checked_mul(2)?))
-                .ok_or(err)?,
-        )?;
-    }
-    Ok(at)
 }
 
 #[cfg(test)]
@@ -1603,6 +1576,204 @@ mod tests {
             &bytes,
             &[(level, flat.k() as u32)],
             "cluster descriptor inconsistent",
+        );
+    }
+
+    #[test]
+    fn centre_index_naming_another_cluster_is_rejected() {
+        let bytes = snapshot();
+        let flat = FlatScheme::from_bytes(&bytes).unwrap();
+        let ci = start(&flat.manifest(), Section::CenterIndex);
+        // Vertex 0's entry names the cluster vertex 1 is the centre of.
+        let other = field_at(&bytes, ci + 1);
+        assert_ne!(other, NULL);
+        assert_rejected(
+            &bytes,
+            &[(ci, other)],
+            "centre index disagrees with the cluster table",
+        );
+    }
+
+    #[test]
+    fn cluster_without_its_centre_is_rejected() {
+        let bytes = snapshot();
+        let flat = FlatScheme::from_bytes(&bytes).unwrap();
+        let mi = start(&flat.manifest(), Section::MemberIds);
+        // A centre whose predecessor id is not a member: writing that id
+        // over the centre keeps the column ascending but drops the centre.
+        let (at, id) = flat
+            .clusters()
+            .find_map(|c| {
+                let members = c.members();
+                let p = members.binary_search(c.center as u32).unwrap();
+                let below = c.center.checked_sub(1)? as u32;
+                (p == 0 || members.get(p - 1) < below).then_some((mi + c.members_start + p, below))
+            })
+            .expect("a centre with a free id below it");
+        assert_rejected(&bytes, &[(at, id)], "cluster centre is not a member");
+    }
+
+    #[test]
+    fn vertex_tree_list_out_of_order_is_rejected() {
+        let bytes = snapshot();
+        let flat = FlatScheme::from_bytes(&bytes).unwrap();
+        let m = flat.manifest();
+        let v = (0..flat.n())
+            .find(|&v| flat.trees_of(v).len() >= 2)
+            .expect("a vertex in two trees");
+        let rel = flat.trees_of(v).start - start(&m, Section::VtreesVals);
+        let (t, s) = (
+            start(&m, Section::VtreesVals) + rel,
+            start(&m, Section::MemberSlots) + rel,
+        );
+        // The first two trees swapped with their slots: every slot still
+        // resolves, only the order is wrong.
+        let swapped = [
+            (t, field_at(&bytes, t + 1)),
+            (t + 1, field_at(&bytes, t)),
+            (s, field_at(&bytes, s + 1)),
+            (s + 1, field_at(&bytes, s)),
+        ];
+        assert_rejected(
+            &bytes,
+            &swapped,
+            "vertex tree list not ascending centre ids",
+        );
+        // A centre id past n.
+        assert_rejected(
+            &bytes,
+            &[(t, flat.n() as u32)],
+            "vertex tree list not ascending centre ids",
+        );
+    }
+
+    /// A sealed snapshot assembled from its section columns, with zero
+    /// size counters in the header.
+    fn assemble(n: usize, k: usize, cols: [&[u32]; NUM_SECTIONS]) -> Vec<u8> {
+        let words = cols.map(|c| section_words(c.len()));
+        let total = HEADER_WORDS + words.iter().sum::<usize>();
+        let word = |w: usize, x: u64| [(2 * w, x as u32), (2 * w + 1, (x >> 32) as u32)];
+        let mut edits: Vec<(usize, u32)> = [
+            (0, MAGIC),
+            (1, VERSION),
+            (H_N, n as u64),
+            (H_K, k as u64),
+            (
+                H_NUM_CLUSTERS,
+                (cols[1].len() / CLUSTER_RECORD_FIELDS) as u64,
+            ),
+            (H_TOTAL_WORDS, total as u64),
+            (H_TOTAL_MEMBERS, cols[2].len() as u64),
+        ]
+        .into_iter()
+        .flat_map(|(w, x)| word(w, x))
+        .collect();
+        let mut at = HEADER_WORDS;
+        for (i, col) in cols.iter().enumerate() {
+            edits.extend(word(H_SECTIONS + i, at as u64));
+            edits.extend(col.iter().enumerate().map(|(j, &f)| (2 * at + j, f)));
+            at += words[i];
+        }
+        forge(&vec![0u8; total * 8], &edits)
+    }
+
+    /// A valid two-vertex snapshot with one cluster, centred at 0: bytes
+    /// no serializer writes. A built scheme has a cluster for every vertex
+    /// (level 0 holds them all), so no tree list can name a non-centre, and
+    /// its last cluster is centred at the largest id, its last member, so
+    /// that cluster cannot give up a member and keep its centre.
+    fn two_vertex_snapshot() -> Vec<u8> {
+        let table = [0, NULL, NULL, NULL, 0, 2, 0, 2, NULL];
+        let pool = [table, table].concat();
+        let bytes = assemble(
+            2,
+            1,
+            [
+                &[0, NULL],
+                &[0, 0, 0, 2],
+                &[0, 1],
+                &[0, 9],
+                &pool,
+                &[0, 1, 2],
+                &[0, 0],
+                &[0, 1],
+                &[0, 2, 2],
+                &[0, 6],
+                &[0, 0, 0],
+                &[],
+                &[0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0],
+            ],
+        );
+        let flat = FlatScheme::from_bytes(&bytes).expect("the assembled snapshot opens");
+        assert_eq!(flat.cluster_of_center(1).map(|c| c.id), None);
+        bytes
+    }
+
+    #[test]
+    fn clusters_short_of_the_member_count_are_rejected() {
+        let bytes = two_vertex_snapshot();
+        let count = start(
+            &FlatScheme::from_bytes(&bytes).unwrap().manifest(),
+            Section::Clusters,
+        ) + 3;
+        // The one cluster keeps its centre and gives up its second member.
+        assert_rejected(
+            &bytes,
+            &[(count, 1)],
+            "member column not fully covered by clusters",
+        );
+    }
+
+    #[test]
+    fn vertex_tree_list_naming_a_non_centre_is_rejected() {
+        let bytes = two_vertex_snapshot();
+        let vv = start(
+            &FlatScheme::from_bytes(&bytes).unwrap().manifest(),
+            Section::VtreesVals,
+        );
+        // Vertex 1's one tree names vertex 1 instead of centre 0.
+        assert_rejected(
+            &bytes,
+            &[(vv + 1, 1)],
+            "vertex tree list names a centre without a cluster",
+        );
+    }
+
+    #[test]
+    fn label_pool_with_an_unreferenced_record_is_rejected() {
+        let bytes = snapshot();
+        let flat = FlatScheme::from_bytes(&bytes).unwrap();
+        let m = flat.manifest();
+        // Every label reference: (field, record offset, vertex).
+        let mut refs = Vec::new();
+        for v in 0..flat.n() {
+            let (first, count) = flat.label_entry_range(v);
+            for e in first..first + count {
+                let at = start(&m, Section::LabelEntries) + e * LABEL_ENTRY_FIELDS + 4;
+                refs.push((at, field_at(&bytes, at), v as u32));
+            }
+        }
+        for c in flat.clusters().filter(|c| c.level == 0) {
+            let (first, _) = flat.own_range(c.center);
+            for slot in 0..c.len() {
+                let at = start(&m, Section::OwnEntries) + first + slot;
+                refs.push((at, field_at(&bytes, at), c.members().get(slot)));
+            }
+        }
+        refs.retain(|r| r.1 != NULL);
+        // The pool's last record, named once, is redirected to an earlier
+        // record of the same vertex, so nothing names the last one.
+        let &(at, last, v) = refs.iter().max_by_key(|r| r.1).unwrap();
+        assert_eq!(refs.iter().filter(|r| r.1 == last).count(), 1);
+        let other = refs
+            .iter()
+            .find(|r| r.2 == v && r.1 != last)
+            .expect("the vertex has a second record")
+            .1;
+        assert_rejected(
+            &bytes,
+            &[(at, other)],
+            "label records do not tile the label pool",
         );
     }
 

@@ -279,6 +279,40 @@ impl<'a> Fields<'a> {
         u32::from_le_bytes(b.try_into().expect("4-byte slice"))
     }
 
+    /// Fields `start..end` as a column of their own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is out of bounds.
+    #[inline]
+    pub(crate) fn slice(&self, start: usize, end: usize) -> Fields<'a> {
+        Fields {
+            bytes: &self.bytes[start * 4..end * 4],
+        }
+    }
+
+    /// The fields, front to back.
+    #[inline]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = u32> + 'a {
+        self.records().map(|[f]| f)
+    }
+
+    /// Record `i` of a column of `N`-field records.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the record is out of bounds.
+    #[inline]
+    pub(crate) fn record<const N: usize>(&self, i: usize) -> [u32; N] {
+        decode(&self.bytes[4 * N * i..4 * N * (i + 1)])
+    }
+
+    /// The whole `N`-field records, front to back.
+    #[inline]
+    pub(crate) fn records<const N: usize>(&self) -> impl Iterator<Item = [u32; N]> + 'a {
+        self.bytes.chunks_exact(4 * N).map(decode)
+    }
+
     /// Reads the `u64` stored in fields `i` (low half) and `i + 1` (high
     /// half).
     ///
@@ -302,6 +336,14 @@ impl<'a> Fields<'a> {
     pub(crate) fn bytes(&self) -> &'a [u8] {
         self.bytes
     }
+}
+
+/// The `N` little-endian fields of a `4N`-byte record.
+#[inline]
+fn decode<const N: usize>(record: &[u8]) -> [u32; N] {
+    std::array::from_fn(|j| {
+        u32::from_le_bytes(record[4 * j..4 * j + 4].try_into().expect("4-byte slice"))
+    })
 }
 
 /// The writing side of [`Fields`]: little-endian fields into a byte buffer

@@ -39,7 +39,8 @@
 //!   (see that module's SIGBUS-safety argument); [`SnapshotSource`] lets
 //!   [`SchemeStore`] epochs serve owned and mapped buffers alike.
 //! * [`workload::generate_pairs`] produces uniform, Zipf-hotspot, and
-//!   near-vs-far query workloads for the benches.
+//!   near-vs-far query workloads for the tests, the `perf_baseline` and
+//!   `fault_drill` harness bins, and `examples/snapshot_roundtrip.rs`.
 //!
 //! # Fault tolerance
 //!
@@ -51,11 +52,11 @@
 //!   [`FlatScheme::from_bytes`] verifies them once at load, so corruption is
 //!   a structured [`WireError::ChecksumMismatch`], never a wrong answer, and
 //!   the per-query hot path stays checksum-free.
-//! * **Structural proof** — the same pass proves every offset, CSR, record
-//!   and vertex id in bounds, and every pool offset at the start of the
-//!   record it names, so bytes forged with recomputed checksums are
-//!   rejected with [`WireError::Corrupt`] or, when they are consistent, are
-//!   served without a panic.
+//! * **Structural proof** — after the checksums, one walk over the sections
+//!   proves every offset, CSR, record and vertex id in bounds, and every
+//!   pool offset at the start of the record it names, so bytes forged with
+//!   recomputed checksums are rejected with [`WireError::Corrupt`] or, when
+//!   they are consistent, are served without a panic.
 //! * **Epoch hot swap** — [`SchemeStore`] validates candidate snapshots
 //!   *before* atomically swapping them in; a failed publish leaves the
 //!   current epoch serving (rollback by default) and readers pin whole

@@ -1,4 +1,5 @@
-//! Query-workload generation for the serving benchmarks and tests.
+//! Query-workload generation for the serving tests, the `perf_baseline`
+//! and `fault_drill` harness bins, and `examples/snapshot_roundtrip.rs`.
 //!
 //! Three pair distributions, all deterministic for a given seed (via the
 //! workspace's seeded RNG):
@@ -39,17 +40,6 @@ pub enum PairWorkload {
         /// Steps of the random walk that produces a near destination.
         walk_hops: usize,
     },
-}
-
-impl PairWorkload {
-    /// Short name for benchmark labels.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PairWorkload::Uniform => "uniform",
-            PairWorkload::ZipfHotspot { .. } => "zipf",
-            PairWorkload::NearFar { .. } => "near-far",
-        }
-    }
 }
 
 /// Generates `pairs` source/destination pairs over the vertices of `g`
@@ -181,9 +171,9 @@ mod tests {
             },
         ] {
             let pairs = generate_pairs(&g, &w, 500, 7);
-            assert_eq!(pairs.len(), 500, "{}", w.name());
+            assert_eq!(pairs.len(), 500, "{w:?}");
             for (u, v) in pairs {
-                assert!(u < 100 && v < 100 && u != v, "{}", w.name());
+                assert!(u < 100 && v < 100 && u != v, "{w:?}");
             }
         }
     }
