@@ -5,7 +5,6 @@
 
 use en_bench::Workload;
 use en_graph::bfs::hop_diameter_estimate;
-use en_graph::BuildOptions;
 use en_hopset::verify::verify_hopset_with_beta;
 use en_hopset::{build_hopset, HopsetConfig};
 use en_routing::hierarchy::Hierarchy;
@@ -27,8 +26,7 @@ fn main() {
         let params = SchemeParams::new(k, n, seed);
         let hierarchy = Hierarchy::sample(&params);
         let d = hop_diameter_estimate(&g);
-        let opts = BuildOptions::sequential();
-        let Some((pre, _)) = Preprocessing::run(&g, &hierarchy, &params, d, &opts) else {
+        let Some(pre) = Preprocessing::run(&g, &hierarchy, &params, d) else {
             println!("{k:>3}  (V' empty; no large scales)");
             continue;
         };

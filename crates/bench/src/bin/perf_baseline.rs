@@ -45,14 +45,6 @@
 //! CPU count (the multi-thread number only shows real scaling on a
 //! multi-core host).
 //!
-//! The end-to-end build is timed along a threads axis — the sequential
-//! oracle (`threads = 1`) and the host's full parallelism — and the
-//! multi-thread build's per-thread work accounting
-//! (`BuildStats::per_thread_sources` / `per_thread_members`) is written into
-//! each entry, with its totals asserted equal to the sequential build's (the
-//! outputs themselves are bit-identical by construction; the committed
-//! speedup number is only meaningful when `host_cpus > 1`).
-//!
 //! Alongside the throughput numbers the queries entry records the
 //! observability tax both ways: `obs_noop_overhead`, the uniform
 //! single-thread batch re-measured with **no recorder installed** (the
@@ -84,7 +76,7 @@ use en_wire::{generate_pairs, FlatScheme, MappedSnapshot, PairWorkload, QueryEng
 use en_bench::warn_if_round_limit_hit;
 use en_congest_algos::theorem1::{multi_source_hop_bounded, multi_source_hop_bounded_reference};
 use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
-use en_graph::{BuildOptions, ClusterForestBuilder, CsrGraph, WeightedGraph};
+use en_graph::{ClusterForestBuilder, CsrGraph, WeightedGraph};
 use en_routing::construction::{build_routing_scheme, ConstructionConfig};
 use en_routing::exact::{
     exact_cluster_family, exact_pivots, grow_exact_cluster_csr, grow_exact_clusters,
@@ -145,9 +137,8 @@ fn main() {
     );
     let ksources: Vec<usize> = (0..32).map(|i| i * 31 % kn).collect();
     let kernel_runs = if smoke { 3 } else { 9 };
-    let seq = BuildOptions::sequential();
     let (kernel_batched_ms, _) = best_of(kernel_runs, || {
-        multi_source_hop_bounded(&kg, &ksources, 16, 0.25, 10, &seq)
+        multi_source_hop_bounded(&kg, &ksources, 16, 0.25, 10)
     });
     let (kernel_naive_ms, _) = best_of(kernel_runs, || {
         multi_source_hop_bounded_reference(&kg, &ksources, 16)
@@ -180,15 +171,7 @@ fn main() {
     // One level's batched growth into a fresh forest.
     let grow = |centers: &[usize], level: usize, threshold: &[u64]| {
         let mut builder = ClusterForestBuilder::new(kn);
-        grow_exact_clusters(
-            &ccsr,
-            centers,
-            level,
-            threshold,
-            &cpivots,
-            &mut builder,
-            &seq,
-        );
+        grow_exact_clusters(&ccsr, centers, level, threshold, &cpivots, &mut builder);
         builder.finish().num_clusters()
     };
     let (clusters_batched_ms, _) = best_of(kernel_runs, || {
@@ -242,7 +225,7 @@ fn main() {
             let hierarchy = Hierarchy::sample(&params);
             let family = exact_cluster_family(&g, &hierarchy);
             let family_bytes = family.cluster_bytes();
-            let (assemble_ms, _) = best_of(runs, || RoutingScheme::assemble(&family, &g, 42, &seq));
+            let (assemble_ms, _) = best_of(runs, || RoutingScheme::assemble(&family, &g, 42));
             println!(
                 "assemble n={n} k={k}: {assemble_ms:.3} ms, {} clusters, \
                  total members {}, family footprint {:.2} MB",
@@ -453,32 +436,11 @@ fn main() {
             let (gen_ms, g) = best_of(runs, || workload(n));
             let sources: Vec<usize> = (0..32).map(|i| i * 31 % n).collect();
             let (kernel_ms, _) = best_of(runs, || {
-                multi_source_hop_bounded(&g, &sources, 16, 0.25, 10, &seq)
+                multi_source_hop_bounded(&g, &sources, 16, 0.25, 10)
             });
-            // The construction threads axis: the sequential oracle vs the
-            // host's full parallelism. The outputs are bit-identical (the
-            // default `cargo test` pass proves it), so only wall time and
-            // the per-thread work accounting may differ — and the totals of
-            // the accounting must not.
             let (build_ms, built) = best_of(runs, || {
-                build_routing_scheme(&g, &ConstructionConfig::new(k, 42).with_threads(1)).unwrap()
+                build_routing_scheme(&g, &ConstructionConfig::new(k, 42)).unwrap()
             });
-            let (build_mt_ms, built_mt) = best_of(runs, || {
-                let config = ConstructionConfig::new(k, 42).with_threads(host_cpus);
-                build_routing_scheme(&g, &config).unwrap()
-            });
-            assert_eq!(
-                built.build_stats.total_sources(),
-                built_mt.build_stats.total_sources(),
-                "parallel build swept different sources"
-            );
-            assert_eq!(
-                built.build_stats.total_members(),
-                built_mt.build_stats.total_members(),
-                "parallel build produced different members"
-            );
-            let per_thread_sources = built_mt.build_stats.per_thread_sources.clone();
-            let per_thread_members = built_mt.build_stats.per_thread_members.clone();
             warn_if_round_limit_hit(&built);
             let (route_ms, _) = best_of(runs, || {
                 let mut total = 0u64;
@@ -490,14 +452,8 @@ fn main() {
             });
             println!(
                 "n={n} k={k}: generate {gen_ms:.3} ms, theorem1 {kernel_ms:.3} ms, \
-                 build 1 thread {build_ms:.3} ms / {host_cpus} threads {build_mt_ms:.3} ms \
-                 ({:.2}x, {} rounds charged), route+sketch {route_ms:.3} ms",
-                build_ms / build_mt_ms,
+                 build {build_ms:.3} ms ({} rounds charged), route+sketch {route_ms:.3} ms",
                 built.total_rounds()
-            );
-            println!(
-                "          per-thread work (sources/members): {per_thread_sources:?} / \
-                 {per_thread_members:?}"
             );
             if !entries.is_empty() {
                 entries.push_str(",\n");
@@ -506,9 +462,6 @@ fn main() {
                 entries,
                 "    {{\"n\": {n}, \"k\": {k}, \"generate_ms\": {gen_ms:.3}, \
                  \"theorem1_kernel_ms\": {kernel_ms:.3}, \"build_ms\": {build_ms:.3}, \
-                 \"build_threads\": {host_cpus}, \"build_threads_ms\": {build_mt_ms:.3}, \
-                 \"per_thread_sources\": {per_thread_sources:?}, \
-                 \"per_thread_members\": {per_thread_members:?}, \
                  \"charged_rounds\": {}, \"route_and_sketch_ms\": {route_ms:.3}}}",
                 built.total_rounds()
             );

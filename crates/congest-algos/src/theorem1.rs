@@ -47,10 +47,7 @@
 use std::collections::HashMap;
 
 use en_graph::cell::{fits_i32, DistCell};
-use en_graph::{
-    dist_add, shard_spans, BuildOptions, BuildStats, CsrGraph, Dist, NodeId, WeightedGraph,
-    INFINITY,
-};
+use en_graph::{dist_add, CsrGraph, Dist, NodeId, WeightedGraph, INFINITY};
 
 use en_congest::RoundLedger;
 
@@ -126,13 +123,6 @@ impl MultiSourceHopBounded {
 /// approximation parameter `eps`, on a graph of hop-diameter `hop_diameter`
 /// (used only for the round charge).
 ///
-/// The source sequence is sharded into 64-aligned contiguous spans, each
-/// swept by its own scoped worker (up to `opts.threads`) into its own
-/// disjoint slice of the flat source-major output — same chunk composition,
-/// same writes, so the result is bit-identical to the sequential run for
-/// every thread count. Also returns per-thread work accounting (sources
-/// swept; finite distance cells produced).
-///
 /// # Panics
 ///
 /// Panics if a source is out of range, `B == 0`, or `eps` is not in `(0, 1)`.
@@ -142,8 +132,7 @@ pub fn multi_source_hop_bounded(
     hop_bound: usize,
     eps: f64,
     hop_diameter: usize,
-    opts: &BuildOptions,
-) -> (MultiSourceHopBounded, BuildStats) {
+) -> MultiSourceHopBounded {
     assert!(hop_bound >= 1, "hop bound B must be at least 1");
     assert!(eps > 0.0 && eps < 1.0, "epsilon must be in (0, 1)");
     for &s in sources {
@@ -158,25 +147,11 @@ pub fn multi_source_hop_bounded(
     // The i32 kernel is exact whenever every finite levelled distance fits
     // below its sentinel: a B-hop path has at most n - 1 edges of weight at
     // most max_weight.
-    let stats = if fits_i32(n, g.max_weight()) {
-        sharded_chunks::<i32>(
-            &csr,
-            sources,
-            hop_bound,
-            opts.threads,
-            &mut dist,
-            &mut parent,
-        )
+    if fits_i32(n, g.max_weight()) {
+        batched_chunks::<i32>(&csr, sources, hop_bound, &mut dist, &mut parent);
     } else {
-        sharded_chunks::<u64>(
-            &csr,
-            sources,
-            hop_bound,
-            opts.threads,
-            &mut dist,
-            &mut parent,
-        )
-    };
+        batched_chunks::<u64>(&csr, sources, hop_bound, &mut dist, &mut parent);
+    }
     let source_index = sources
         .iter()
         .copied()
@@ -200,7 +175,7 @@ pub fn multi_source_hop_bounded(
             eps
         ),
     );
-    let res = MultiSourceHopBounded {
+    MultiSourceHopBounded {
         sources: sources.to_vec(),
         dist,
         parent,
@@ -208,65 +183,7 @@ pub fn multi_source_hop_bounded(
         source_index,
         hop_bound,
         ledger,
-    };
-    (res, stats)
-}
-
-/// Shards `sources` into 64-aligned spans, splits the flat source-major
-/// output arrays into the matching disjoint slices, and runs
-/// [`batched_chunks`] for each span on its own scoped worker (in place on
-/// the calling thread for a single span). Row indices inside
-/// [`batched_chunks`] are relative to the slice it is handed, so each worker
-/// writes exactly the rows the sequential sweep would — bit-identically.
-fn sharded_chunks<T: DistCell>(
-    csr: &CsrGraph,
-    sources: &[NodeId],
-    hop_bound: usize,
-    threads: usize,
-    dist: &mut [Dist],
-    parent: &mut [Option<NodeId>],
-) -> BuildStats {
-    let n = csr.num_nodes();
-    let spans = shard_spans(sources.len(), threads, 64);
-    if spans.len() <= 1 {
-        batched_chunks::<T>(csr, sources, hop_bound, dist, parent);
-        let finite = dist.iter().filter(|&&d| d < INFINITY).count();
-        return BuildStats::single(sources.len(), finite);
     }
-    let mut dist_parts: Vec<&mut [Dist]> = Vec::with_capacity(spans.len());
-    let mut parent_parts: Vec<&mut [Option<NodeId>]> = Vec::with_capacity(spans.len());
-    let mut dist_rest = dist;
-    let mut parent_rest = parent;
-    for span in &spans {
-        let (d, dr) = dist_rest.split_at_mut(span.len() * n);
-        let (p, pr) = parent_rest.split_at_mut(span.len() * n);
-        dist_parts.push(d);
-        parent_parts.push(p);
-        dist_rest = dr;
-        parent_rest = pr;
-    }
-    let finite_counts: Vec<usize> = std::thread::scope(|scope| {
-        let handles: Vec<_> = spans
-            .iter()
-            .zip(dist_parts.into_iter().zip(parent_parts))
-            .map(|(span, (d, p))| {
-                let span = span.clone();
-                scope.spawn(move || {
-                    batched_chunks::<T>(csr, &sources[span], hop_bound, d, p);
-                    d.iter().filter(|&&x| x < INFINITY).count()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("theorem-1 kernel worker panicked"))
-            .collect()
-    });
-    let mut stats = BuildStats::default();
-    for (span, finite) in spans.iter().zip(finite_counts) {
-        stats.record(span.len(), finite);
-    }
-    stats
 }
 
 /// The batched vertex-major kernel: processes `sources` in chunks of up to
@@ -461,8 +378,7 @@ mod tests {
     fn setup() -> (WeightedGraph, Vec<NodeId>, MultiSourceHopBounded) {
         let g = erdos_renyi_connected(&GeneratorConfig::new(60, 41).with_weights(1, 30), 0.07);
         let sources = vec![0, 7, 23, 42];
-        let opts = BuildOptions::sequential();
-        let (res, _) = multi_source_hop_bounded(&g, &sources, 6, 0.25, 10, &opts);
+        let res = multi_source_hop_bounded(&g, &sources, 6, 0.25, 10);
         (g, sources, res)
     }
 
@@ -548,13 +464,13 @@ mod tests {
     #[should_panic(expected = "hop bound")]
     fn rejects_zero_hop_bound() {
         let g = erdos_renyi_connected(&GeneratorConfig::new(10, 1), 0.3);
-        let _ = multi_source_hop_bounded(&g, &[0], 0, 0.1, 3, &BuildOptions::sequential());
+        let _ = multi_source_hop_bounded(&g, &[0], 0, 0.1, 3);
     }
 
     #[test]
     #[should_panic(expected = "epsilon")]
     fn rejects_bad_epsilon() {
         let g = erdos_renyi_connected(&GeneratorConfig::new(10, 1), 0.3);
-        let _ = multi_source_hop_bounded(&g, &[0], 2, 1.5, 3, &BuildOptions::sequential());
+        let _ = multi_source_hop_bounded(&g, &[0], 2, 1.5, 3);
     }
 }

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 use en_congest_algos::theorem1::{multi_source_hop_bounded, multi_source_hop_bounded_reference};
 use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
-use en_graph::{is_finite, BuildOptions, WeightedGraph};
+use en_graph::{is_finite, WeightedGraph};
 
 fn arb_instance() -> impl Strategy<Value = (WeightedGraph, Vec<usize>, usize)> {
     (5usize..50, 0u64..10_000, 1u64..200, 1usize..12, 1usize..12).prop_map(
@@ -32,8 +32,7 @@ proptest! {
     #[test]
     fn batched_dist_is_bit_identical_to_naive_reference(instance in arb_instance()) {
         let (g, sources, b) = instance;
-        let opts = BuildOptions::sequential();
-        let (batched, _) = multi_source_hop_bounded(&g, &sources, b, 0.25, 4, &opts);
+        let batched = multi_source_hop_bounded(&g, &sources, b, 0.25, 4);
         let (ref_dist, _) = multi_source_hop_bounded_reference(&g, &sources, b);
         for si in 0..sources.len() {
             prop_assert_eq!(batched.dist_row(si), ref_dist[si].as_slice(), "source row {}", si);
@@ -43,8 +42,7 @@ proptest! {
     #[test]
     fn batched_parents_are_remark1_consistent(instance in arb_instance()) {
         let (g, sources, b) = instance;
-        let opts = BuildOptions::sequential();
-        let (batched, _) = multi_source_hop_bounded(&g, &sources, b, 0.25, 4, &opts);
+        let batched = multi_source_hop_bounded(&g, &sources, b, 0.25, 4);
         for si in 0..sources.len() {
             let dist = batched.dist_row(si);
             let parent = batched.parent_row(si);
@@ -77,9 +75,8 @@ proptest! {
     #[test]
     fn batched_kernel_is_deterministic(instance in arb_instance()) {
         let (g, sources, b) = instance;
-        let opts = BuildOptions::sequential();
-        let (a, _) = multi_source_hop_bounded(&g, &sources, b, 0.25, 4, &opts);
-        let (c, _) = multi_source_hop_bounded(&g, &sources, b, 0.25, 4, &opts);
+        let a = multi_source_hop_bounded(&g, &sources, b, 0.25, 4);
+        let c = multi_source_hop_bounded(&g, &sources, b, 0.25, 4);
         for si in 0..sources.len() {
             prop_assert_eq!(a.dist_row(si), c.dist_row(si));
             prop_assert_eq!(a.parent_row(si), c.parent_row(si));

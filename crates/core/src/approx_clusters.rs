@@ -27,9 +27,7 @@ use en_congest::RoundLedger;
 use en_congest_algos::theorem1::multi_source_hop_bounded;
 use en_graph::forest::{ClusterForestBuilder, ForestMember};
 use en_graph::restricted::restricted_multi_source_csr;
-use en_graph::{
-    is_finite, BuildOptions, BuildStats, Dist, NodeId, NodeMap, Weight, WeightedGraph, INFINITY,
-};
+use en_graph::{is_finite, Dist, NodeId, NodeMap, Weight, WeightedGraph, INFINITY};
 
 use crate::exact::{grow_exact_clusters, membership_thresholds};
 use crate::hierarchy::Hierarchy;
@@ -57,18 +55,13 @@ pub struct ClusterDiagnostics {
 /// the end-to-end construction pays for the membership CSR once at the
 /// family's final `finish()` instead of once per phase. Every level is grown
 /// by one batched restricted multi-source pass over a shared CSR view (all
-/// centres of the level share the threshold vector `d̂_{i+1}(·)`); the sweep
-/// and the forest pushes run sharded over up to `opts.threads` workers,
-/// bit-identically to the sequential path, and per-thread work accounting
-/// is absorbed into `stats`.
+/// centres of the level share the threshold vector `d̂_{i+1}(·)`).
 pub fn small_scale_clusters(
     g: &WeightedGraph,
     hierarchy: &Hierarchy,
     params: &SchemeParams,
     pivots: &[Vec<Option<(NodeId, Dist)>>],
     builder: &mut ClusterForestBuilder,
-    opts: &BuildOptions,
-    stats: &mut BuildStats,
 ) -> (RoundLedger, ClusterDiagnostics) {
     let mut ledger = RoundLedger::new();
     let mut diagnostics = ClusterDiagnostics::default();
@@ -84,9 +77,7 @@ pub fn small_scale_clusters(
             continue;
         }
         let threshold = membership_thresholds(pivots, i);
-        let (pushed, level_stats) =
-            grow_exact_clusters(&csr, &centers, i, &threshold, pivots, builder, opts);
-        stats.absorb(&level_stats);
+        let pushed = grow_exact_clusters(&csr, &centers, i, &threshold, pivots, builder);
         let mut level_overlap = vec![0usize; g.num_nodes()];
         for id in pushed {
             for &v in builder.members_of(id) {
@@ -109,10 +100,7 @@ pub fn small_scale_clusters(
 }
 
 /// Builds the odd-`k` middle-level clusters via Theorem 1 (§3.2, "The
-/// middle level") into a caller-owned builder. The Theorem-1 sweep from the
-/// middle-level centres runs sharded over up to `opts.threads` workers;
-/// per-thread work accounting is absorbed into `stats`.
-#[allow(clippy::too_many_arguments)]
+/// middle level") into a caller-owned builder.
 pub fn middle_level_clusters(
     g: &WeightedGraph,
     hierarchy: &Hierarchy,
@@ -120,8 +108,6 @@ pub fn middle_level_clusters(
     pivots: &[Vec<Option<(NodeId, Dist)>>],
     hop_diameter: usize,
     builder: &mut ClusterForestBuilder,
-    opts: &BuildOptions,
-    stats: &mut BuildStats,
 ) -> (RoundLedger, ClusterDiagnostics) {
     let mut ledger = RoundLedger::new();
     let mut diagnostics = ClusterDiagnostics::default();
@@ -134,9 +120,7 @@ pub fn middle_level_clusters(
     }
     let b = params.exploration_depth(i + 1);
     let eps = params.epsilon();
-    let (t1, t1_stats) =
-        multi_source_hop_bounded(g, &centers, b, eps.max(1e-9), hop_diameter, opts);
-    stats.absorb(&t1_stats);
+    let t1 = multi_source_hop_bounded(g, &centers, b, eps.max(1e-9), hop_diameter);
     ledger.absorb(t1.ledger.clone());
     let threshold = membership_thresholds(pivots, i);
     for (ci, &center) in centers.iter().enumerate() {
@@ -166,11 +150,9 @@ pub fn middle_level_clusters(
 
 /// Builds the large-scale clusters (levels `i ≥ ⌈k/2⌉`) with the three-phase
 /// virtual-graph construction of §3.3.2, into a caller-owned builder. Each
-/// level's Phase-1 depth-bounded exploration on `G''` runs sharded over the
-/// level's centres on up to `opts.threads` workers (the per-centre Phase 1.5
-/// / Phase 2 passes stay sequential — they are reads of the batched
-/// results); per-thread work accounting is absorbed into `stats`.
-#[allow(clippy::too_many_arguments)]
+/// level's Phase-1 depth-bounded exploration on `G''` is one batched pass
+/// over all of the level's centres; the per-centre Phase 1.5 and Phase 2
+/// passes read its results.
 pub fn large_scale_clusters(
     g: &WeightedGraph,
     hierarchy: &Hierarchy,
@@ -179,8 +161,6 @@ pub fn large_scale_clusters(
     pre: &Preprocessing,
     hop_diameter: usize,
     builder: &mut ClusterForestBuilder,
-    opts: &BuildOptions,
-    stats: &mut BuildStats,
 ) -> (RoundLedger, ClusterDiagnostics) {
     let mut ledger = RoundLedger::new();
     let mut diagnostics = ClusterDiagnostics::default();
@@ -242,9 +222,7 @@ pub fn large_scale_clusters(
                     .expect("large-scale centre is in A_i ⊆ A_{⌈k/2⌉} = V'")
             })
             .collect();
-        let (phase1, phase1_stats) =
-            restricted_multi_source_csr(&aug_csr, &cus, &vthreshold, Some(pre.beta), opts);
-        stats.absorb(&phase1_stats);
+        let phase1 = restricted_multi_source_csr(&aug_csr, &cus, &vthreshold, Some(pre.beta));
         for (s, &center) in centers.iter().enumerate() {
             let cu = cus[s];
             // Per-centre Phase-1 state, read off the batched result: levelled
@@ -511,8 +489,7 @@ mod tests {
         let g = erdos_renyi_connected(&GeneratorConfig::new(n, seed).with_weights(1, 25), 0.1);
         let params = SchemeParams::new(k, n, seed);
         let hierarchy = Hierarchy::sample(&params);
-        let opts = BuildOptions::sequential();
-        let pre = Preprocessing::run(&g, &hierarchy, &params, 6, &opts).map(|(pre, _)| pre);
+        let pre = Preprocessing::run(&g, &hierarchy, &params, 6);
         let table = compute_pivots(&g, &hierarchy, &params, pre.as_ref(), 6);
         Setup {
             g,
@@ -523,8 +500,7 @@ mod tests {
         }
     }
 
-    /// What one construction phase built, run on one thread into a fresh
-    /// builder.
+    /// What one construction phase built into a fresh builder.
     struct Built {
         forest: ClusterForest,
         ledger: RoundLedger,
@@ -533,18 +509,10 @@ mod tests {
 
     fn build(
         n: usize,
-        phase: impl FnOnce(
-            &mut ClusterForestBuilder,
-            &BuildOptions,
-            &mut BuildStats,
-        ) -> (RoundLedger, ClusterDiagnostics),
+        phase: impl FnOnce(&mut ClusterForestBuilder) -> (RoundLedger, ClusterDiagnostics),
     ) -> Built {
         let mut builder = ClusterForestBuilder::new(n);
-        let (ledger, diagnostics) = phase(
-            &mut builder,
-            &BuildOptions::sequential(),
-            &mut BuildStats::default(),
-        );
+        let (ledger, diagnostics) = phase(&mut builder);
         Built {
             forest: builder.finish(),
             ledger,
@@ -584,8 +552,8 @@ mod tests {
     #[test]
     fn small_scale_clusters_are_exact_clusters() {
         let s = setup(60, 4, 1);
-        let built = build(s.g.num_nodes(), |b, opts, stats| {
-            small_scale_clusters(&s.g, &s.hierarchy, &s.params, &s.pivots, b, opts, stats)
+        let built = build(s.g.num_nodes(), |b| {
+            small_scale_clusters(&s.g, &s.hierarchy, &s.params, &s.pivots, b)
         });
         check_contained_in_exact(&s, &built);
         check_root_estimates(&s, &built, 1.0);
@@ -598,8 +566,8 @@ mod tests {
     #[test]
     fn middle_level_clusters_for_odd_k() {
         let s = setup(60, 3, 2);
-        let built = build(s.g.num_nodes(), |b, opts, stats| {
-            middle_level_clusters(&s.g, &s.hierarchy, &s.params, &s.pivots, 6, b, opts, stats)
+        let built = build(s.g.num_nodes(), |b| {
+            middle_level_clusters(&s.g, &s.hierarchy, &s.params, &s.pivots, 6, b)
         });
         // Middle level of k = 3 is level 1.
         assert!(built.forest.clusters().all(|c| c.level() == 1));
@@ -613,8 +581,8 @@ mod tests {
     #[test]
     fn middle_level_empty_for_even_k() {
         let s = setup(40, 4, 3);
-        let built = build(s.g.num_nodes(), |b, opts, stats| {
-            middle_level_clusters(&s.g, &s.hierarchy, &s.params, &s.pivots, 6, b, opts, stats)
+        let built = build(s.g.num_nodes(), |b| {
+            middle_level_clusters(&s.g, &s.hierarchy, &s.params, &s.pivots, 6, b)
         });
         assert!(built.forest.is_empty());
     }
@@ -625,18 +593,8 @@ mod tests {
         let Some(pre) = &s.pre else {
             return;
         };
-        let built = build(s.g.num_nodes(), |b, opts, stats| {
-            large_scale_clusters(
-                &s.g,
-                &s.hierarchy,
-                &s.params,
-                &s.pivots,
-                pre,
-                6,
-                b,
-                opts,
-                stats,
-            )
+        let built = build(s.g.num_nodes(), |b| {
+            large_scale_clusters(&s.g, &s.hierarchy, &s.params, &s.pivots, pre, 6, b)
         });
         let eps = s.params.epsilon();
         for c in built.forest.clusters() {
@@ -654,18 +612,8 @@ mod tests {
         let Some(pre) = &s.pre else {
             return;
         };
-        let built = build(s.g.num_nodes(), |b, opts, stats| {
-            large_scale_clusters(
-                &s.g,
-                &s.hierarchy,
-                &s.params,
-                &s.pivots,
-                pre,
-                6,
-                b,
-                opts,
-                stats,
-            )
+        let built = build(s.g.num_nodes(), |b| {
+            large_scale_clusters(&s.g, &s.hierarchy, &s.params, &s.pivots, pre, 6, b)
         });
         // For k = 2 the only large level is 1 = k-1, whose threshold is ∞, so
         // every cluster contains every vertex (this is what guarantees that
@@ -682,18 +630,8 @@ mod tests {
         let Some(pre) = &s.pre else {
             return;
         };
-        let built = build(s.g.num_nodes(), |b, opts, stats| {
-            large_scale_clusters(
-                &s.g,
-                &s.hierarchy,
-                &s.params,
-                &s.pivots,
-                pre,
-                6,
-                b,
-                opts,
-                stats,
-            )
+        let built = build(s.g.num_nodes(), |b| {
+            large_scale_clusters(&s.g, &s.hierarchy, &s.params, &s.pivots, pre, 6, b)
         });
         let eps = s.params.epsilon();
         for cluster in built.forest.clusters() {
@@ -754,8 +692,7 @@ mod tests {
             0.0,
         );
         let augmented = AugmentedGraph::new(&gprime, &hopset);
-        let opts = BuildOptions::sequential();
-        let (theorem1, _) = multi_source_hop_bounded(&g, &vprime, 6, 0.01, 5, &opts);
+        let theorem1 = multi_source_hop_bounded(&g, &vprime, 6, 0.01, 5);
         let pre = Preprocessing {
             index_of: vprime
                 .iter()
@@ -774,8 +711,8 @@ mod tests {
         };
 
         let pivots = &pivot_table.pivots;
-        let built = build(6, |b, opts, stats| {
-            large_scale_clusters(&g, &hierarchy, &params, pivots, &pre, 5, b, opts, stats)
+        let built = build(6, |b| {
+            large_scale_clusters(&g, &hierarchy, &params, pivots, &pre, 5, b)
         });
         // Level 1 is the top level (k = 2), so every centre's cluster spans V.
         for &center in &[0usize, 2, 5] {

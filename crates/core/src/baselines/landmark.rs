@@ -28,7 +28,7 @@ use rand::{Rng, SeedableRng};
 
 use en_congest::RoundLedger;
 use en_graph::bfs::is_connected;
-use en_graph::{BuildOptions, NodeId, WeightedGraph};
+use en_graph::{NodeId, WeightedGraph};
 
 use crate::error::RoutingError;
 use crate::exact::exact_cluster_family;
@@ -79,8 +79,7 @@ pub fn build_landmark_baseline(
     }
     let hierarchy = Hierarchy::from_levels(n, vec![(0..n).collect(), landmarks.clone()]);
     let family = exact_cluster_family(g, &hierarchy);
-    let (scheme, _) =
-        RoutingScheme::assemble(&family, g, seed ^ 0x1A4D_0002, &BuildOptions::sequential());
+    let scheme = RoutingScheme::assemble(&family, g, seed ^ 0x1A4D_0002);
     let mut ledger = RoundLedger::new();
     let k = k_for_charge.max(1) as f64;
     let rounds = ((n as f64).powf(0.5 + 1.0 / k) + hop_diameter as f64) * (n as f64).ln().max(1.0);

@@ -8,7 +8,7 @@
 
 use en_congest::RoundLedger;
 use en_graph::bfs::is_connected;
-use en_graph::{BuildOptions, WeightedGraph};
+use en_graph::WeightedGraph;
 
 use crate::distance_estimation::DistanceEstimation;
 use crate::error::RoutingError;
@@ -57,8 +57,7 @@ pub fn build_tz_baseline(
     let params = SchemeParams::new(k, g.num_nodes(), seed);
     let hierarchy = Hierarchy::sample(&params);
     let family = exact_cluster_family(g, &hierarchy);
-    let (scheme, _) =
-        RoutingScheme::assemble(&family, g, seed ^ 0xBA5E_11AE, &BuildOptions::sequential());
+    let scheme = RoutingScheme::assemble(&family, g, seed ^ 0xBA5E_11AE);
     let oracle = DistanceEstimation::build(&family);
     let mut ledger = RoundLedger::new();
     ledger.charge(

@@ -18,7 +18,7 @@
 
 use en_congest::RoundLedger;
 use en_graph::bfs::{hop_diameter_estimate, is_connected};
-use en_graph::{BuildOptions, BuildStats, WeightedGraph};
+use en_graph::WeightedGraph;
 use en_tree_routing::remark3_rounds;
 
 use crate::approx_clusters::{
@@ -44,33 +44,21 @@ pub struct ConstructionConfig {
     /// double BFS sweep (the estimate only affects round *charges*, never
     /// correctness).
     pub hop_diameter: Option<usize>,
-    /// Maximum worker threads per parallel phase; `1` runs the exact
-    /// sequential pipeline. The thread count never changes the produced
-    /// scheme (see [`en_graph::parallel`]).
-    pub threads: usize,
 }
 
 impl ConstructionConfig {
-    /// A configuration with the given `k` and seed, using the host's
-    /// available parallelism ([`BuildOptions::default`]).
+    /// A configuration with the given `k` and seed.
     pub fn new(k: usize, seed: u64) -> Self {
         ConstructionConfig {
             k,
             seed,
             hop_diameter: None,
-            threads: BuildOptions::default().threads,
         }
     }
 
     /// Overrides the hop-diameter used for round charges.
     pub fn with_hop_diameter(mut self, d: usize) -> Self {
         self.hop_diameter = Some(d);
-        self
-    }
-
-    /// Overrides the worker-thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 }
@@ -96,10 +84,6 @@ pub struct BuiltScheme {
     /// there were no large scales). This is the concrete value behind the
     /// paper's `n^{o(1)}` factor on this instance.
     pub hopset_beta: Option<usize>,
-    /// Per-thread work accounting of the parallel construction phases (the
-    /// totals are invariant across thread counts — the determinism suite
-    /// asserts they match the sequential build exactly).
-    pub build_stats: BuildStats,
 }
 
 impl BuiltScheme {
@@ -111,11 +95,8 @@ impl BuiltScheme {
 
 /// Runs the full distributed construction on `g`.
 ///
-/// Each parallel phase runs on up to `config.threads` workers. The parallel
-/// build is bit-identical to the sequential one, so the thread count never
-/// changes the produced scheme (see [`en_graph::parallel`] and
-/// `tests/property_parallel_build.rs`); `threads = 1` is the oracle the
-/// determinism suite compares every other thread count against.
+/// The build runs on the calling thread. The parallelism it reproduces is
+/// the CONGEST execution, whose rounds the ledger charges phase by phase.
 ///
 /// # Errors
 ///
@@ -138,9 +119,7 @@ pub fn build_routing_scheme(
     let hop_diameter = config
         .hop_diameter
         .unwrap_or_else(|| hop_diameter_estimate(g));
-    let opts = &BuildOptions::new(config.threads);
     let mut ledger = RoundLedger::new();
-    let mut build_stats = BuildStats::default();
     let _build_span = en_obs::span("build");
 
     // 1. Hierarchy (local coin flips: 0 rounds).
@@ -152,10 +131,7 @@ pub fn build_routing_scheme(
     // 2. Preprocessing for the large scales.
     let pre = {
         let _s = en_obs::span("preprocess");
-        Preprocessing::run(g, &hierarchy, &params, hop_diameter, opts).map(|(pre, pre_stats)| {
-            build_stats.absorb(&pre_stats);
-            pre
-        })
+        Preprocessing::run(g, &hierarchy, &params, hop_diameter)
     };
     let hopset_beta = pre.as_ref().map(|p| p.beta);
     if let Some(pre) = &pre {
@@ -177,15 +153,8 @@ pub fn build_routing_scheme(
     let mut builder = en_graph::forest::ClusterForestBuilder::new(g.num_nodes());
     {
         let _s = en_obs::span("clusters_small");
-        let (small_ledger, small_diag) = small_scale_clusters(
-            g,
-            &hierarchy,
-            &params,
-            &pivot_table.pivots,
-            &mut builder,
-            opts,
-            &mut build_stats,
-        );
+        let (small_ledger, small_diag) =
+            small_scale_clusters(g, &hierarchy, &params, &pivot_table.pivots, &mut builder);
         ledger.absorb(small_ledger);
         merge_diagnostics(&mut diagnostics, small_diag);
     }
@@ -198,8 +167,6 @@ pub fn build_routing_scheme(
             &pivot_table.pivots,
             hop_diameter,
             &mut builder,
-            opts,
-            &mut build_stats,
         );
         ledger.absorb(middle_ledger);
         merge_diagnostics(&mut diagnostics, middle_diag);
@@ -214,8 +181,6 @@ pub fn build_routing_scheme(
             pre,
             hop_diameter,
             &mut builder,
-            opts,
-            &mut build_stats,
         );
         ledger.absorb(large_ledger);
         merge_diagnostics(&mut diagnostics, large_diag);
@@ -226,7 +191,8 @@ pub fn build_routing_scheme(
         ClusterFamily::new(hierarchy, builder.finish(), pivot_table.pivots)
     };
 
-    // 5. Tree-routing schemes for every cluster tree, in parallel (Remark 3).
+    // 5. Tree-routing schemes for every cluster tree, charged as Remark 3's
+    // parallel construction.
     let overlap = family.max_overlap().max(1);
     ledger.charge(
         "tree-routing schemes for all cluster trees (Theorem 7 / Remark 3)",
@@ -236,11 +202,10 @@ pub fn build_routing_scheme(
             params.k
         ),
     );
-    let (scheme, assemble_stats) = {
+    let scheme = {
         let _s = en_obs::span("assemble");
-        RoutingScheme::assemble(&family, g, config.seed ^ 0x7EE5_0FF1CE, opts)
+        RoutingScheme::assemble(&family, g, config.seed ^ 0x7EE5_0FF1CE)
     };
-    build_stats.absorb(&assemble_stats);
 
     // 6. Distance-estimation sketches (assembled from information every vertex
     // already holds: 0 extra rounds).
@@ -249,13 +214,8 @@ pub fn build_routing_scheme(
         DistanceEstimation::build(&family)
     };
 
-    // Republish the build's work accounting and round charges into the
-    // observability plane (no-ops unless a recorder is installed). The
-    // counters mirror `BuildStats` exactly — `tests/integration_obs.rs`
-    // reconciles them at several thread counts.
-    en_obs::counter_add("build.sources_total", build_stats.total_sources() as u64);
-    en_obs::counter_add("build.members_total", build_stats.total_members() as u64);
-    en_obs::gauge_set("build.threads_used", build_stats.threads_used() as u64);
+    // Republish the round charges into the observability plane (no-ops
+    // unless a recorder is installed).
     ledger.publish_rounds_gauge();
     if en_obs::active() {
         en_obs::event(
@@ -266,7 +226,6 @@ pub fn build_routing_scheme(
                 ("k", config.k.into()),
                 ("rounds", ledger.total_rounds().into()),
                 ("hop_diameter", hop_diameter.into()),
-                ("threads", build_stats.threads_used().into()),
             ],
         );
     }
@@ -280,7 +239,6 @@ pub fn build_routing_scheme(
         diagnostics,
         hop_diameter,
         hopset_beta,
-        build_stats,
     })
 }
 

@@ -32,11 +32,10 @@ use std::collections::BinaryHeap;
 
 use en_graph::dijkstra::multi_source_dijkstra_csr;
 use en_graph::forest::{ClusterForestBuilder, ClusterId, ForestMember};
-use en_graph::restricted::{restricted_multi_source_csr_grouped, RestrictedMultiSource};
+use en_graph::restricted::restricted_multi_source_csr_grouped;
 use en_graph::tree::RootedTree;
 use en_graph::{
-    dist_add, is_finite, shard_spans, BuildOptions, BuildStats, CsrGraph, Dist, NodeId, NodeMap,
-    Weight, WeightedGraph, INFINITY,
+    dist_add, is_finite, CsrGraph, Dist, NodeId, NodeMap, Weight, WeightedGraph, INFINITY,
 };
 
 use crate::family::{Cluster, ClusterFamily};
@@ -158,12 +157,11 @@ pub fn grow_exact_cluster_csr(
 ///
 /// Each centre's level-`i+1` pivot is its Voronoi cell around `A_{i+1}` —
 /// exactly the locality grouping the kernel wants — so the kernel's own
-/// grouping Dijkstra is skipped. The restricted sweep shards its source
-/// chunks over up to `opts.threads` workers, and the forest pushes shard the
-/// resulting clusters across scoped workers whose private builders are
-/// absorbed in shard order — the merged forest is bit-identical to the
-/// sequential one. Returns the pushed id range and the combined per-thread
-/// work accounting of both phases.
+/// grouping Dijkstra is skipped. Each cluster is pushed straight off the
+/// kernel's compact member records: ascending member ids, recorded parents,
+/// relaxed arc weights and exact distances map one-to-one onto the forest
+/// arena's columns. Returns the range of [`ClusterId`]s pushed (one per
+/// centre, in `centers` order).
 pub fn grow_exact_clusters(
     csr: &CsrGraph,
     centers: &[NodeId],
@@ -171,8 +169,7 @@ pub fn grow_exact_clusters(
     threshold: &[Dist],
     pivots: &[Vec<Option<(NodeId, Dist)>>],
     builder: &mut ClusterForestBuilder,
-    opts: &BuildOptions,
-) -> (std::ops::Range<ClusterId>, BuildStats) {
+) -> std::ops::Range<ClusterId> {
     let groups: Vec<(NodeId, Dist)> = centers
         .iter()
         .map(|&c| {
@@ -183,91 +180,26 @@ pub fn grow_exact_clusters(
             }
         })
         .collect();
-    let (res, mut stats) =
-        restricted_multi_source_csr_grouped(csr, centers, threshold, None, &groups, opts);
-    let (range, push_stats) = push_restricted_clusters(builder, &res, level, opts);
-    stats.absorb(&push_stats);
-    (range, stats)
-}
-
-/// Appends every source's cluster of a converged restricted multi-source
-/// result to `builder`, straight off the kernel's compact member records:
-/// ascending member ids, recorded parents, relaxed arc weights, and exact
-/// distances map one-to-one onto the forest arena's columns — no
-/// intermediate host-sized tree, no per-centre hash map.
-///
-/// The sources are sharded into contiguous spans, each span's clusters are
-/// pushed into a private per-worker [`ClusterForestBuilder`], and the
-/// workers' builders are absorbed into `builder` **in shard order** —
-/// cluster ids come out exactly as the sequential loop assigns them (see
-/// [`ClusterForestBuilder::absorb`] for why the order matters). Returns the
-/// range of [`ClusterId`]s pushed (one per source, in source order) and
-/// per-thread work accounting (clusters pushed; forest members appended).
-fn push_restricted_clusters(
-    builder: &mut ClusterForestBuilder,
-    res: &RestrictedMultiSource,
-    level: usize,
-    opts: &BuildOptions,
-) -> (std::ops::Range<ClusterId>, BuildStats) {
+    let res = restricted_multi_source_csr_grouped(csr, centers, threshold, None, &groups);
     let start = builder.num_clusters();
-    let spans = shard_spans(res.sources().len(), opts.threads, 1);
-    if spans.len() <= 1 {
-        let before = builder.total_members();
-        for s in 0..res.sources().len() {
-            push_one_restricted_cluster(builder, res, s, level);
-        }
-        let stats = BuildStats::single(res.sources().len(), builder.total_members() - before);
-        return (start..builder.num_clusters(), stats);
+    for (s, &center) in centers.iter().enumerate() {
+        builder.push_cluster(
+            center,
+            level,
+            res.member_cells(s).iter().map(|c| {
+                let (parent, weight) = c
+                    .tree_arc()
+                    .expect("non-centre member has a recorded parent");
+                ForestMember {
+                    v: c.v as NodeId,
+                    parent,
+                    weight,
+                    root_dist: c.dist,
+                }
+            }),
+        );
     }
-    let shards: Vec<ClusterForestBuilder> = std::thread::scope(|scope| {
-        let handles: Vec<_> = spans
-            .iter()
-            .map(|span| {
-                let span = span.clone();
-                scope.spawn(move || {
-                    let mut local = ClusterForestBuilder::new(res.num_vertices());
-                    for s in span {
-                        push_one_restricted_cluster(&mut local, res, s, level);
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("forest push worker panicked"))
-            .collect()
-    });
-    let mut stats = BuildStats::default();
-    for (span, local) in spans.iter().zip(shards) {
-        stats.record(span.len(), local.total_members());
-        builder.absorb(local);
-    }
-    (start..builder.num_clusters(), stats)
-}
-
-/// Pushes source `s`'s cluster off the kernel's compact member records.
-fn push_one_restricted_cluster(
-    builder: &mut ClusterForestBuilder,
-    res: &RestrictedMultiSource,
-    s: usize,
-    level: usize,
-) {
-    builder.push_cluster(
-        res.sources()[s],
-        level,
-        res.member_cells(s).iter().map(|c| {
-            let (parent, weight) = c
-                .tree_arc()
-                .expect("non-centre member has a recorded parent");
-            ForestMember {
-                v: c.v as NodeId,
-                parent,
-                weight,
-                root_dist: c.dist,
-            }
-        }),
-    );
+    start..builder.num_clusters()
 }
 
 /// Builds the complete exact cluster family (all centres, all levels) plus the
@@ -279,11 +211,10 @@ pub fn exact_cluster_family(g: &WeightedGraph, hierarchy: &Hierarchy) -> Cluster
     let csr = CsrGraph::from_graph(g);
     let pivots = exact_pivots(&csr, hierarchy);
     let mut builder = ClusterForestBuilder::new(g.num_nodes());
-    let opts = BuildOptions::sequential();
     for i in 0..hierarchy.k() {
         let threshold = membership_thresholds(&pivots, i);
         let centers = hierarchy.centers_at(i);
-        grow_exact_clusters(&csr, &centers, i, &threshold, &pivots, &mut builder, &opts);
+        grow_exact_clusters(&csr, &centers, i, &threshold, &pivots, &mut builder);
     }
     ClusterFamily::new(hierarchy.clone(), builder.finish(), pivots)
 }
@@ -452,8 +383,7 @@ mod tests {
         let relaxed = vec![4, 3, 0];
         let oracle = grow_exact_cluster_csr(&csr, 0, 0, &relaxed);
         let mut builder = ClusterForestBuilder::new(3);
-        let opts = BuildOptions::sequential();
-        grow_exact_clusters(&csr, &[0], 0, &relaxed, &family.pivots, &mut builder, &opts);
+        grow_exact_clusters(&csr, &[0], 0, &relaxed, &family.pivots, &mut builder);
         let forest = builder.finish();
         let batched = forest.cluster(0);
         assert_eq!(oracle.members(), vec![0, 1]);

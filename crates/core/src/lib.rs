@@ -75,7 +75,6 @@ pub mod scheme;
 pub mod stretch;
 
 pub use construction::{build_routing_scheme, BuiltScheme, ConstructionConfig};
-pub use en_graph::{BuildOptions, BuildStats};
 pub use error::RoutingError;
 pub use family::{Cluster, ClusterFamily};
 pub use hierarchy::Hierarchy;

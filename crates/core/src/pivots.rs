@@ -219,7 +219,7 @@ pub fn compute_pivots(
 mod tests {
     use super::*;
     use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
-    use en_graph::{BuildOptions, CsrGraph};
+    use en_graph::CsrGraph;
 
     type Setup = (
         WeightedGraph,
@@ -233,8 +233,7 @@ mod tests {
         let g = erdos_renyi_connected(&GeneratorConfig::new(n, seed).with_weights(1, 25), 0.1);
         let params = SchemeParams::new(k, n, seed);
         let hierarchy = Hierarchy::sample(&params);
-        let opts = BuildOptions::sequential();
-        let pre = Preprocessing::run(&g, &hierarchy, &params, 6, &opts).map(|(pre, _)| pre);
+        let pre = Preprocessing::run(&g, &hierarchy, &params, 6);
         (g, hierarchy, params, 6, pre)
     }
 

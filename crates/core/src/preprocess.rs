@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use en_congest::broadcast::lemma1_rounds;
 use en_congest::RoundLedger;
 use en_congest_algos::theorem1::{multi_source_hop_bounded, MultiSourceHopBounded};
-use en_graph::{is_finite, BuildOptions, BuildStats, Dist, NodeId, WeightedGraph};
+use en_graph::{is_finite, Dist, NodeId, WeightedGraph};
 use en_hopset::{build_hopset, AugmentedGraph, Hopset, HopsetConfig};
 
 use crate::hierarchy::Hierarchy;
@@ -55,17 +55,12 @@ impl Preprocessing {
     /// Runs the preprocessing. Returns `None` when `V' = A_{⌈k/2⌉}` is empty
     /// (then there are no large scales at all, e.g. for `k = 1` or when the
     /// sampling left the level empty).
-    ///
-    /// The Theorem-1 sweep from `V'` — the dominant cost of preprocessing —
-    /// runs sharded over up to `opts.threads` workers, bit-identically to the
-    /// sequential sweep; its per-thread work accounting is returned too.
     pub fn run(
         g: &WeightedGraph,
         hierarchy: &Hierarchy,
         params: &SchemeParams,
         hop_diameter: usize,
-        opts: &BuildOptions,
-    ) -> Option<(Self, BuildStats)> {
+    ) -> Option<Self> {
         let half = params.half_k();
         let vprime: Vec<NodeId> = hierarchy.level(half).to_vec();
         if vprime.is_empty() {
@@ -75,14 +70,8 @@ impl Preprocessing {
         let hop_bound = params.large_scale_hop_bound();
         let eps = params.epsilon();
         // Step 1: Theorem 1 with accuracy ε/2.
-        let (theorem1, stats) = multi_source_hop_bounded(
-            g,
-            &vprime,
-            hop_bound,
-            (eps / 2.0).max(1e-9),
-            hop_diameter,
-            opts,
-        );
+        let theorem1 =
+            multi_source_hop_bounded(g, &vprime, hop_bound, (eps / 2.0).max(1e-9), hop_diameter);
         ledger.absorb(theorem1.ledger.clone());
         // Step 2: the virtual graph G'.
         let index_of: HashMap<NodeId, usize> = vprime
@@ -126,7 +115,7 @@ impl Preprocessing {
         );
         // Step 4: the augmented graph G''.
         let augmented = AugmentedGraph::new(&gprime, &hopset);
-        let pre = Preprocessing {
+        Some(Preprocessing {
             vprime,
             index_of,
             theorem1,
@@ -136,8 +125,7 @@ impl Preprocessing {
             augmented,
             hop_bound,
             ledger,
-        };
-        Some((pre, stats))
+        })
     }
 
     /// Number of virtual vertices `|V'|`.
@@ -181,31 +169,20 @@ mod tests {
         (g, hierarchy, params)
     }
 
-    /// The preprocessing on one thread, without its work accounting.
-    fn run(
-        g: &WeightedGraph,
-        hierarchy: &Hierarchy,
-        params: &SchemeParams,
-        hop_diameter: usize,
-    ) -> Option<Preprocessing> {
-        let opts = BuildOptions::sequential();
-        Preprocessing::run(g, hierarchy, params, hop_diameter, &opts).map(|(pre, _)| pre)
-    }
-
     #[test]
     fn preprocessing_exists_iff_vprime_nonempty() {
         let (g, hierarchy, params) = setup(80, 3, 1);
-        let pre = run(&g, &hierarchy, &params, 6);
+        let pre = Preprocessing::run(&g, &hierarchy, &params, 6);
         assert_eq!(pre.is_some(), !hierarchy.level(params.half_k()).is_empty());
         // k = 1 never has large scales.
         let (g1, h1, p1) = setup(40, 1, 2);
-        assert!(run(&g1, &h1, &p1, 6).is_none());
+        assert!(Preprocessing::run(&g1, &h1, &p1, 6).is_none());
     }
 
     #[test]
     fn virtual_graph_weights_dominate_true_distances() {
         let (g, hierarchy, params) = setup(70, 2, 3);
-        if let Some(pre) = run(&g, &hierarchy, &params, 6) {
+        if let Some(pre) = Preprocessing::run(&g, &hierarchy, &params, 6) {
             let truth = all_pairs_dijkstra(&g);
             for e in pre.gprime.edges() {
                 let (a, b) = (pre.original(e.u), pre.original(e.v));
@@ -220,7 +197,7 @@ mod tests {
     #[test]
     fn beta_hop_distances_on_augmented_graph_respect_inequality_13() {
         let (g, hierarchy, params) = setup(60, 2, 5);
-        if let Some(pre) = run(&g, &hierarchy, &params, 5) {
+        if let Some(pre) = Preprocessing::run(&g, &hierarchy, &params, 5) {
             let truth = all_pairs_dijkstra(&g);
             let eps = params.epsilon();
             for i in 0..pre.m() {
@@ -248,7 +225,7 @@ mod tests {
     #[test]
     fn index_maps_are_inverse() {
         let (g, hierarchy, params) = setup(60, 3, 7);
-        if let Some(pre) = run(&g, &hierarchy, &params, 5) {
+        if let Some(pre) = Preprocessing::run(&g, &hierarchy, &params, 5) {
             for i in 0..pre.m() {
                 assert_eq!(pre.virtual_index(pre.original(i)), Some(i));
             }
@@ -259,7 +236,7 @@ mod tests {
     #[test]
     fn hopset_is_path_reporting_on_gprime() {
         let (g, hierarchy, params) = setup(90, 2, 9);
-        if let Some(pre) = run(&g, &hierarchy, &params, 5) {
+        if let Some(pre) = Preprocessing::run(&g, &hierarchy, &params, 5) {
             assert!(pre.hopset.is_path_reporting_in(&pre.gprime));
         }
     }

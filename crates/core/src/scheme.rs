@@ -22,10 +22,8 @@
 //! lookup by (centre, member); both read it from that tree's scheme
 //! ([`RoutingScheme::tree_label`], [`RoutingScheme::own_cluster`]).
 
-use std::ops::Range;
-
 use en_graph::dijkstra::dijkstra;
-use en_graph::{shard_spans, BuildOptions, BuildStats, Dist, NodeId, NodeMap, Path, WeightedGraph};
+use en_graph::{Dist, NodeId, NodeMap, Path, WeightedGraph};
 use en_tree_routing::{TreeLabel, TreeLabelRef, TreeRoutingConfig, TreeRoutingScheme, TreeTable};
 
 use crate::access::{self, RouteAccess};
@@ -96,30 +94,6 @@ pub struct RoutingScheme {
     center_level: NodeMap<usize>,
 }
 
-/// Runs one independent closure per span, on scoped worker threads when
-/// there is more than one span, and returns the results in span order — the
-/// fixed merge order that keeps the parallel assembly bit-identical to the
-/// sequential one (see [`en_graph::parallel`]).
-fn run_sharded<T: Send>(spans: &[Range<usize>], work: impl Fn(Range<usize>) -> T + Sync) -> Vec<T> {
-    if spans.len() <= 1 {
-        return spans.iter().map(|span| work(span.clone())).collect();
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = spans
-            .iter()
-            .map(|span| {
-                let span = span.clone();
-                let work = &work;
-                scope.spawn(move || work(span))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scheme assembly worker panicked"))
-            .collect()
-    })
-}
-
 /// The outcome of routing one packet.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouteOutcome {
@@ -173,111 +147,51 @@ impl RoutingScheme {
     /// loop per cluster. The tree labels, the \[TZ01\] `4k−5` refinement's
     /// included, stay in the tree schemes.
     ///
-    /// Two phases shard over up to `opts.threads` `std::thread::scope`
-    /// workers: the per-tree scheme builds with their parent-port resolution
-    /// (contiguous cluster-id spans — each tree's portal sampling is seeded
-    /// from its own centre, so the processing order is immaterial) and the
-    /// per-vertex tree-list/label sweep (contiguous vertex spans). Per-worker
-    /// outputs are concatenated in span order, so the assembled scheme is
-    /// bit-identical to the sequential one for every thread count. Also
-    /// returns the per-thread work accounting.
-    ///
     /// # Panics
     ///
     /// Panics if a cluster member is not a vertex of `g`.
-    pub fn assemble(
-        family: &ClusterFamily,
-        g: &WeightedGraph,
-        tree_seed: u64,
-        opts: &BuildOptions,
-    ) -> (Self, BuildStats) {
+    pub fn assemble(family: &ClusterFamily, g: &WeightedGraph, tree_seed: u64) -> Self {
         let n = family.n();
         let k = family.k();
         let forest = &family.forest;
         let num_clusters = forest.num_clusters();
-        let mut stats = BuildStats::default();
-        // Phase A: per-tree schemes, sharded over contiguous cluster-id
-        // spans and concatenated back in span (= dense id) order.
-        let build_trees = |span: Range<usize>| -> (Vec<TreeRoutingScheme>, usize) {
-            let mut members = 0usize;
-            let schemes = span
-                .map(|id| {
-                    let cluster = forest.cluster(id);
-                    members += cluster.len();
-                    let config = TreeRoutingConfig::new(
-                        tree_seed ^ (cluster.center() as u64).wrapping_mul(0x9E37_79B9),
-                    );
-                    let mut scheme = TreeRoutingScheme::build(&cluster, &config);
-                    scheme.resolve_parent_ports(g);
-                    scheme
-                })
-                .collect();
-            (schemes, members)
-        };
-        let tree_spans = shard_spans(num_clusters, opts.threads, 1);
-        let mut schemes_by_id = Vec::with_capacity(num_clusters);
-        let mut tree_stats = BuildStats::default();
-        for (span, (schemes, members)) in
-            tree_spans.iter().zip(run_sharded(&tree_spans, build_trees))
-        {
-            tree_stats.record(span.len(), members);
-            schemes_by_id.extend(schemes);
-        }
-        stats.absorb(&tree_stats);
-        // Centres by dense cluster id, for the sweep below.
-        let mut center_level = NodeMap::default();
-        center_level.reserve(num_clusters);
-        let mut centers = Vec::with_capacity(num_clusters);
-        for cluster in forest.clusters() {
-            centers.push(cluster.center());
-            center_level.insert(cluster.center(), cluster.level());
-        }
-        // Phase B: the per-vertex sweep — tree memberships (sorted by
-        // centre) and pivot label entries — sharded over contiguous vertex
-        // spans. Workers only read the forest CSR and the pivots; outputs
-        // are concatenated in span (= vertex) order.
-        let sweep = |span: Range<usize>| -> (Vec<(Vec<NodeId>, NodeLabel)>, usize) {
-            let mut produced = 0usize;
-            let rows = span
-                .map(|v| {
-                    let mut trees = Vec::with_capacity(forest.overlap_of(v));
-                    for (id, _) in forest.membership(v) {
-                        trees.push(centers[id]);
-                    }
-                    trees.sort_unstable();
-                    let label = NodeLabel::of(family, v);
-                    produced += trees.len() + label.entries.len();
-                    (trees, label)
-                })
-                .collect();
-            (rows, produced)
-        };
-        let vertex_spans = shard_spans(n, opts.threads, 1);
-        let mut trees: Vec<Vec<NodeId>> = Vec::with_capacity(n);
-        let mut labels: Vec<NodeLabel> = Vec::with_capacity(n);
-        let mut sweep_stats = BuildStats::default();
-        for (span, (rows, produced)) in vertex_spans.iter().zip(run_sharded(&vertex_spans, sweep)) {
-            sweep_stats.record(span.len(), produced);
-            for (tree_list, label) in rows {
-                trees.push(tree_list);
-                labels.push(label);
-            }
-        }
-        stats.absorb(&sweep_stats);
         let mut tree_schemes = NodeMap::default();
         tree_schemes.reserve(num_clusters);
-        for (center, scheme) in centers.iter().zip(schemes_by_id) {
-            tree_schemes.insert(*center, scheme);
+        let mut center_level = NodeMap::default();
+        center_level.reserve(num_clusters);
+        // Centres by dense cluster id, for the sweep below.
+        let mut centers = Vec::with_capacity(num_clusters);
+        for cluster in forest.clusters() {
+            let center = cluster.center();
+            let config =
+                TreeRoutingConfig::new(tree_seed ^ (center as u64).wrapping_mul(0x9E37_79B9));
+            let mut scheme = TreeRoutingScheme::build(&cluster, &config);
+            scheme.resolve_parent_ports(g);
+            tree_schemes.insert(center, scheme);
+            center_level.insert(center, cluster.level());
+            centers.push(center);
         }
-        let scheme = RoutingScheme {
+        // The per-vertex sweep: tree memberships (sorted by centre) and
+        // pivot label entries.
+        let mut trees: Vec<Vec<NodeId>> = Vec::with_capacity(n);
+        let mut labels: Vec<NodeLabel> = Vec::with_capacity(n);
+        for v in 0..n {
+            let mut tree_list = Vec::with_capacity(forest.overlap_of(v));
+            for (id, _) in forest.membership(v) {
+                tree_list.push(centers[id]);
+            }
+            tree_list.sort_unstable();
+            trees.push(tree_list);
+            labels.push(NodeLabel::of(family, v));
+        }
+        RoutingScheme {
             k,
             n,
             tree_schemes,
             trees,
             labels,
             center_level,
-        };
-        (scheme, stats)
+        }
     }
 
     /// The pre-forest reference assembly, retained as the oracle the property
@@ -574,7 +488,7 @@ mod tests {
         let params = SchemeParams::new(k, n, seed);
         let hierarchy = Hierarchy::sample(&params);
         let family = exact_cluster_family(&g, &hierarchy);
-        let (scheme, _) = RoutingScheme::assemble(&family, &g, seed, &BuildOptions::sequential());
+        let scheme = RoutingScheme::assemble(&family, &g, seed);
         (g, scheme, params)
     }
 

@@ -125,14 +125,13 @@ mod tests {
     use crate::hierarchy::Hierarchy;
     use crate::params::SchemeParams;
     use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
-    use en_graph::BuildOptions;
 
     fn scheme(n: usize, k: usize, seed: u64) -> (WeightedGraph, RoutingScheme, SchemeParams) {
         let g = erdos_renyi_connected(&GeneratorConfig::new(n, seed).with_weights(1, 30), 0.1);
         let params = SchemeParams::new(k, n, seed);
         let hierarchy = Hierarchy::sample(&params);
         let family = exact_cluster_family(&g, &hierarchy);
-        let (scheme, _) = RoutingScheme::assemble(&family, &g, seed, &BuildOptions::sequential());
+        let scheme = RoutingScheme::assemble(&family, &g, seed);
         (g, scheme, params)
     }
 
@@ -171,7 +170,7 @@ mod tests {
         let params = SchemeParams::new(1, 1, 0);
         let hierarchy = Hierarchy::sample(&params);
         let family = exact_cluster_family(&g, &hierarchy);
-        let (s, _) = RoutingScheme::assemble(&family, &g, 0, &BuildOptions::sequential());
+        let s = RoutingScheme::assemble(&family, &g, 0);
         let report = measure_stretch_sampled(&g, &s, 10, 0);
         assert_eq!(report.pairs, 0);
     }

@@ -13,8 +13,8 @@
 //! * `member_ids` holds the member vertices, ascending within each slice
 //!   (so membership tests are a binary search of the slice);
 //! * `member_parent_idx` holds each member's parent as a *local index into
-//!   the same slice* ([`NO_LOCAL_PARENT`] for the root), which makes forests
-//!   concatenable without fix-ups;
+//!   the same slice* ([`NO_LOCAL_PARENT`] for the root), so a slice is a
+//!   self-contained tree that [`TreeView`] consumers read zero-copy;
 //! * `member_parent_weight` and `member_root_dist` carry the tree-arc weight
 //!   and the construction's root-distance estimate `b_v(u)` per member.
 //!
@@ -501,50 +501,6 @@ impl ClusterForestBuilder {
         id
     }
 
-    /// Total members pushed so far across all clusters.
-    pub fn total_members(&self) -> usize {
-        self.member_ids.len()
-    }
-
-    /// Appends every cluster of `other` after this builder's clusters,
-    /// preserving `other`'s internal cluster order — the merge step of the
-    /// parallel construction, where each worker fills a private builder and
-    /// the coordinator absorbs them **in shard order**.
-    ///
-    /// Because `member_parent_idx` stores slice-local indices and `root_pos`
-    /// is slice-local too, the member arrays concatenate without fix-ups;
-    /// only `cluster_offsets` is rebased. Cluster ids, however, are
-    /// *assigned by arrival order* — absorbing shards out of order permutes
-    /// ids and with them the membership CSR and every id-keyed consumer (see
-    /// the `absorb_out_of_order_permutes_cluster_ids` regression test), so
-    /// callers must absorb in the sequential push order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two builders have different host sizes.
-    pub fn absorb(&mut self, other: ClusterForestBuilder) {
-        assert_eq!(
-            self.n, other.n,
-            "cannot absorb a builder over a different host"
-        );
-        let _span = en_obs::span("forest_absorb");
-        en_obs::counter_add("forest.absorbed_clusters", other.centers.len() as u64);
-        en_obs::counter_add("forest.absorbed_members", other.member_ids.len() as u64);
-        let base = self.member_ids.len();
-        self.centers.extend_from_slice(&other.centers);
-        self.levels.extend_from_slice(&other.levels);
-        self.root_pos.extend_from_slice(&other.root_pos);
-        self.cluster_offsets
-            .extend(other.cluster_offsets[1..].iter().map(|&o| o + base));
-        self.member_ids.extend_from_slice(&other.member_ids);
-        self.member_parent_idx
-            .extend_from_slice(&other.member_parent_idx);
-        self.member_parent_weight
-            .extend_from_slice(&other.member_parent_weight);
-        self.member_root_dist
-            .extend_from_slice(&other.member_root_dist);
-    }
-
     fn push_root(&mut self, center: NodeId) {
         self.member_ids.push(center as u32);
         self.member_parent_idx.push(NO_LOCAL_PARENT);
@@ -790,73 +746,11 @@ mod tests {
     }
 
     #[test]
-    fn absorb_in_shard_order_equals_sequential_pushes() {
-        // The sequential oracle: both sample clusters into one builder.
-        let sequential = sample_forest();
-        // The parallel shape: each cluster in its own per-thread builder,
-        // absorbed in shard order into a fresh coordinator builder.
-        let mut shard0 = ClusterForestBuilder::new(5);
-        shard0.push_cluster(
-            1,
-            0,
-            [
-                ForestMember {
-                    v: 0,
-                    parent: 1,
-                    weight: 2,
-                    root_dist: 2,
-                },
-                ForestMember {
-                    v: 2,
-                    parent: 1,
-                    weight: 3,
-                    root_dist: 3,
-                },
-            ],
-        );
-        let mut shard1 = ClusterForestBuilder::new(5);
-        shard1.push_cluster(
-            3,
-            1,
-            [
-                ForestMember {
-                    v: 1,
-                    parent: 2,
-                    weight: 1,
-                    root_dist: 5,
-                },
-                ForestMember {
-                    v: 2,
-                    parent: 3,
-                    weight: 4,
-                    root_dist: 4,
-                },
-                ForestMember {
-                    v: 4,
-                    parent: 3,
-                    weight: 1,
-                    root_dist: 1,
-                },
-            ],
-        );
-        assert_eq!(shard1.total_members(), 4);
-        let mut merged = ClusterForestBuilder::new(5);
-        merged.absorb(shard0);
-        merged.absorb(shard1);
-        assert_eq!(merged.num_clusters(), 2);
-        assert_eq!(merged.total_members(), 7);
-        assert_eq!(merged.finish(), sequential);
-    }
-
-    #[test]
-    fn absorb_handles_empty_shards_and_spanning_clusters() {
-        // Empty shards (more threads than sources) are no-ops wherever they
-        // land in the absorb sequence.
-        let mut merged = ClusterForestBuilder::new(5);
-        merged.absorb(ClusterForestBuilder::new(5));
-        let mut spanning = ClusterForestBuilder::new(5);
-        // A single cluster spanning every host vertex, rooted mid-range.
-        spanning.push_cluster(
+    fn spanning_cluster_rooted_mid_range_finishes() {
+        // One cluster over every host vertex, its centre in the middle of
+        // the ascending member column: the root is spliced in mid-push.
+        let mut b = ClusterForestBuilder::new(5);
+        b.push_cluster(
             2,
             0,
             [0, 1, 3, 4].map(|v| ForestMember {
@@ -866,98 +760,20 @@ mod tests {
                 root_dist: 1,
             }),
         );
-        merged.absorb(spanning);
-        merged.absorb(ClusterForestBuilder::new(5));
-        let f = merged.finish();
+        let f = b.finish();
         assert_eq!(f.num_clusters(), 1);
         assert_eq!(f.total_members(), 5);
         let c = f.cluster(0);
         assert_eq!(c.center(), 2);
         assert_eq!(c.members().collect::<Vec<_>>(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(c.topology().root_pos, 2);
+        assert_eq!(c.parent(2), None);
+        for v in [0, 1, 3, 4] {
+            assert_eq!(c.parent(v), Some((2, 1)));
+        }
         for v in 0..5 {
             assert_eq!(f.overlap_of(v), 1);
         }
-    }
-
-    #[test]
-    fn absorb_out_of_order_permutes_cluster_ids() {
-        // Ordering audit (the ride-along regression): absorbing shards out
-        // of sequential order keeps each cluster internally well-formed —
-        // ascending member_ids, local parents, root_pos all survive, so no
-        // assertion fires — but permutes the *cluster ids*. Ids key the
-        // membership CSR ordering, `cluster(id)` lookups, and the assemble
-        // sweep, so the merged forest is NOT bit-identical to the sequential
-        // one. This is why the parallel merge must absorb in shard order.
-        let sequential = sample_forest();
-        let mut shard0 = ClusterForestBuilder::new(5);
-        shard0.push_cluster(
-            1,
-            0,
-            [
-                ForestMember {
-                    v: 0,
-                    parent: 1,
-                    weight: 2,
-                    root_dist: 2,
-                },
-                ForestMember {
-                    v: 2,
-                    parent: 1,
-                    weight: 3,
-                    root_dist: 3,
-                },
-            ],
-        );
-        let mut shard1 = ClusterForestBuilder::new(5);
-        shard1.push_cluster(
-            3,
-            1,
-            [
-                ForestMember {
-                    v: 1,
-                    parent: 2,
-                    weight: 1,
-                    root_dist: 5,
-                },
-                ForestMember {
-                    v: 2,
-                    parent: 3,
-                    weight: 4,
-                    root_dist: 4,
-                },
-                ForestMember {
-                    v: 4,
-                    parent: 3,
-                    weight: 1,
-                    root_dist: 1,
-                },
-            ],
-        );
-        let mut merged = ClusterForestBuilder::new(5);
-        merged.absorb(shard1); // wrong order
-        merged.absorb(shard0);
-        let swapped = merged.finish();
-        // Per-cluster data is intact under the permuted ids...
-        assert_eq!(swapped.cluster(0).center(), 3);
-        assert_eq!(swapped.cluster(1).center(), 1);
-        assert_eq!(
-            swapped.cluster(1).members().collect::<Vec<_>>(),
-            sequential.cluster(0).members().collect::<Vec<_>>()
-        );
-        // ...but the forest as a whole differs: ids and the id-ordered
-        // membership CSR are permuted.
-        assert_ne!(swapped, sequential);
-        let seq_mem: Vec<_> = sequential.membership(2).collect();
-        let swap_mem: Vec<_> = swapped.membership(2).collect();
-        assert_eq!(seq_mem, vec![(0, 2), (1, 1)]);
-        assert_eq!(swap_mem, vec![(0, 1), (1, 2)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "different host")]
-    fn absorb_rejects_host_mismatch() {
-        let mut a = ClusterForestBuilder::new(5);
-        a.absorb(ClusterForestBuilder::new(6));
     }
 
     #[test]

@@ -23,10 +23,6 @@
 //!   behind Thorup–Zwick cluster growing, built on the shared [`cell`]
 //!   distance-cell machinery (which the Theorem-1 kernel in
 //!   `en_congest_algos` reuses).
-//! * [`parallel`] — the deterministic-parallelism plumbing shared by every
-//!   construction phase: [`BuildOptions`] (thread count), [`BuildStats`]
-//!   (per-thread work accounting), and the chunk-aligned [`shard_spans`]
-//!   sharding that keeps parallel builds bit-identical to sequential ones.
 //! * [`dijkstra`] — exact single-source shortest paths (the ground truth all
 //!   stretch measurements are computed against).
 //! * [`bellman_ford`] — hop-bounded distances `d^{(t)}_G` (Section 2 of the
@@ -62,7 +58,6 @@ pub mod error;
 pub mod forest;
 pub mod generators;
 pub mod graph;
-pub mod parallel;
 pub mod path;
 pub mod properties;
 pub mod restricted;
@@ -76,7 +71,6 @@ pub use forest::{
     TreeView,
 };
 pub use graph::{Edge, Neighbor, WeightedGraph};
-pub use parallel::{shard_spans, BuildOptions, BuildStats};
 pub use path::Path;
 pub use restricted::{
     restricted_multi_source_csr, restricted_multi_source_csr_grouped, RestrictedMultiSource,

@@ -49,21 +49,9 @@
 //! (`grow_exact_cluster_csr` in `en_routing::exact`) is the retained oracle
 //! the property tests validate this kernel against, member set for member
 //! set and distance for distance.
-//!
-//! # Parallelism
-//!
-//! A source's output column depends only on the graph and the shared
-//! threshold vector — chunk-mates share sweeps, never values — so both
-//! entry points shard the locality-ordered source sequence into
-//! chunk-aligned contiguous spans ([`shard_spans`]) and sweep each span on
-//! its own scoped worker thread. Chunk composition and all per-source
-//! outputs are exactly those of the sequential sweep, so the parallel run
-//! is bit-identical for every thread count; per-thread work accounting is
-//! returned as [`BuildStats`].
 
 use crate::cell::{fits_i32, DistCell};
 use crate::csr::CsrGraph;
-use crate::parallel::{shard_spans, BuildOptions, BuildStats};
 use crate::types::{Dist, NodeId, Weight, INFINITY};
 
 /// `parent` sentinel meaning "no parent recorded".
@@ -206,10 +194,6 @@ impl RestrictedMultiSource {
 /// stops after `β` levelled sweeps (the depth-bounded Bellman–Ford semantics
 /// of Section 3.3.2, the seeding sweep included).
 ///
-/// The locality-ordered sources are swept in chunk-aligned spans on up to
-/// `opts.threads` scoped worker threads, bit-identically to the sequential
-/// run (see the module docs). Also returns the per-thread work accounting.
-///
 /// # Panics
 ///
 /// Panics if a source is out of range or `threshold.len() != csr.num_nodes()`.
@@ -218,11 +202,10 @@ pub fn restricted_multi_source_csr(
     sources: &[NodeId],
     threshold: &[Dist],
     max_sweeps: Option<usize>,
-    opts: &BuildOptions,
-) -> (RestrictedMultiSource, BuildStats) {
+) -> RestrictedMultiSource {
     validate_inputs(csr, sources, threshold);
     let order = locality_order(csr, sources, threshold);
-    restricted_multi_source_ordered(csr, sources, threshold, max_sweeps, order, opts)
+    restricted_multi_source_ordered(csr, sources, threshold, max_sweeps, order)
 }
 
 /// [`restricted_multi_source_csr`] with a caller-supplied locality grouping:
@@ -245,8 +228,7 @@ pub fn restricted_multi_source_csr_grouped(
     threshold: &[Dist],
     max_sweeps: Option<usize>,
     groups: &[(NodeId, Dist)],
-    opts: &BuildOptions,
-) -> (RestrictedMultiSource, BuildStats) {
+) -> RestrictedMultiSource {
     validate_inputs(csr, sources, threshold);
     assert_eq!(
         groups.len(),
@@ -255,7 +237,7 @@ pub fn restricted_multi_source_csr_grouped(
     );
     let mut order: Vec<usize> = (0..sources.len()).collect();
     order.sort_by_key(|&i| (groups[i], sources[i]));
-    restricted_multi_source_ordered(csr, sources, threshold, max_sweeps, order, opts)
+    restricted_multi_source_ordered(csr, sources, threshold, max_sweeps, order)
 }
 
 /// The input contract shared by both entry points, checked before any work.
@@ -280,8 +262,7 @@ fn restricted_multi_source_ordered(
     threshold: &[Dist],
     max_sweeps: Option<usize>,
     order: Vec<usize>,
-    opts: &BuildOptions,
-) -> (RestrictedMultiSource, BuildStats) {
+) -> RestrictedMultiSource {
     let _span = en_obs::span("restricted_kernel");
     en_obs::counter_add("kernel.restricted.sources", sources.len() as u64);
     let n = csr.num_nodes();
@@ -302,35 +283,21 @@ fn restricted_multi_source_ordered(
     // full 64-cell rows amortise best.
     let finite_thresholds = threshold.iter().filter(|&&t| t < INFINITY).count();
     let chunk_cap = if 2 * finite_thresholds > n { 32 } else { 64 };
-    let stats = if fits_i32(n, csr.max_weight()) {
-        run_sharded::<i32>(
-            csr,
-            &permuted,
-            &order,
-            threshold,
-            budget,
-            chunk_cap,
-            opts.threads,
-            &mut out,
-        )
+    if fits_i32(n, csr.max_weight()) {
+        restricted_chunks::<i32>(
+            csr, &permuted, &order, threshold, budget, chunk_cap, &mut out,
+        );
     } else {
-        run_sharded::<u64>(
-            csr,
-            &permuted,
-            &order,
-            threshold,
-            budget,
-            chunk_cap,
-            opts.threads,
-            &mut out,
-        )
-    };
+        restricted_chunks::<u64>(
+            csr, &permuted, &order, threshold, budget, chunk_cap, &mut out,
+        );
+    }
     let Outputs {
         reached,
         member_rows,
         members,
     } = out;
-    let res = RestrictedMultiSource {
+    RestrictedMultiSource {
         sources: sources.to_vec(),
         // Clamp to the saturation point of the Dist domain so the membership
         // test agrees with the kernel's cell-domain mask even for degenerate
@@ -340,85 +307,7 @@ fn restricted_multi_source_ordered(
         reached,
         member_rows,
         members,
-    };
-    (res, stats)
-}
-
-/// Shards the permuted source sequence into chunk-aligned spans and sweeps
-/// each span on its own scoped worker (sequentially in place for a single
-/// span). Workers fill span-local outputs with span-local row maps; the
-/// coordinator scatters them back to caller-order rows through `order`, so
-/// the result is bit-identical to the one sequential sweep — the chunks each
-/// worker processes are exactly the sequential chunks ([`shard_spans`]).
-#[allow(clippy::too_many_arguments)]
-fn run_sharded<T: DistCell>(
-    csr: &CsrGraph,
-    permuted: &[NodeId],
-    order: &[usize],
-    threshold: &[Dist],
-    budget: usize,
-    chunk_cap: usize,
-    threads: usize,
-    out: &mut Outputs,
-) -> BuildStats {
-    let spans = shard_spans(permuted.len(), threads, chunk_cap);
-    if spans.len() <= 1 {
-        restricted_chunks::<T>(csr, permuted, order, threshold, budget, chunk_cap, out);
-        let members = out.members.iter().map(Vec::len).sum();
-        return BuildStats::single(permuted.len(), members);
     }
-    let shards: Vec<Outputs> = std::thread::scope(|scope| {
-        let handles: Vec<_> = spans
-            .iter()
-            .map(|span| {
-                let span = span.clone();
-                scope.spawn(move || {
-                    let len = span.len();
-                    let rows: Vec<usize> = (0..len).collect();
-                    let mut local = Outputs {
-                        reached: vec![Vec::new(); len],
-                        member_rows: vec![Vec::new(); len],
-                        members: vec![Vec::new(); len],
-                    };
-                    restricted_chunks::<T>(
-                        csr,
-                        &permuted[span],
-                        &rows,
-                        threshold,
-                        budget,
-                        chunk_cap,
-                        &mut local,
-                    );
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("restricted kernel worker panicked"))
-            .collect()
-    });
-    let mut stats = BuildStats::default();
-    for (span, local) in spans.iter().zip(shards) {
-        stats.record(span.len(), local.members.iter().map(Vec::len).sum());
-        let Outputs {
-            reached,
-            member_rows,
-            members,
-        } = local;
-        for (j, ((r, mr), m)) in reached
-            .into_iter()
-            .zip(member_rows)
-            .zip(members)
-            .enumerate()
-        {
-            let si = order[span.start + j];
-            out.reached[si] = r;
-            out.member_rows[si] = mr;
-            out.members[si] = m;
-        }
-    }
-    stats
 }
 
 /// The compact per-source output the kernel fills, bundled to keep call
@@ -785,17 +674,6 @@ mod tests {
     use crate::generators::{erdos_renyi_connected, GeneratorConfig};
     use crate::graph::WeightedGraph;
 
-    /// The kernel on one thread, without its work accounting.
-    fn run(
-        csr: &CsrGraph,
-        sources: &[NodeId],
-        threshold: &[Dist],
-        max_sweeps: Option<usize>,
-    ) -> RestrictedMultiSource {
-        let opts = BuildOptions::sequential();
-        restricted_multi_source_csr(csr, sources, threshold, max_sweeps, &opts).0
-    }
-
     /// The unbatched reference: one restricted Dijkstra per source (the same
     /// algorithm as `grow_exact_cluster_csr` in `en_routing`).
     fn reference(
@@ -835,7 +713,7 @@ mod tests {
 
     fn check_against_reference(g: &WeightedGraph, sources: &[NodeId], threshold: &[Dist]) {
         let csr = CsrGraph::from_graph(g);
-        let res = run(&csr, sources, threshold, None);
+        let res = restricted_multi_source_csr(&csr, sources, threshold, None);
         for (s, &src) in sources.iter().enumerate() {
             let (dist, joined, _) = reference(&csr, src, threshold);
             let members: Vec<NodeId> = res.members_of(s).collect();
@@ -876,7 +754,7 @@ mod tests {
         let g = erdos_renyi_connected(&GeneratorConfig::new(40, 9).with_weights(1, 20), 0.12);
         let threshold = vec![INFINITY; 40];
         let csr = CsrGraph::from_graph(&g);
-        let res = run(&csr, &[0, 17], &threshold, None);
+        let res = restricted_multi_source_csr(&csr, &[0, 17], &threshold, None);
         for (s, &src) in [0usize, 17].iter().enumerate() {
             let sp = crate::dijkstra::dijkstra(&g, src);
             assert_eq!(res.dist_row(s), sp.dist.as_slice());
@@ -893,10 +771,10 @@ mod tests {
         let g = WeightedGraph::from_edges(3, [(0, 1, 2), (1, 2, 2)]).unwrap();
         let threshold = vec![4, 2, 0];
         let csr = CsrGraph::from_graph(&g);
-        let res = run(&csr, &[0], &threshold, None);
+        let res = restricted_multi_source_csr(&csr, &[0], &threshold, None);
         assert_eq!(res.members_of(0).collect::<Vec<_>>(), vec![0]);
         // Break the tie and vertex 1 joins (2 < 3), vertex 2 still not.
-        let res = run(&csr, &[0], &[4, 3, 0], None);
+        let res = restricted_multi_source_csr(&csr, &[0], &[4, 3, 0], None);
         assert_eq!(res.members_of(0).collect::<Vec<_>>(), vec![0, 1]);
         check_against_reference(&g, &[0], &threshold);
         check_against_reference(&g, &[0], &[4, 3, 0]);
@@ -908,7 +786,7 @@ mod tests {
     fn source_relays_despite_zero_threshold() {
         let g = WeightedGraph::from_edges(2, [(0, 1, 1)]).unwrap();
         let csr = CsrGraph::from_graph(&g);
-        let res = run(&csr, &[0], &[0, 5], None);
+        let res = restricted_multi_source_csr(&csr, &[0], &[0, 5], None);
         assert_eq!(res.members_of(0).collect::<Vec<_>>(), vec![0, 1]);
         assert_eq!(res.dist_row(0)[1], 1);
         assert_eq!(res.parent_of(0, 1), Some((0, 1)));
@@ -922,9 +800,9 @@ mod tests {
         let g = WeightedGraph::from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)]).unwrap();
         let csr = CsrGraph::from_graph(&g);
         let threshold = vec![INFINITY; 4];
-        let res = run(&csr, &[0], &threshold, Some(2));
+        let res = restricted_multi_source_csr(&csr, &[0], &threshold, Some(2));
         assert_eq!(res.dist_row(0), &[0, 1, 2, INFINITY]);
-        let res = run(&csr, &[0], &threshold, Some(0));
+        let res = restricted_multi_source_csr(&csr, &[0], &threshold, Some(0));
         assert_eq!(res.dist_row(0), &[0, INFINITY, INFINITY, INFINITY]);
         assert_eq!(res.members_of(0).collect::<Vec<_>>(), vec![0]);
     }
@@ -935,7 +813,7 @@ mod tests {
         let big = (i32::MAX / 4) as u64;
         let g = WeightedGraph::from_edges(3, [(0, 1, big), (1, 2, 1)]).unwrap();
         let csr = CsrGraph::from_graph(&g);
-        let res = run(&csr, &[0], &[INFINITY; 3], None);
+        let res = restricted_multi_source_csr(&csr, &[0], &[INFINITY; 3], None);
         assert_eq!(res.dist_row(0), &[0, big, big + 1]);
         check_against_reference(&g, &[0], &[INFINITY; 3]);
     }
@@ -944,7 +822,7 @@ mod tests {
     fn empty_source_set_is_a_no_op() {
         let g = WeightedGraph::from_edges(2, [(0, 1, 1)]).unwrap();
         let csr = CsrGraph::from_graph(&g);
-        let res = run(&csr, &[], &[INFINITY; 2], None);
+        let res = restricted_multi_source_csr(&csr, &[], &[INFINITY; 2], None);
         assert!(res.sources().is_empty());
         assert_eq!(res.num_vertices(), 2);
     }
@@ -953,13 +831,13 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn rejects_out_of_range_source() {
         let g = WeightedGraph::from_edges(2, [(0, 1, 1)]).unwrap();
-        let _ = run(&CsrGraph::from_graph(&g), &[5], &[0, 0], None);
+        let _ = restricted_multi_source_csr(&CsrGraph::from_graph(&g), &[5], &[0, 0], None);
     }
 
     #[test]
     #[should_panic(expected = "one entry per vertex")]
     fn rejects_short_threshold_vector() {
         let g = WeightedGraph::from_edges(2, [(0, 1, 1)]).unwrap();
-        let _ = run(&CsrGraph::from_graph(&g), &[0], &[0], None);
+        let _ = restricted_multi_source_csr(&CsrGraph::from_graph(&g), &[0], &[0], None);
     }
 }

@@ -21,25 +21,13 @@ fn main() -> Result<(), RoutingError> {
         graph.num_edges()
     );
 
-    // Build the compact routing scheme with k = 3 (stretch at most 4k-5 = 7),
-    // sharded over the host's cores. The thread count never changes the
-    // output — the parallel build is bit-identical to `threads = 1` — so
-    // this example is reproducible on any machine.
-    let config = ConstructionConfig::new(3, 42);
-    let built = build_routing_scheme(&graph, &config)?;
+    // Build the compact routing scheme with k = 3 (stretch at most 4k-5 = 7).
+    let built = build_routing_scheme(&graph, &ConstructionConfig::new(3, 42))?;
     println!(
         "construction charged {} CONGEST rounds over {} phases (hop-diameter ~{})",
         built.total_rounds(),
         built.ledger.len(),
         built.hop_diameter
-    );
-    println!(
-        "parallel build: {} worker slots over {} requested threads swept {} sources \
-         and produced {} members",
-        built.build_stats.threads_used(),
-        config.threads,
-        built.build_stats.total_sources(),
-        built.build_stats.total_members()
     );
     println!(
         "routing tables: max {} words, avg {:.1} words; labels: max {} words",

@@ -14,7 +14,6 @@ use en_graph::bellman_ford::hop_bounded_distances;
 use en_graph::bfs::{bfs, hop_diameter};
 use en_graph::dijkstra::multi_source_dijkstra;
 use en_graph::generators::{erdos_renyi_connected, grid, GeneratorConfig};
-use en_graph::BuildOptions;
 
 #[test]
 fn flooding_round_count_equals_eccentricity() {
@@ -73,7 +72,7 @@ fn theorem1_values_bracket_hop_bounded_distances() {
     let g = erdos_renyi_connected(&GeneratorConfig::new(80, 7).with_weights(1, 30), 0.06);
     let sources = vec![0, 11, 42];
     let b = 5;
-    let (t1, _) = multi_source_hop_bounded(&g, &sources, b, 0.1, 8, &BuildOptions::sequential());
+    let t1 = multi_source_hop_bounded(&g, &sources, b, 0.1, 8);
     for (si, &s) in sources.iter().enumerate() {
         let reference = hop_bounded_distances(&g, s, b);
         for v in g.nodes() {

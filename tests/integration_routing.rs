@@ -148,3 +148,27 @@ fn every_vertex_can_reach_every_other_on_a_fixed_instance() {
         }
     }
 }
+
+#[test]
+fn single_vertex_host_builds_and_serializes_at_k1() {
+    let g = WeightedGraph::new(1);
+    let built = build_routing_scheme(&g, &ConstructionConfig::new(1, 7)).unwrap();
+    assert_eq!(built.scheme.n(), 1);
+    let bytes = en_wire::serialize(&built.scheme);
+    let flat = en_wire::FlatScheme::from_bytes(&bytes).expect("snapshot validates");
+    assert_eq!(flat.n(), 1);
+}
+
+#[test]
+fn star_centre_cluster_spans_the_host_at_k1() {
+    // k = 1: every vertex is a level-0 centre and no level follows, so the
+    // centre's cluster is all of the host.
+    let star = WeightedGraph::from_edges(6, (1..6).map(|v| (0, v, 1))).unwrap();
+    let built = build_routing_scheme(&star, &ConstructionConfig::new(1, 5)).unwrap();
+    let centre = built
+        .family
+        .cluster(0)
+        .expect("the star centre is a level-0 centre");
+    assert_eq!(centre.len(), star.num_nodes());
+    assert_scheme_sound(&star, 1, 5, true);
+}

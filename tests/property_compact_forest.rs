@@ -24,7 +24,7 @@ use proptest::prelude::*;
 
 use en_graph::forest::TreeView;
 use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
-use en_graph::{BuildOptions, WeightedGraph};
+use en_graph::WeightedGraph;
 use en_routing::construction::{build_routing_scheme, ConstructionConfig};
 use en_routing::exact::{exact_cluster_family, grow_exact_cluster_csr, membership_thresholds};
 use en_routing::scheme::RoutingScheme;
@@ -98,7 +98,7 @@ fn check_tree_schemes_match(family: &ClusterFamily, tree_seed: u64) {
 /// pre-forest reference assembly are bit-identical in everything a user can
 /// observe.
 fn check_assemblies_match(g: &WeightedGraph, family: &ClusterFamily, tree_seed: u64) {
-    let (fast, _) = RoutingScheme::assemble(family, g, tree_seed, &BuildOptions::sequential());
+    let fast = RoutingScheme::assemble(family, g, tree_seed);
     let reference = RoutingScheme::assemble_reference(family, g, tree_seed);
     let n = g.num_nodes();
     for v in 0..n {

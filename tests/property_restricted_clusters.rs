@@ -13,8 +13,8 @@ use proptest::prelude::*;
 use en_graph::dijkstra::multi_source_dijkstra;
 use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
 use en_graph::{
-    restricted_multi_source_csr, BuildOptions, ClusterForestBuilder, CsrGraph, Dist, NodeId,
-    WeightedGraph, INFINITY,
+    restricted_multi_source_csr, ClusterForestBuilder, CsrGraph, Dist, NodeId, WeightedGraph,
+    INFINITY,
 };
 use en_routing::exact::{
     exact_cluster_family, grow_exact_cluster_csr, grow_exact_clusters, membership_thresholds,
@@ -64,6 +64,53 @@ fn assert_cluster_matches_oracle(
     }
 }
 
+/// Checks the batched kernel against the per-centre oracle cell for cell:
+/// member sets, raw restricted distances, and parents on restricted
+/// shortest paths inside the member set.
+fn assert_kernel_matches_oracle(g: &WeightedGraph, sources: &[NodeId], threshold: &[Dist]) {
+    let csr = CsrGraph::from_graph(g);
+    let res = restricted_multi_source_csr(&csr, sources, threshold, None);
+    for (s, &src) in sources.iter().enumerate() {
+        let oracle = grow_exact_cluster_csr(&csr, src, 0, threshold);
+        let members: Vec<NodeId> = res.members_of(s).collect();
+        assert_eq!(members, oracle.members(), "source {src}");
+        for &v in &members {
+            assert_eq!(
+                res.dist_row(s)[v],
+                oracle.root_estimate[&v],
+                "source {src} vertex {v}"
+            );
+            if v != src {
+                let (p, w) = res.parent_of(s, v).expect("member has parent");
+                assert!(res.is_member(s, p));
+                assert_eq!(g.edge_weight(v, p), Some(w));
+                assert_eq!(res.dist_row(s)[p] + w, res.dist_row(s)[v]);
+            }
+        }
+    }
+}
+
+/// The construction rejects disconnected graphs, but the kernel does not:
+/// every source's cluster stays inside its own component.
+#[test]
+fn batched_matches_oracle_on_a_disconnected_host() {
+    let g = WeightedGraph::from_edges(
+        8,
+        [
+            (0, 1, 2),
+            (1, 2, 3),
+            (2, 3, 1),
+            // 4..8 is a separate component.
+            (4, 5, 1),
+            (5, 6, 2),
+            (6, 7, 1),
+        ],
+    )
+    .unwrap();
+    let sources: Vec<NodeId> = (0..8).collect();
+    assert_kernel_matches_oracle(&g, &sources, &[INFINITY; 8]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, .. ProptestConfig::default() })]
 
@@ -89,8 +136,7 @@ proptest! {
         let centers: Vec<NodeId> = (0..n).filter(|v| !level.contains(v)).collect();
         let csr = CsrGraph::from_graph(&g);
         let mut builder = ClusterForestBuilder::new(n);
-        let opts = BuildOptions::sequential();
-        grow_exact_clusters(&csr, &centers, 0, &threshold, &pivots, &mut builder, &opts);
+        grow_exact_clusters(&csr, &centers, 0, &threshold, &pivots, &mut builder);
         let forest = builder.finish();
         prop_assert_eq!(forest.num_clusters(), centers.len());
         for cluster in forest.clusters() {
@@ -119,23 +165,7 @@ proptest! {
             })
             .collect();
         let sources: Vec<NodeId> = (0..n).filter(|v| v % sources_mod == 0).collect();
-        let csr = CsrGraph::from_graph(&g);
-        let opts = BuildOptions::sequential();
-        let (res, _) = restricted_multi_source_csr(&csr, &sources, &threshold, None, &opts);
-        for (s, &src) in sources.iter().enumerate() {
-            let oracle = grow_exact_cluster_csr(&csr, src, 0, &threshold);
-            let members: Vec<NodeId> = res.members_of(s).collect();
-            prop_assert_eq!(&members, &oracle.members(), "source {}", src);
-            for &v in &members {
-                prop_assert_eq!(res.dist_row(s)[v], oracle.root_estimate[&v], "source {} vertex {}", src, v);
-                if v != src {
-                    let (p, w) = res.parent_of(s, v).expect("member has parent");
-                    prop_assert!(res.is_member(s, p));
-                    prop_assert_eq!(g.edge_weight(v, p), Some(w));
-                    prop_assert_eq!(res.dist_row(s)[p] + w, res.dist_row(s)[v]);
-                }
-            }
-        }
+        assert_kernel_matches_oracle(&g, &sources, &threshold);
     }
 
     /// The whole-family build (all levels of a sampled hierarchy) agrees with

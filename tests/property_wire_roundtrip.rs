@@ -34,7 +34,7 @@
 use proptest::prelude::*;
 
 use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
-use en_graph::{BuildOptions, WeightedGraph};
+use en_graph::WeightedGraph;
 use en_routing::access::RouteAccess;
 use en_routing::construction::{build_routing_scheme, ConstructionConfig};
 use en_routing::exact::exact_cluster_family;
@@ -251,7 +251,7 @@ proptest! {
         let params = SchemeParams::new(k, g.num_nodes(), seed);
         let hierarchy = Hierarchy::sample(&params);
         let family = exact_cluster_family(&g, &hierarchy);
-        let (scheme, _) = RoutingScheme::assemble(&family, &g, seed, &BuildOptions::sequential());
+        let scheme = RoutingScheme::assemble(&family, &g, seed);
         check_engine_matches_scheme(&g, &scheme);
     }
 
@@ -275,7 +275,7 @@ proptest! {
         let params = SchemeParams::new(2, g.num_nodes(), seed);
         let hierarchy = Hierarchy::sample(&params);
         let family = exact_cluster_family(&g, &hierarchy);
-        let (scheme, _) = RoutingScheme::assemble(&family, &g, seed, &BuildOptions::sequential());
+        let scheme = RoutingScheme::assemble(&family, &g, seed);
         let bytes = serialize(&scheme);
 
         // Truncations at word and sub-word granularity.
@@ -393,7 +393,7 @@ proptest! {
         let params = SchemeParams::new(2, g.num_nodes(), 77);
         let hierarchy = Hierarchy::sample(&params);
         let family = exact_cluster_family(&g, &hierarchy);
-        let (scheme, _) = RoutingScheme::assemble(&family, &g, 77, &BuildOptions::sequential());
+        let scheme = RoutingScheme::assemble(&family, &g, 77);
         let bytes = serialize(&scheme);
 
         // Header flip: one bit of the proptest-chosen header field.
@@ -440,7 +440,7 @@ proptest! {
             let params = SchemeParams::new(k, g.num_nodes(), seed);
             let hierarchy = Hierarchy::sample(&params);
             let family = exact_cluster_family(&g, &hierarchy);
-            RoutingScheme::assemble(&family, &g, seed, &BuildOptions::sequential()).0
+            RoutingScheme::assemble(&family, &g, seed)
         } else {
             build_routing_scheme(&g, &ConstructionConfig::new(k, seed))
                 .unwrap()
